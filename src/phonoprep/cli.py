@@ -175,13 +175,12 @@ def cmd_bpe_learn(args) -> int:
 def cmd_bpe_apply(args) -> int:
     model = load_bpe_model(args.model)
     source = _read_lines(args.input) if args.input else sys.stdin.read().splitlines()
-    cache: dict = {}
     out_lines = []
     for line in source:
         if args.reverse:
             out_lines.append(" ".join(bpe_decode(line.split(), model)))
         else:
-            out_lines.append(" ".join(bpe_apply(line.split(), model, _cache=cache)))
+            out_lines.append(" ".join(bpe_apply(line.split(), model)))
     if args.output:
         _write_lines(args.output, out_lines)
     else:

@@ -59,6 +59,10 @@ class DanglingContinuation(PhonoprepError):
     """Subword stream ended in the middle of a word."""
 
 
+class ContinuationMarkerToken(PhonoprepError):
+    """Token ends with the continuation marker, so its pieces would not decode."""
+
+
 # --- geometry ---
 
 class DimensionMismatch(PhonoprepError):

@@ -188,7 +188,6 @@ def ppmi(matrix: csr_matrix) -> csr_matrix:
     row = np.asarray(matrix.sum(axis=1)).ravel()
     col = np.asarray(matrix.sum(axis=0)).ravel()
     out = matrix.tocoo()
-    expected = row[out.row] * col[out.col] / total
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.log(out.data * total / (row[out.row] * col[out.col]))
     vals[~np.isfinite(vals)] = 0.0

@@ -325,8 +325,6 @@ def run_pipeline(config: PipelineConfig) -> Path:
         written.append(out / "models" / "clusters.tsv")
 
     try:
-        word_cache: dict = {}
-        code_cache: dict = {}
         for name, enc in encoded.items():
             words_path = out / "streams" / f"{name}.words"
             codes_path = out / "streams" / f"{name}.codes"
@@ -335,11 +333,11 @@ def run_pipeline(config: PipelineConfig) -> Path:
             written += [words_path, codes_path]
 
             bpe_words = [
-                " ".join(bpe_apply(line.split(), word_bpe, _cache=word_cache))
+                " ".join(bpe_apply(line.split(), word_bpe))
                 for line in enc.word_lines
             ]
             bpe_codes = [
-                " ".join(bpe_apply(line.split(), code_bpe, _cache=code_cache))
+                " ".join(bpe_apply(line.split(), code_bpe))
                 for line in enc.code_lines
             ]
             processed = EncodedCorpus(

@@ -2,23 +2,29 @@
 
 Learning initializes every word as its character sequence terminated by an
 end-of-word marker, then greedily merges the most frequent adjacent symbol
-pair (ties broken lexicographically, so learning is fully deterministic).
+pair; a pair must occur at least twice, and ties go to the lexicographically
+smallest pair, so learning is fully deterministic. Pair counts are kept
+incrementally (a merge re-counts only the words it rewrites) and the next
+pair comes off a lazy max-heap keyed by ``(-count, pair)``, whose stale
+entries are dropped when popped, as in subword-nmt and fastBPE. Overlapping
+occurrences all count: ``aaa`` holds ``(a, a)`` twice.
 The marker is a boundary symbol: pairs touching it are never merged, which
 keeps words separable and makes decoding exact.
 
 Applied output uses a continuation suffix on every non-final piece of a
 word (the ``@@`` convention), so ``bpe_decode`` inverts ``bpe_apply``
-exactly as long as corpus tokens do not themselves end with the marker.
+exactly; ``bpe_apply`` rejects tokens that themselves end with the marker.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DanglingContinuation, EmptyCorpus
+from .errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus
 
 __all__ = [
     "BpeModel",
@@ -41,6 +47,8 @@ class BpeModel:
     end_of_word_marker: str = "</w>"
     continuation_marker: str = "@@"
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
+    # token -> applied pieces, filled by bpe_apply
+    _segments: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         ranks = {pair: i for i, pair in enumerate(self.merges)}
@@ -75,54 +83,72 @@ def bpe_learn(
         raise EmptyCorpus("corpus has no tokens")
 
     # one working sequence per unique word; marker terminates each word
-    words = sorted(word_freqs)
-    seqs: list[list[str]] = [list(w) + [end_of_word_marker] for w in words]
-    freqs = [word_freqs[w] for w in words]
+    seqs: list[list[str]] = [list(w) + [end_of_word_marker] for w in word_freqs]
+    freqs = list(word_freqs.values())
 
-    pair_counts: Counter[tuple[str, str]] = Counter()
-    pair_words: dict[tuple[str, str], set[int]] = {}
+    def pairs(seq: list[str]) -> Iterable[tuple[str, str]]:
+        return (p for p in zip(seq, seq[1:]) if p[1] != end_of_word_marker)
 
-    def add_pairs(wi: int, sign: int) -> None:
-        seq, f = seqs[wi], freqs[wi]
-        for a, b in zip(seq, seq[1:]):
-            if b == end_of_word_marker:
-                continue
-            pair = (a, b)
-            pair_counts[pair] += sign * f
-            if sign > 0:
-                pair_words.setdefault(pair, set()).add(wi)
+    # exact live count of every pair present, plus a superset index of the
+    # words holding it (entries go stale as merges rewrite words)
+    pair_counts: dict[tuple[str, str], int] = {}
+    pair_words: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for wi, seq in enumerate(seqs):
+        for pair in pairs(seq):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freqs[wi]
+            pair_words[pair].add(wi)
 
-    for wi in range(len(seqs)):
-        add_pairs(wi, +1)
+    # (-count, pair) pops the most frequent pair, ties to the smallest pair;
+    # only counts >= 2 are pushed, as a pair must occur twice to be merged.
+    # An entry is stale once its count differs from the live count.
+    def rebuild() -> list[tuple[int, tuple[str, str]]]:
+        heap = [(-c, pair) for pair, c in pair_counts.items() if c >= 2]
+        heapq.heapify(heap)
+        return heap
 
+    heap = rebuild()
     merges: list[tuple[str, str]] = []
-    while len(merges) < num_operations:
-        best = None
-        best_count = 1  # a pair must occur at least twice to be merged
-        for pair, count in pair_counts.items():
-            if count > best_count or (count == best_count and best is not None and pair < best):
-                best, best_count = pair, count
-        if best is None:
-            break
+    while len(merges) < num_operations and heap:
+        neg_count, best = heapq.heappop(heap)
+        if pair_counts.get(best) != -neg_count:
+            continue
         merges.append(best)
-        joined = best[0] + best[1]
-        for wi in sorted(pair_words.get(best, ())):
+        left, right = best
+        joined = left + right
+        deltas: Counter[tuple[str, str]] = Counter()
+        # merging leaves no (left, right) behind, so the index entry is spent
+        for wi in pair_words.pop(best):
             seq = seqs[wi]
-            if best[0] not in seq:  # stale index from an earlier merge
-                continue
-            add_pairs(wi, -1)
             merged: list[str] = []
-            j = 0
-            while j < len(seq):
-                if j + 1 < len(seq) and seq[j] == best[0] and seq[j + 1] == best[1]:
+            j, n = 0, len(seq)
+            while j < n:
+                if j + 1 < n and seq[j] == left and seq[j + 1] == right:
                     merged.append(joined)
                     j += 2
                 else:
                     merged.append(seq[j])
                     j += 1
+            if len(merged) == n:  # stale index entry
+                continue
+            f = freqs[wi]
+            for pair in pairs(seq):
+                deltas[pair] -= f
+            for pair in pairs(merged):
+                deltas[pair] += f
+                pair_words[pair].add(wi)
             seqs[wi] = merged
-            add_pairs(wi, +1)
-        pair_counts = +pair_counts  # drop zero/negative remnants
+        for pair, delta in deltas.items():
+            if delta == 0:
+                continue
+            count = pair_counts.get(pair, 0) + delta
+            if count > 0:
+                pair_counts[pair] = count
+                if count >= 2:
+                    heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
+        if len(heap) > 2 * len(pair_counts):
+            heap = rebuild()
 
     return BpeModel(
         merges=tuple(merges),
@@ -148,20 +174,26 @@ def _segment(word: str, model: BpeModel) -> list[str]:
     return symbols
 
 
-def bpe_apply(sentence: list[str], model: BpeModel, _cache: dict | None = None) -> list[str]:
+def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
     """Split each token into learned subword pieces.
 
     Non-final pieces of a word carry the continuation marker so the output
-    is exactly decodable. Pass a dict as ``_cache`` to reuse per-word
-    segmentations across calls.
+    is exactly decodable; a token that itself ends with the marker raises
+    ``ContinuationMarkerToken``. Segmentations are cached on the model, so
+    repeated tokens cost one lookup.
     """
     out: list[str] = []
-    cache = _cache if _cache is not None else {}
+    cache = model._segments
+    marker = model.continuation_marker
     for token in sentence:
         pieces = cache.get(token)
         if pieces is None:
+            if token.endswith(marker):
+                raise ContinuationMarkerToken(
+                    f"token {token!r} ends with the continuation marker {marker!r}"
+                )
             raw = _segment(token, model)
-            pieces = [p + model.continuation_marker for p in raw[:-1]] + [raw[-1]]
+            pieces = [p + marker for p in raw[:-1]] + [raw[-1]]
             cache[token] = pieces
         out.extend(pieces)
     return out

@@ -272,10 +272,9 @@ class TestCriterion6Bpe:
     def test_round_trip_and_determinism(self, desk_lines, tmp_path):
         t0 = time.perf_counter()
         model = bpe_learn(desk_lines, 2000)
-        cache: dict = {}
         for line in desk_lines:
             tokens = line.split()
-            assert bpe_decode(bpe_apply(tokens, model, _cache=cache), model) == tokens
+            assert bpe_decode(bpe_apply(tokens, model), model) == tokens
 
         zero = bpe_learn(desk_lines[:100], 0)
         word = desk_lines[0].split()[0]

@@ -191,6 +191,20 @@ class TestBpeAndPipeline:
         assert code == 0
         assert restored.read_text(encoding="utf-8") == corpus.read_text(encoding="utf-8")
 
+    def test_bpe_apply_rejects_token_ending_with_marker(self, capsys, tmp_path):
+        merges = tmp_path / "m.txt"
+        merges.write_text("#version: 0.2\na b\n", encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("ab cd\nab@@ cd\n", encoding="utf-8")
+        code, _, err = run_cli(
+            ["bpe", "apply", "--model", str(merges), "--input", str(src),
+             "--output", str(tmp_path / "out.txt")],
+            capsys,
+        )
+        assert code == 2
+        assert "ab@@" in err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_pipeline_run_with_config_file(self, capsys, tmp_path):
         train = tmp_path / "train.txt"
         train.write_text("body but bad\nspeak space suppose\n", encoding="utf-8")

@@ -173,6 +173,13 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert exc.value.stage == "read-inputs"
 
+    def test_token_ending_with_marker_reports_stage(self, tmp_path):
+        train = _write_corpus(tmp_path / "marked.txt", TRAIN + ["ab@@ cd"])
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(self._config(tmp_path, train_path=str(train)))
+        assert exc.value.stage == "bpe-apply"
+        assert "@@" in str(exc.value)
+
     def test_config_round_trip(self, tmp_path):
         cfg = self._config(tmp_path)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg

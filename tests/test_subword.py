@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phonoprep.errors import DanglingContinuation, EmptyCorpus
+from phonoprep.errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus
+from phonoprep.pipeline import encode_corpus, make_token_encoder
 from phonoprep.subword import (
     BpeModel,
     bpe_apply,
@@ -14,6 +19,50 @@ from phonoprep.subword import (
     bpe_learn,
     load_bpe_model,
     save_bpe_model,
+)
+
+DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
+
+
+def reference_bpe_learn(lines: list[str], num_operations: int,
+                        end_of_word_marker: str = "</w>") -> tuple[tuple[str, str], ...]:
+    """Naive learner: recount every pair and scan all of them on every merge."""
+    word_freqs = Counter(tok for line in lines for tok in line.split())
+    seqs = {w: list(w) + [end_of_word_marker] for w in word_freqs}
+    merges: list[tuple[str, str]] = []
+    while len(merges) < num_operations:
+        counts: Counter[tuple[str, str]] = Counter()
+        for w, f in word_freqs.items():
+            seq = seqs[w]
+            for a, b in zip(seq, seq[1:]):
+                if b != end_of_word_marker:
+                    counts[(a, b)] += f
+        candidates = [(-c, pair) for pair, c in counts.items() if c >= 2]
+        if not candidates:
+            break
+        best = min(candidates)[1]
+        merges.append(best)
+        for w, seq in seqs.items():
+            merged, j = [], 0
+            while j < len(seq):
+                if j + 1 < len(seq) and (seq[j], seq[j + 1]) == best:
+                    merged.append(seq[j] + seq[j + 1])
+                    j += 2
+                else:
+                    merged.append(seq[j])
+                    j += 1
+            seqs[w] = merged
+    return tuple(merges)
+
+
+# small alphabets make count ties and overlapping runs ("aaaa") common
+_small_corpus = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+    lambda alphabet: st.lists(
+        st.lists(st.text(alphabet=alphabet, min_size=1, max_size=7), min_size=1, max_size=6)
+        .map(" ".join),
+        min_size=1,
+        max_size=6,
+    )
 )
 
 
@@ -59,6 +108,33 @@ class TestLearn:
         big = bpe_learn(corpus, 12)
         assert big.merges[:len(small.merges)] == small.merges
 
+    def test_overlapping_runs_count_twice(self):
+        # "aaa" holds (a,a) twice, so it alone reaches the two-occurrence floor
+        assert bpe_learn("aaa", 5).merges == (("a", "a"),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_corpus, st.integers(min_value=0, max_value=40))
+    @example(["abb abb a"], 5)  # stale entries outnumber live pairs: heap is rebuilt
+    def test_matches_reference_learner(self, lines, ops):
+        # ops well past the merge supply of these corpora exercises the early stop
+        assert bpe_learn(lines, ops).merges == reference_bpe_learn(lines, ops)
+
+    def test_desk_merge_files_are_pinned(self, tmp_path):
+        # the pipeline-desk merge-file goldens of perfbench/golden.json; they pin
+        # counts, tie-breaks and the early stop (the codes stop at 468 merges)
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
+        codes = encode_corpus(lines, make_token_encoder("metaphone")).code_lines
+        pinned = {
+            "words": (lines, 2000,
+                      "220f63c70143585fa472e6a20e9e2e7cfa9abfeaab94cf78fd89fc2510941b61"),
+            "codes": (codes, 1000,
+                      "609ba8a3535700332e9d36e49a39083ab8401fafa003d453c7bdab16ead50ccb"),
+        }
+        for name, (corpus, ops, digest) in pinned.items():
+            path = tmp_path / f"{name}.bpe"
+            save_bpe_model(bpe_learn(corpus, ops), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
 
 class TestApply:
     def test_merge_replay(self):
@@ -73,6 +149,25 @@ class TestApply:
         # apply must replay merges by rank, not greedily by position
         model = BpeModel(merges=(("b", "c"), ("a", "b")), num_operations=2)
         assert bpe_apply(["abc"], model) == ["a@@", "bc"]
+
+    def test_rejects_token_ending_with_marker(self):
+        # "ab@@ cd" would decode as the single token "abcd"
+        model = bpe_learn(["ab@@ cd", "ab@@ ef", "xb@@ q"], 10)
+        with pytest.raises(ContinuationMarkerToken):
+            bpe_apply(["ab@@", "cd"], model)
+        with pytest.raises(ContinuationMarkerToken):
+            bpe_apply(["@@"], model)
+        assert bpe_decode(bpe_apply(["a@@b", "@"], model), model) == ["a@@b", "@"]
+
+    def test_segmentation_cache_is_per_model(self):
+        coarse = bpe_learn("abab abab", 3)
+        fine = bpe_learn("abab abab", 0)
+        assert bpe_apply(["abab"], coarse) == ["abab"]
+        assert bpe_apply(["abab"], fine) == ["a@@", "b@@", "a@@", "b"]
+        assert bpe_apply(["abab", "abab"], coarse) == ["abab", "abab"]
+        # the cache is not part of the model's value
+        assert coarse == BpeModel(merges=coarse.merges, num_operations=3)
+        assert hash(coarse) == hash(BpeModel(merges=coarse.merges, num_operations=3))
 
     def test_monotone_segment_count(self):
         corpus = ["banana bandana banner"] * 4
