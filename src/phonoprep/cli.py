@@ -28,7 +28,7 @@ from .clustering import (
     save_cluster_model,
 )
 from .encoders import load_code_table, bundled_table_path
-from .errors import PhonoprepError
+from .errors import InvalidConfig, PhonoprepError
 from .evaluate import bleu, vocab_stats
 from .geometry import (
     HullParams,
@@ -91,16 +91,6 @@ def _rows_to_csv(header: list[str], rows: list) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _load_groups_file(path: str) -> dict[str, str]:
-    mapping = {}
-    for line in _read_lines(path):
-        if not line or line.startswith("#"):
-            continue
-        unit, code = line.split("\t")
-        mapping[unit] = code
-    return mapping
-
-
 def _load_points_file(path: str) -> dict[str, np.ndarray]:
     table = load_embeddings(path)
     return dict(table.vectors)
@@ -116,7 +106,7 @@ def _hull_params(args) -> HullParams | None:
 
 def _grouped_points(args) -> list[np.ndarray]:
     projected = _load_points_file(args.points)
-    encoding = _load_groups_file(args.groups)
+    encoding = load_cluster_model(args.groups).assignment
     return group_points(projected, encoding)
 
 
@@ -537,6 +527,12 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
     if not isinstance(data, dict):
         raise PhonoprepError(f"config {config_path} must be a flat JSON object")
     defaults = {k.replace("-", "_"): v for k, v in data.items()}
+    # one flat config serves every subcommand: a key is known if any option has it
+    known = {action.dest for registered in _Parser.registry
+             for action in registered._actions if action.default is not argparse.SUPPRESS}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise InvalidConfig(f"config {config_path}: unknown key(s) {', '.join(unknown)}")
     for registered in _Parser.registry:
         registered.set_defaults(**defaults)
     return argv[:at] + argv[at + 2:]

@@ -173,19 +173,33 @@ def _lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, max_iter: int
             centroids[j] = pts[np.searchsorted(np.cumsum(closest_sq), r)]
         closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[j]) ** 2, axis=1))
 
-    assignment = np.full(len(pts), -1)
+    n, dim = pts.shape
+    assignment = np.full(n, -1)
     costs: list[float] = []
+    d2 = np.empty((n, k))
+    term = np.empty((n, k))
     for _ in range(max_iter):
-        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        # squared distances summed one coordinate at a time, in the order
+        # np.sum(..., axis=2) adds them for dim < 8, without the (n, k, dim)
+        # temporary
+        np.subtract.outer(pts[:, 0], centroids[:, 0], out=d2)
+        np.square(d2, out=d2)
+        for c in range(1, dim):
+            np.subtract.outer(pts[:, c], centroids[:, c], out=term)
+            np.square(term, out=term)
+            d2 += term
         new_assignment = np.argmin(d2, axis=1)
-        costs.append(float(d2[np.arange(len(pts)), new_assignment].sum()))
+        costs.append(float(d2[np.arange(n), new_assignment].sum()))
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
+        # a stable sort keeps each cluster's members in input order
+        order = np.argsort(assignment, kind="stable")
+        bounds = np.searchsorted(assignment[order], np.arange(k + 1))
         for j in range(k):
-            members = pts[assignment == j]
-            if len(members):
-                centroids[j] = members.mean(axis=0)
+            lo, hi = bounds[j], bounds[j + 1]
+            if hi > lo:
+                centroids[j] = pts[order[lo:hi]].mean(axis=0)
             else:
                 dist_own = np.sum((pts - centroids[assignment]) ** 2, axis=1)
                 centroids[j] = pts[np.argmax(dist_own)]
@@ -202,6 +216,11 @@ def kmeans_fit(
     """Lloyd's algorithm from k-means++ style seeding, best of ``n_init`` restarts.
 
     Empty clusters are re-seeded from the point farthest from its centroid.
+    Squared distances add the coordinates left to right, which is exactly
+    how ``np.sum(..., axis=-1)`` adds fewer than 8 of them; from d = 8 on
+    numpy sums pairwise instead, so distances and costs may differ from
+    such a sum in the last bit and an exact tie in the assignment could
+    resolve differently.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -267,6 +286,12 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
+    """Read ``unit<TAB>cluster-id`` rows and the ``# seed:`` / ``# source:`` header.
+
+    A row is any line with a tab that does not start with ``"# "``; since
+    units never contain whitespace, units starting with ``#`` stay rows.
+    Other lines starting with ``#`` are comments.
+    """
     seed = 0
     source = "baseline-derived"
     assignment: dict[str, str] = {}
@@ -275,7 +300,9 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
             seed = int(line.split(":", 1)[1])
         elif line.startswith("# source:"):
             source = line.split(":", 1)[1].strip()
-        elif line and not line.startswith("#"):
+        elif "\t" in line and not line.startswith("# "):
             unit, cid = line.split("\t")
             assignment[unit] = cid
+        elif line and not line.startswith("#"):
+            raise ValueError(f"{path}: expected unit<TAB>cluster-id, got {line!r}")
     return ClusterModel(assignment=assignment, seed=seed, source=source)

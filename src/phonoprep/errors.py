@@ -114,6 +114,10 @@ class SeparatorCollision(PhonoprepError):
     """Separator token occurs in one of the streams being combined."""
 
 
+class InvalidConfig(PhonoprepError):
+    """A configuration names an unknown key or lacks a required one."""
+
+
 class PipelineStageError(PhonoprepError):
     """A pipeline stage failed; carries the stage name."""
 

@@ -10,9 +10,11 @@ score.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import LineCountMismatch
 
@@ -55,8 +57,54 @@ class VocabReport:
         return self.streams[stream][1]
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_matches(
+    hyp_segments: list[list[str]],
+    ref_segments: list[list[str]],
+    ref_sentence: list[int],
+) -> tuple[list[int], list[int]]:
+    """Clipped n-gram matches and hypothesis n-gram totals for orders 1..4.
+
+    Hypothesis segment i belongs to sentence i; reference segment j to
+    sentence ``ref_sentence[j]``. Each n-gram gets a dense integer id,
+    re-densified at every order so that no key can overflow, and a
+    (sentence, n-gram) pair becomes one int64 key. A hypothesis key's
+    count is clipped by its largest count in any one reference.
+    """
+    segments = hyp_segments + ref_segments
+    flat = list(chain.from_iterable(segments))
+    index = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
+    tokens = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    lengths = [len(seg) for seg in segments]
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    n_hyp = len(hyp_segments)
+    sentence = np.concatenate([np.arange(n_hyp), ref_sentence]).astype(np.int64)
+
+    matches, totals = [], []
+    grams, width = tokens, len(index)
+    for n in range(1, MAX_ORDER + 1):
+        if n > 1:
+            # the n-gram starting at i is (its (n-1)-gram prefix, token i+n-1)
+            distinct, grams = np.unique(grams[:-1] * len(index) + tokens[n - 1:],
+                                        return_inverse=True)
+            width = len(distinct)
+        starts = segment[:max(0, len(segment) - n + 1)]
+        inside = starts == segment[n - 1:]
+        seg, gram = starts[inside], grams[inside]
+        is_hyp = seg < n_hyp
+        hyp_keys, hyp_counts = np.unique(sentence[seg[is_hyp]] * width + gram[is_hyp],
+                                         return_counts=True)
+        seg_keys, seg_counts = np.unique(seg[~is_hyp] * width + gram[~is_hyp],
+                                         return_counts=True)
+        ref_seg, ref_gram = np.divmod(seg_keys, width)
+        ref_keys, at_key = np.unique(sentence[ref_seg] * width + ref_gram,
+                                     return_inverse=True)
+        ref_counts = np.zeros(len(ref_keys), dtype=np.int64)
+        np.maximum.at(ref_counts, at_key, seg_counts)
+        _, at_hyp, at_ref = np.intersect1d(hyp_keys, ref_keys, assume_unique=True,
+                                           return_indices=True)
+        matches.append(int(np.minimum(hyp_counts[at_hyp], ref_counts[at_ref]).sum()))
+        totals.append(int(hyp_counts.sum()))
+    return matches, totals
 
 
 def bleu(
@@ -69,7 +117,9 @@ def bleu(
     Each reference entry may be a single sentence or a list of alternative
     references; clipping then uses the per-n-gram maximum across them, and
     the closest reference length feeds the brevity penalty. ``smooth``
-    add-one-smooths orders 2-4 (useful only for tiny corpora).
+    add-one-smooths orders 2-4 (useful only for tiny corpora). N-gram
+    counts are exact integers, so the report does not depend on the order
+    in which sentences or n-grams are counted.
     """
     hypotheses = list(hypotheses)
     references = list(references)
@@ -78,34 +128,23 @@ def bleu(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
 
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
+    hyp_segments = [hyp.split() for hyp in hypotheses]
+    ref_segments: list[list[str]] = []
+    ref_sentence: list[int] = []
     hyp_length = 0
     ref_length = 0
-    for hyp, refs in zip(hypotheses, references):
-        hyp_tokens = hyp.split()
+    for i, (hyp_tokens, refs) in enumerate(zip(hyp_segments, references)):
         ref_group = [refs] if isinstance(refs, str) else list(refs)
         ref_token_lists = [r.split() for r in ref_group]
+        ref_segments += ref_token_lists
+        ref_sentence += [i] * len(ref_token_lists)
 
         hyp_length += len(hyp_tokens)
         diffs = sorted(
             (abs(len(r) - len(hyp_tokens)), len(r)) for r in ref_token_lists
         )
         ref_length += diffs[0][1]
-
-        for n in range(1, MAX_ORDER + 1):
-            hyp_counts = _ngrams(hyp_tokens, n)
-            if not hyp_counts:
-                continue
-            max_ref: Counter = Counter()
-            for ref_tokens in ref_token_lists:
-                for gram, count in _ngrams(ref_tokens, n).items():
-                    if count > max_ref[gram]:
-                        max_ref[gram] = count
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(
-                min(count, max_ref[gram]) for gram, count in hyp_counts.items()
-            )
+    matches, totals = _clipped_matches(hyp_segments, ref_segments, ref_sentence)
 
     precisions = []
     for n in range(MAX_ORDER):

@@ -156,28 +156,35 @@ def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
 def cooccurrence_counts(
     corpus: str | Iterable[str], window: int = 5
 ) -> tuple[list[str], csr_matrix]:
-    """Symmetric-window co-occurrence counts over the corpus vocabulary."""
+    """Symmetric-window co-occurrence counts over the corpus vocabulary.
+
+    Every pair of tokens at most ``window`` positions apart within one
+    sentence counts once in each direction. The vocabulary is sorted by
+    falling frequency, then by token; the matrix is in canonical CSR form.
+    """
+    if window < 0:
+        raise ValueError("window must be >= 0")
     sentences = list(_iter_sentences(corpus))
     freq = Counter(tok for sent in sentences for tok in sent)
     if not freq:
         raise EmptyCorpus("corpus has no tokens")
     vocab = sorted(freq, key=lambda w: (-freq[w], w))
     index = {w: i for i, w in enumerate(vocab)}
-    pair_counts: Counter[tuple[int, int]] = Counter()
-    for sent in sentences:
-        ids = [index[t] for t in sent]
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:i + 1 + window]:
-                pair_counts[(a, b)] += 1
-                pair_counts[(b, a)] += 1
+    lengths = [len(sent) for sent in sentences]
+    ids = np.fromiter((index[t] for sent in sentences for t in sent),
+                      dtype=np.int64, count=sum(lengths))
+    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
     n = len(vocab)
-    if pair_counts:
-        rows, cols = zip(*pair_counts)
-        data = np.fromiter(pair_counts.values(), dtype=float, count=len(pair_counts))
-        matrix = csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        matrix = csr_matrix((n, n))
-    return vocab, matrix
+    # one int64 key per (row, col) occurrence; sorted keys are CSR order
+    keys = [np.empty(0, dtype=np.int64)]
+    for dist in range(1, window + 1):
+        same = sentence_of[:-dist] == sentence_of[dist:]
+        left, right = ids[:-dist][same], ids[dist:][same]
+        keys += [left * n + right, right * n + left]
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    rows, cols = np.divmod(pairs, n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return vocab, csr_matrix((counts.astype(float), cols, indptr), shape=(n, n))
 
 
 def ppmi(matrix: csr_matrix) -> csr_matrix:

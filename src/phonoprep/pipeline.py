@@ -14,8 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import secrets
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -37,7 +39,12 @@ from .encoders import (
     soundex_encode,
     table_encode,
 )
-from .errors import NonAlphabeticToken, PipelineStageError, SeparatorCollision
+from .errors import (
+    InvalidConfig,
+    NonAlphabeticToken,
+    PipelineStageError,
+    SeparatorCollision,
+)
 from .evaluate import vocab_stats
 from .subword import bpe_apply, bpe_learn, save_bpe_model
 
@@ -94,6 +101,14 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - names)
+        if unknown:
+            raise InvalidConfig(f"unknown config key(s): {', '.join(unknown)}")
+        missing = sorted(f.name for f in fields(cls)
+                         if f.default is MISSING and f.name not in data)
+        if missing:
+            raise InvalidConfig(f"missing config key(s): {', '.join(missing)}")
         return cls(**data)
 
 
@@ -253,10 +268,50 @@ def _sha256(path: Path) -> str:
 
 
 def run_pipeline(config: PipelineConfig) -> Path:
-    """Execute encode -> BPE -> combine and write the artifact directory."""
+    """Execute encode -> BPE -> combine and write the artifact directory.
+
+    The artifacts are built in a hidden sibling directory that replaces
+    ``output_dir`` only once its manifest is written, so a failed run
+    leaves any earlier output as it was, and a rerun leaves no stale files.
+    An existing ``output_dir`` is replaced only if it is empty or holds an
+    earlier run's manifest; anything else is refused before any work.
+    """
     out = Path(config.output_dir)
+    target = out.resolve()
+    if target.exists() and not (target.is_dir() and (
+            (target / "manifest.json").is_file() or not any(target.iterdir()))):
+        raise FileExistsError(
+            f"output directory {out} exists and is not an earlier pipeline output"
+        )
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = target.with_name(f".{target.name}.tmp-{secrets.token_hex(6)}")
+    staging.mkdir()
+    try:
+        _write_artifacts(config, staging)
+        _replace_dir(staging, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return out
+
+
+def _replace_dir(new: Path, out: Path) -> None:
+    """Rename ``new`` to ``out``; an existing ``out`` goes only after that succeeded."""
+    if not out.exists():
+        os.replace(new, out)
+        return
+    old = new.with_name(new.name + ".old")
+    os.replace(out, old)
+    try:
+        os.replace(new, out)
+    except OSError:
+        os.replace(old, out)
+        raise
+    shutil.rmtree(old)
+
+
+def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     for sub in ("inputs", "models", "streams", "reports"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+        (out / sub).mkdir()
 
     splits: dict[str, list[str]] = {}
     try:
@@ -394,4 +449,3 @@ def run_pipeline(config: PipelineConfig) -> Path:
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return out

@@ -117,6 +117,20 @@ class TestGeometry:
         assert code == 0
         assert out.strip() == "0.5"
 
+    def test_groups_file_units_starting_with_hash(self, capsys, tmp_path):
+        points = tmp_path / "p.txt"
+        points.write_text(
+            "#u1 0.0 0.0\n#u2 2.0 0.0\nu3 0.0 2.0\nu4 2.0 2.0\n", encoding="utf-8"
+        )
+        groups = tmp_path / "g.tsv"
+        groups.write_text("# groups\n#u1\tA\n#u2\tA\nu3\tB\nu4\tB\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            ["geometry", "gamma", "--groups", str(groups), "--points", str(points)],
+            capsys,
+        )
+        assert code == 0
+        assert out.strip() == "0.5"
+
     def test_gamma_json_format(self, capsys, tmp_path):
         groups, points = self._write_hand_example(tmp_path)
         code, out, _ = run_cli(
@@ -243,6 +257,21 @@ class TestBpeAndPipeline:
         assert code == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"]["encoder"] == "metaphone"
+
+
+    def test_unknown_config_key_is_data_error(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("body but bad speak\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fractoin": 0.5}), encoding="utf-8")
+        code, _, err = run_cli(
+            ["cluster", "--config", str(config), "--corpus", str(corpus),
+             "--seed", "1", "--output", str(tmp_path / "clusters.tsv")],
+            capsys,
+        )
+        assert code == 2
+        assert "fractoin" in err
+        assert not (tmp_path / "clusters.tsv").exists()
 
 
 class TestAugmentCli:

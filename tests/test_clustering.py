@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phonoprep.clustering import (
     ClusterModel,
@@ -142,6 +144,112 @@ def _brute_force_best_2partition(points):
     return best
 
 
+def reference_lloyd_once(pts, k, rng, max_iter, reseeds):
+    """Lloyd's iterations over an (n, k, d) broadcast and one mask per cluster."""
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[rng.integers(len(pts))]
+    closest_sq = np.sum((pts - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest_sq.sum()
+        if total <= 0.0:
+            centroids[j] = pts[rng.integers(len(pts))]
+        else:
+            r = rng.random() * total
+            centroids[j] = pts[np.searchsorted(np.cumsum(closest_sq), r)]
+        closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[j]) ** 2, axis=1))
+
+    assignment = np.full(len(pts), -1)
+    costs = []
+    for _ in range(max_iter):
+        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assignment = np.argmin(d2, axis=1)
+        costs.append(float(d2[np.arange(len(pts)), new_assignment].sum()))
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for j in range(k):
+            members = pts[assignment == j]
+            if len(members):
+                centroids[j] = members.mean(axis=0)
+            else:
+                reseeds.append(j)
+                dist_own = np.sum((pts - centroids[assignment]) ** 2, axis=1)
+                centroids[j] = pts[np.argmax(dist_own)]
+    return centroids, assignment, costs
+
+
+def reference_kmeans_fit(points, k, seed, max_iter=100, n_init=10, reseeds=None):
+    pts = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(max(1, n_init)):
+        run = reference_lloyd_once(pts, k, rng, max_iter,
+                                   reseeds if reseeds is not None else [])
+        if best is None or run[2][-1] < best[2][-1]:
+            best = run
+    return best[0], best[1], tuple(best[2])
+
+
+def assert_same_model(model, want) -> None:
+    centroids, assignment, cost_history = want
+    assert model.centroids.dtype == centroids.dtype
+    assert model.assignment.dtype == assignment.dtype
+    np.testing.assert_array_equal(model.centroids, centroids)
+    np.testing.assert_array_equal(model.assignment, assignment)
+    assert model.cost_history == cost_history
+
+
+# a coarse grid makes duplicate points, equal distances and empty clusters common
+_grid_points = st.integers(1, 7).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0])] * d),
+        min_size=1,
+        max_size=25,
+    )
+)
+
+
+class TestKMeansMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=_grid_points,
+        k_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        max_iter=st.integers(1, 20),
+        n_init=st.integers(1, 3),
+    )
+    @example(points=[(1.0, 1.0)] * 6, k_frac=0.5, seed=0, max_iter=100, n_init=10)
+    def test_grid_points(self, points, k_frac, seed, max_iter, n_init):
+        k = 1 + int(k_frac * (len(points) - 1))
+        model = kmeans_fit(points, k=k, seed=seed, max_iter=max_iter, n_init=n_init)
+        assert_same_model(model, reference_kmeans_fit(points, k, seed, max_iter, n_init))
+
+    def test_empty_cluster_reseeding(self):
+        points = [(0.0, 0.0)] * 5 + [(2.0, 1.0)] * 3
+        reseeds: list[int] = []
+        want = reference_kmeans_fit(points, 4, seed=3, n_init=2, reseeds=reseeds)
+        assert reseeds  # the reference took the re-seeding branch
+        assert_same_model(kmeans_fit(points, k=4, seed=3, n_init=2), want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_desk_sized_plane(self, seed):
+        pts = np.random.default_rng(seed).normal(size=(400, 2))
+        model = kmeans_fit(pts, k=30, seed=seed, max_iter=20, n_init=2)
+        assert_same_model(model, reference_kmeans_fit(pts, 30, seed, 20, 2))
+
+    @pytest.mark.parametrize("d", [8, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_high_dimension_assignments(self, d, seed):
+        # from d = 8 numpy sums the (n, k, d) broadcast pairwise, so the
+        # distances may differ in the last bit; the partition must not
+        pts = np.random.default_rng(seed).normal(size=(200, d))
+        model = kmeans_fit(pts, k=12, seed=seed, max_iter=20, n_init=2)
+        centroids, assignment, costs = reference_kmeans_fit(pts, 12, seed, 20, 2)
+        np.testing.assert_array_equal(model.assignment, assignment)
+        np.testing.assert_allclose(model.centroids, centroids, rtol=1e-12)
+        np.testing.assert_allclose(model.cost_history, costs, rtol=1e-12)
+
+
 class TestKMeans:
     SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
@@ -189,6 +297,13 @@ class TestEncodeWithClusters:
         assert encode_with_clusters(["red", "red"], self.MODEL) == ["G1", "G1"]
 
 
+# any token str.split() can produce, '#'-prefixed ones made common
+_unit = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.text(max_size=5).map(lambda t: "#" + t),
+).filter(lambda t: t.split() == [t])
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         units = [f"w{i}" for i in range(9)]
@@ -205,6 +320,27 @@ class TestModelFile:
         text = path.read_text(encoding="utf-8")
         assert "# seed: 99" in text
         assert "# source: uniform-k" in text
+
+    def test_units_starting_with_hash(self, tmp_path):
+        model = ClusterModel(assignment={"#": "G1", "#tag": "G2", "#seed:": "G1", "a#": "G2"},
+                             seed=5, source="uniform-k")
+        path = tmp_path / "clusters.tsv"
+        save_cluster_model(model, path)
+        loaded = load_cluster_model(path)
+        assert loaded == model
+        assert encode_with_clusters(["#tag"], loaded) == ["G2"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        assignment=st.dictionaries(_unit, _unit, min_size=1, max_size=12),
+        seed=st.integers(0, 2**63 - 1),
+        source=st.sampled_from(["baseline-derived", "uniform-k"]),
+    )
+    def test_round_trip_any_split_token(self, tmp_path_factory, assignment, seed, source):
+        model = ClusterModel(assignment=assignment, seed=seed, source=source)
+        path = tmp_path_factory.mktemp("clusters") / "clusters.tsv"
+        save_cluster_model(model, path)
+        assert load_cluster_model(path) == model
 
     def test_kmeans_files_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

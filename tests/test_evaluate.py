@@ -4,18 +4,101 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phonoprep.encoders import soundex_encode
 from phonoprep.errors import LineCountMismatch
-from phonoprep.evaluate import bleu, vocab_stats
+from phonoprep.evaluate import MAX_ORDER, BleuReport, bleu, vocab_stats
 
 CORPUS = [
     "the cat sat on the mat today",
     "a quick brown fox jumps over the lazy dog",
     "machines translate sentences into other languages",
 ]
+
+
+DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
+
+
+def _reference_ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_bleu(hypotheses, references, smooth=False) -> BleuReport:
+    """Per-sentence Counter clipping, as in the multi-bleu script."""
+    matches = [0] * MAX_ORDER
+    totals = [0] * MAX_ORDER
+    hyp_length = ref_length = 0
+    for hyp, refs in zip(hypotheses, references):
+        hyp_tokens = hyp.split()
+        ref_token_lists = [r.split() for r in ([refs] if isinstance(refs, str) else refs)]
+        hyp_length += len(hyp_tokens)
+        ref_length += sorted(
+            (abs(len(r) - len(hyp_tokens)), len(r)) for r in ref_token_lists
+        )[0][1]
+        for n in range(1, MAX_ORDER + 1):
+            hyp_counts = _reference_ngrams(hyp_tokens, n)
+            max_ref: Counter = Counter()
+            for ref_tokens in ref_token_lists:
+                for gram, count in _reference_ngrams(ref_tokens, n).items():
+                    max_ref[gram] = max(max_ref[gram], count)
+            totals[n - 1] += sum(hyp_counts.values())
+            matches[n - 1] += sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
+    precisions = []
+    for n in range(MAX_ORDER):
+        m, t = matches[n], totals[n]
+        if smooth and n > 0:
+            m, t = m + 1, t + 1
+        precisions.append(m / t if t > 0 else 0.0)
+    if hyp_length == 0:
+        bp = 0.0
+    elif hyp_length > ref_length:
+        bp = 1.0
+    else:
+        bp = math.exp(1 - ref_length / hyp_length)
+    score = 0.0
+    if min(precisions) > 0:
+        score = bp * math.exp(sum(math.log(p) for p in precisions) / MAX_ORDER) * 100
+    return BleuReport(score, tuple(precisions), bp, hyp_length, ref_length)
+
+
+# three-token vocabulary: repeated n-grams, so clipping matters at every order
+_line = st.lists(st.sampled_from(["a", "b", "c"]), max_size=9).map(" ".join)
+_alternatives = st.lists(_line, min_size=1, max_size=3)
+
+
+@st.composite
+def _bleu_inputs(draw):
+    hyps = draw(st.lists(_line, max_size=8))
+    refs = draw(st.one_of(
+        st.lists(_line, min_size=len(hyps), max_size=len(hyps)),
+        st.lists(_alternatives, min_size=len(hyps), max_size=len(hyps)),
+        st.lists(_line | _alternatives, min_size=len(hyps), max_size=len(hyps)),
+    ))
+    return hyps, refs
+
+
+class TestBleuMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(inputs=_bleu_inputs(), smooth=st.booleans())
+    @example(inputs=([], []), smooth=False)
+    @example(inputs=(["", "a b"], ["", ""]), smooth=True)
+    @example(inputs=(["a a a a b"], [["a a b", "a b a a a a", ""]]), smooth=False)
+    def test_reports_equal(self, inputs, smooth):
+        hyps, refs = inputs
+        assert bleu(hyps, refs, smooth=smooth) == reference_bleu(hyps, refs, smooth)
+
+    def test_desk_corpus_against_shifted_lines(self):
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()[:2000]
+        hyps = [" ".join(line.split()[1:]) for line in lines]
+        assert bleu(hyps, lines) == reference_bleu(hyps, lines)
+        refs = [[line, prev] for line, prev in zip(lines, lines[-1:] + lines)]
+        assert bleu(hyps, refs) == reference_bleu(hyps, refs)
 
 
 class TestBleu:

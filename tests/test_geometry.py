@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from phonoprep.errors import (
     AllPointsRemoved,
     DegenerateData,
     DimensionMismatch,
+    EmptyCorpus,
     InsufficientGroups,
     MalformedFloat,
     ZeroDispersion,
@@ -35,6 +41,39 @@ from phonoprep.geometry import (
 )
 
 SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
+
+
+def reference_cooccurrence_counts(corpus, window: int = 5):
+    """Naive counter: one Python pair tuple per co-occurrence, both directions."""
+    if isinstance(corpus, str):
+        corpus = [corpus]
+    sentences = [line.split() for line in corpus if line.split()]
+    freq = Counter(tok for sent in sentences for tok in sent)
+    vocab = sorted(freq, key=lambda w: (-freq[w], w))
+    index = {w: i for i, w in enumerate(vocab)}
+    pair_counts: Counter[tuple[int, int]] = Counter()
+    for sent in sentences:
+        ids = [index[t] for t in sent]
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:i + 1 + window]:
+                pair_counts[(a, b)] += 1
+                pair_counts[(b, a)] += 1
+    n = len(vocab)
+    if pair_counts:
+        rows, cols = zip(*pair_counts)
+        data = np.fromiter(pair_counts.values(), dtype=float, count=len(pair_counts))
+        return vocab, csr_matrix((data, (rows, cols)), shape=(n, n))
+    return vocab, csr_matrix((n, n))
+
+
+def assert_same_csr(got: csr_matrix, want: csr_matrix) -> None:
+    assert got.shape == want.shape
+    assert got.has_canonical_format and want.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def brute_force_hull_area(points: np.ndarray) -> float:
@@ -364,6 +403,48 @@ class TestEmbeddings:
         with pytest.warns(UserWarning):
             table = train_embeddings(["a b a b"], d=50, window=2, seed=0)
         assert table.dimension == 2
+
+
+_token = st.sampled_from(["a", "b", "c", "dd", "e9", "Ω"])
+_corpus = st.lists(
+    st.lists(_token, max_size=12).map(" ".join) | st.sampled_from(["", "  ", "\t"]),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestCooccurrenceCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=_corpus, window=st.integers(0, 7))
+    @example(corpus=["a"], window=5)
+    @example(corpus=["a b", "", "b a a"], window=1)
+    def test_matches_reference(self, corpus, window):
+        if not any(line.split() for line in corpus):
+            with pytest.raises(EmptyCorpus):
+                cooccurrence_counts(corpus, window=window)
+            return
+        vocab, matrix = cooccurrence_counts(corpus, window=window)
+        want_vocab, want = reference_cooccurrence_counts(corpus, window=window)
+        assert vocab == want_vocab
+        assert_same_csr(matrix, want)
+
+    def test_string_corpus_is_one_sentence(self):
+        vocab, matrix = cooccurrence_counts("x y x z", window=2)
+        want_vocab, want = reference_cooccurrence_counts(["x y x z"], window=2)
+        assert vocab == want_vocab
+        assert_same_csr(matrix, want)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            cooccurrence_counts(["a b c d e"], window=-2)
+
+    def test_desk_corpus_matches_reference(self):
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
+        vocab, matrix = cooccurrence_counts(lines, window=5)
+        want_vocab, want = reference_cooccurrence_counts(lines, window=5)
+        assert vocab == want_vocab
+        assert matrix.nnz == 601302
+        assert_same_csr(matrix, want)
 
 
 class TestEmbeddingFile:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phonoprep.errors import PipelineStageError, SeparatorCollision
+from phonoprep.errors import InvalidConfig, PipelineStageError, SeparatorCollision
 from phonoprep.pipeline import (
     EncodedCorpus,
     PipelineConfig,
@@ -180,6 +180,61 @@ class TestRunPipeline:
         assert exc.value.stage == "bpe-apply"
         assert "@@" in str(exc.value)
 
+    def test_failed_run_leaves_no_output(self, tmp_path):
+        train = _write_corpus(tmp_path / "marked.txt", TRAIN + ["ab@@ cd"])
+        with pytest.raises(PipelineStageError):
+            run_pipeline(self._config(tmp_path, train_path=str(train)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["marked.txt", "train.txt"]
+
+    def test_failed_run_keeps_earlier_output(self, tmp_path):
+        out = run_pipeline(self._config(tmp_path))
+        before = _dir_hashes(out)
+        train = _write_corpus(tmp_path / "marked.txt", TRAIN + ["ab@@ cd"])
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(self._config(tmp_path, train_path=str(train)))
+        assert exc.value.stage == "bpe-apply"
+        assert _dir_hashes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["marked.txt", "out", "train.txt"]
+
+    def test_output_path_that_is_a_file_is_kept(self, tmp_path):
+        blocker = tmp_path / "out"
+        blocker.write_text("keep me\n", encoding="utf-8")
+        with pytest.raises(OSError):
+            run_pipeline(self._config(tmp_path))
+        assert blocker.read_text(encoding="utf-8") == "keep me\n"
+
+    def test_foreign_output_directory_is_kept(self, tmp_path):
+        foreign = tmp_path / "out"
+        foreign.mkdir()
+        (foreign / "notes.txt").write_text("keep me\n", encoding="utf-8")
+        with pytest.raises(FileExistsError):
+            run_pipeline(self._config(tmp_path))
+        assert _dir_hashes(foreign) == {"notes.txt": hashlib.sha256(b"keep me\n").hexdigest()}
+
+    def test_empty_output_directory_is_used(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        out = run_pipeline(self._config(tmp_path))
+        assert (out / "manifest.json").is_file()
+
+    def test_rerun_drops_stale_files(self, tmp_path):
+        dev = _write_corpus(tmp_path / "dev.txt", TRAIN[:2])
+        out = run_pipeline(self._config(tmp_path, dev_path=str(dev)))
+        assert (out / "streams" / "dev.concat").is_file()
+        run_pipeline(self._config(tmp_path))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert set(_dir_hashes(out)) == set(manifest["files"]) | {"manifest.json"}
+
     def test_config_round_trip(self, tmp_path):
         cfg = self._config(tmp_path)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_config_unknown_key_is_typed_error(self, tmp_path):
+        data = dict(self._config(tmp_path).to_dict(), fractoin=0.5)
+        with pytest.raises(InvalidConfig, match="fractoin"):
+            PipelineConfig.from_dict(data)
+
+    def test_config_missing_key_is_typed_error(self, tmp_path):
+        data = self._config(tmp_path).to_dict()
+        del data["train_path"]
+        with pytest.raises(InvalidConfig, match="train_path"):
+            PipelineConfig.from_dict(data)
