@@ -80,13 +80,12 @@ class _NeighborSampler:
         self.normed = matrix / norms[:, None]
         self.index = {u: i for i, u in enumerate(self.units)}
         self.top_n = top_n
-        self._cache: dict[str, tuple[list[str], np.ndarray]] = {}
+        self._cache: dict[str, tuple[list[str], np.ndarray] | None] = {}
 
     def candidates(self, word: str) -> tuple[list[str], np.ndarray] | None:
         """Top-n neighbors of ``word`` (excluding itself) with sampling weights."""
-        hit = self._cache.get(word)
-        if hit is not None:
-            return hit
+        if word in self._cache:
+            return self._cache[word]
         wi = self.index.get(word)
         if wi is None or len(self.units) < 2:
             return None

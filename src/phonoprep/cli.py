@@ -46,6 +46,9 @@ from .geometry import (
 from .pipeline import (
     PipelineConfig,
     WORD_ENCODERS,
+    _read_lines,
+    _write_lines,
+    encode_corpus,
     make_token_encoder,
     run_pipeline,
 )
@@ -64,16 +67,6 @@ def _parse_seed(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"seed must be an integer or 'auto', got {value!r}"
         ) from None
-
-
-def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
-def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line + "\n")
 
 
 def _emit(args, text: str) -> None:
@@ -127,12 +120,7 @@ def cmd_encode(args) -> int:
     else:
         encoder = make_token_encoder(args.codec)
     source = _read_lines(args.input) if args.input else sys.stdin.read().splitlines()
-    out_lines = []
-    for line in source:
-        codes = []
-        for tok in line.split():
-            codes.extend(encoder(tok))
-        out_lines.append(" ".join(codes))
+    out_lines = encode_corpus(source, encoder).code_lines
     if args.output:
         _write_lines(args.output, out_lines)
     else:
@@ -200,7 +188,8 @@ def cmd_geometry_embed(args) -> int:
         normalize=args.normalize,
     )
     save_embeddings(table, args.output)
-    print(f"wrote {len(table.vectors)} vectors (d={table.dimension}) to {args.output}")
+    print(f"wrote {len(table.vectors)} vectors (d={table.dimension}) to {args.output}"
+          f" (seed {args.seed})")
     return 0
 
 
@@ -309,7 +298,8 @@ def cmd_augment_noise(args) -> int:
         Path(args.manifest).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    print(f"replaced {stats['replaced_tokens']} of {stats['total_tokens']} tokens")
+    print(f"replaced {stats['replaced_tokens']} of {stats['total_tokens']} tokens"
+          f" (seed {args.seed})")
     return 0
 
 

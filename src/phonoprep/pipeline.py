@@ -51,6 +51,7 @@ from .subword import bpe_apply, bpe_learn, save_bpe_model
 __all__ = [
     "PipelineConfig",
     "EncodedCorpus",
+    "TokenEncoder",
     "WORD_ENCODERS",
     "TABLE_ENCODERS",
     "make_token_encoder",
@@ -126,22 +127,8 @@ class EncodedCorpus:
             raise ValueError("streams must have equal sentence counts")
 
 
-class _TokenEncoder:
-    """Token -> list-of-codes adapter around the configured encoder.
-
-    ``fn`` returns (codes, passthrough) where the flag marks tokens the
-    codec rejected and passed through as-is.
-    """
-
-    def __init__(self, name: str, fn: Callable[[str], tuple[list[str], bool]],
-                 word_level: bool, cluster_model: ClusterModel | None = None):
-        self.name = name
-        self.fn = fn
-        self.word_level = word_level
-        self.cluster_model = cluster_model
-
-    def __call__(self, token: str) -> list[str]:
-        return self.fn(token)[0]
+Encoding = tuple[tuple[str, ...], bool]  # (codes, token passed through as-is)
+TokenEncoder = Callable[[str], Encoding]
 
 
 def make_token_encoder(
@@ -149,44 +136,57 @@ def make_token_encoder(
     table: CodeTable | None = None,
     granularity: str = "per_character",
     cluster_model: ClusterModel | None = None,
-) -> _TokenEncoder:
-    """Build the token encoder named in a pipeline config."""
+) -> TokenEncoder:
+    """Build the token encoder named in a pipeline config.
+
+    The encoder maps a token to ``(codes, passthrough)``, where the flag
+    marks tokens the codec rejected and passed through as-is. Codes are a
+    pure function of the token, so the encoder memoizes them per token type
+    in a dict of its own: the codec runs once per distinct token over the
+    encoder's lifetime, and the memo goes with the encoder.
+    """
     if name in WORD_ENCODERS:
         codec = WORD_ENCODERS[name]
 
-        def encode_word(tok: str) -> tuple[list[str], bool]:
+        def encode(tok: str) -> Encoding:
             try:
-                return [codec(tok)], False
+                return (codec(tok),), False
             except NonAlphabeticToken:
-                return [tok], True
-
-        return _TokenEncoder(name, encode_word, word_level=True)
-    if name in TABLE_ENCODERS:
+                return (tok,), True
+    elif name in TABLE_ENCODERS:
         if table is None:
             table = load_code_table(bundled_table_path(name), name)
-        return _TokenEncoder(
-            name,
-            lambda tok: (table_encode(tok, table, granularity), False),
-            word_level=False,
-        )
-    if name in CLUSTER_ENCODERS:
+
+        def encode(tok: str) -> Encoding:
+            return tuple(table_encode(tok, table, granularity)), False
+    elif name in CLUSTER_ENCODERS:
         if cluster_model is None:
             raise ValueError("cluster encoder needs a ClusterModel")
-        return _TokenEncoder(
-            name,
-            lambda tok: (encode_with_clusters([tok], cluster_model), False),
-            word_level=True,
-            cluster_model=cluster_model,
-        )
-    raise ValueError(f"unknown encoder {name!r}")
+
+        def encode(tok: str) -> Encoding:
+            return tuple(encode_with_clusters([tok], cluster_model)), False
+    else:
+        raise ValueError(f"unknown encoder {name!r}")
+
+    memo: dict[str, Encoding] = {}
+
+    def encode_token(tok: str) -> Encoding:
+        hit = memo.get(tok)
+        if hit is None:
+            hit = memo[tok] = encode(tok)
+        return hit
+
+    return encode_token
 
 
-def encode_corpus(corpus: Iterable[str], encoder: _TokenEncoder) -> EncodedCorpus:
+def encode_corpus(corpus: Iterable[str], encoder: TokenEncoder) -> EncodedCorpus:
     """Token-aligned code stream for a sentence stream.
 
-    Tokens the codec rejects pass through unchanged (counted); per-character
-    encoders may expand the token count, relaxing alignment to the
-    sentence level.
+    Tokens the codec rejects pass through unchanged (counted per token);
+    per-character encoders may expand the token count, relaxing alignment
+    to the sentence level. ``encoder`` comes from ``make_token_encoder``,
+    which memoizes per token type, so the codec runs once per type however
+    often it repeats, here and across calls sharing the encoder.
     """
     word_lines: list[str] = []
     code_lines: list[str] = []
@@ -196,7 +196,7 @@ def encode_corpus(corpus: Iterable[str], encoder: _TokenEncoder) -> EncodedCorpu
         tokens = line.split()
         codes: list[str] = []
         for tok in tokens:
-            out, passed = encoder.fn(tok)
+            out, passed = encoder(tok)
             if passed:
                 passthrough += 1
             codes.extend(out)
@@ -363,6 +363,7 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
             encoded[name] = encode_corpus(lines, encoder)
     except Exception as exc:
         raise PipelineStageError("encode", str(exc)) from exc
+    del encoder  # frees the per-type memo before BPE learning
 
     try:
         word_bpe = bpe_learn(encoded["train"].word_lines, config.bpe_operations_words)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from phonoprep.augment import (
     NoiseSpec,
     PerturbationSpec,
+    _NeighborSampler,
     edit_distance,
     noise_augment,
     perturb_corpus,
@@ -174,3 +175,36 @@ class TestNoiseAugment:
         with caplog.at_level("WARNING"):
             noise_augment(["x y z q r s t u v w"], table, NoiseSpec(fraction=0.2, seed=0))
         assert "covers only" in caplog.text
+
+
+class _CountingMatrix:
+    """Stands in for ``_NeighborSampler.normed``, counting similarity products."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.products = 0
+
+    def __getitem__(self, index):
+        return self.matrix[index]
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.matrix @ other
+
+
+class TestNeighborSampler:
+    def test_word_without_similar_neighbor_is_computed_once(self):
+        sampler = _NeighborSampler(table_from({"a": [1.0, 0.0], "b": [-1.0, 0.0]}), top_n=1)
+        counting = sampler.normed = _CountingMatrix(sampler.normed)
+        assert [sampler.candidates("a") for _ in range(3)] == [None, None, None]
+        assert counting.products == 1
+
+    def test_candidates_are_cached(self):
+        sampler = _NeighborSampler(
+            table_from({"a": [1.0, 0.0], "b": [0.9, 0.1], "c": [0.0, 1.0]}), top_n=2
+        )
+        counting = sampler.normed = _CountingMatrix(sampler.normed)
+        first = sampler.candidates("a")
+        assert sampler.candidates("a") is first
+        assert first[0] == ["b", "c"]
+        assert counting.products == 1

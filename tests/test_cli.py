@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from phonoprep.cli import main
+from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
+from phonoprep.errors import NonAlphabeticToken
+from phonoprep.pipeline import WORD_ENCODERS
+
+DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
 
 def run_cli(argv, capsys):
@@ -63,6 +71,62 @@ class TestDispatch:
         )
         assert code == 0
         assert "# seed:" in model.read_text(encoding="utf-8")
+
+
+class TestEncode:
+    MIXED = ["body but bad", "speak 42 , again", "", "  1 2   3 ", "it's the cat .",
+             "body body ... speak"]
+
+    @staticmethod
+    def _per_token_output(lines, encode_token) -> bytes:
+        # the encode loop the CLI ran before it called encode_corpus
+        out_lines = []
+        for line in lines:
+            codes = []
+            for tok in line.split():
+                codes.extend(encode_token(tok))
+            out_lines.append(" ".join(codes))
+        return "".join(line + "\n" for line in out_lines).encode("utf-8")
+
+    @pytest.mark.parametrize("codec", sorted(WORD_ENCODERS))
+    def test_output_matches_per_token_loop(self, capsys, tmp_path, codec):
+        src = tmp_path / "in.txt"
+        src.write_text("\n".join(self.MIXED) + "\n", encoding="utf-8")
+        out_path = tmp_path / "out.txt"
+        code, _, _ = run_cli(["encode", "--codec", codec, "--input", str(src),
+                              "--output", str(out_path)], capsys)
+        assert code == 0
+
+        def encode_token(tok):
+            try:
+                return [WORD_ENCODERS[codec](tok)]
+            except NonAlphabeticToken:
+                return [tok]
+
+        assert out_path.read_bytes() == self._per_token_output(self.MIXED, encode_token)
+        code, out, _ = run_cli(["encode", "--codec", codec, "--input", str(src)], capsys)
+        assert out.encode("utf-8") == out_path.read_bytes()
+
+    def test_pinyin_letters_match_per_token_loop(self, capsys, tmp_path):
+        lines = ["笑 校笑 42", "", "校 x 笑"]
+        src = tmp_path / "in.txt"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_path = tmp_path / "out.txt"
+        code, _, _ = run_cli(["encode", "--codec", "pinyin", "--granularity", "letters",
+                              "--input", str(src), "--output", str(out_path)], capsys)
+        assert code == 0
+        table = load_code_table(bundled_table_path("pinyin"), "pinyin")
+        assert out_path.read_bytes() == self._per_token_output(
+            lines, lambda tok: table_encode(tok, table, "letters"))
+
+    def test_desk_corpus_metaphone_output_is_pinned(self, capsys, tmp_path):
+        # SHA-256 of the output of the per-token loop on the desk corpus
+        out_path = tmp_path / "codes.txt"
+        code, _, _ = run_cli(["encode", "--codec", "metaphone", "--input", str(DESK_CORPUS),
+                              "--output", str(out_path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "d22c086e48d2f860221039490970eb6371e12cb4d42af915edb33e7854560e2a")
 
 
 class TestEval:
@@ -160,6 +224,21 @@ class TestGeometry:
         )
         assert code == 0
         assert len(projected.read_text(encoding="utf-8").splitlines()) > 0
+
+    def test_embed_seed_auto_is_recorded(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("the cat sat here\nthe dog sat there\n" * 5, encoding="utf-8")
+        code, out, _ = run_cli(
+            ["geometry", "embed", "--corpus", str(corpus), "--dim", "2",
+             "--seed", "auto", "--output", str(tmp_path / "v.txt")],
+            capsys,
+        )
+        assert code == 0
+        (seed,) = re.findall(r"\(seed (\d+)\)$", out.strip())
+        again = tmp_path / "again.txt"
+        run_cli(["geometry", "embed", "--corpus", str(corpus), "--dim", "2",
+                 "--seed", seed, "--output", str(again)], capsys)
+        assert again.read_bytes() == (tmp_path / "v.txt").read_bytes()
 
     def test_cdf_and_coverage_csv(self, capsys, tmp_path):
         groups, points = self._write_hand_example(tmp_path)
@@ -306,6 +385,37 @@ class TestAugmentCli:
         data = json.loads(manifest.read_text(encoding="utf-8"))
         assert data["seed"] == 3
         assert data["stats"]["total_tokens"] == 25
+
+    def test_noise_seed_auto_is_recorded_without_manifest(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("alpha beta gamma delta epsilon\n" * 5, encoding="utf-8")
+        vectors = tmp_path / "v.txt"
+        vectors.write_text(
+            "alpha 1 0\nbeta 0.9 0.1\ngamma 0.8 0.2\ndelta 0.7 0.3\nepsilon 0.6 0.4\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            ["augment", "noise", "--input", str(src), "--embeddings", str(vectors),
+             "--output", str(tmp_path / "noised.txt"), "--seed", "auto"],
+            capsys,
+        )
+        assert code == 0
+        (seed,) = re.findall(r"\(seed (\d+)\)$", out.strip())
+        again = tmp_path / "again.txt"
+        run_cli(["augment", "noise", "--input", str(src), "--embeddings", str(vectors),
+                 "--output", str(again), "--seed", seed], capsys)
+        assert again.read_bytes() == (tmp_path / "noised.txt").read_bytes()
+
+    def test_perturb_seed_auto_is_recorded(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("the cat sat on the mat\nthe dog barked\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            ["augment", "perturb", "--input", str(src), "--output", str(tmp_path / "o.txt"),
+             "-k", "2", "--seed", "auto"],
+            capsys,
+        )
+        assert code == 0
+        assert re.fullmatch(r".*\(seed \d+\)", out.strip())
 
 
 class TestConsoleScript:

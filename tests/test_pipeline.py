@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phonoprep.errors import InvalidConfig, PipelineStageError, SeparatorCollision
+from phonoprep import pipeline
+from phonoprep.clustering import encode_with_clusters, random_cluster_uniform
+from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
+from phonoprep.errors import (
+    InvalidConfig,
+    NonAlphabeticToken,
+    PipelineStageError,
+    SeparatorCollision,
+)
 from phonoprep.pipeline import (
+    WORD_ENCODERS,
     EncodedCorpus,
     PipelineConfig,
     combine,
@@ -55,6 +67,100 @@ class TestEncodeCorpus:
     def test_sentence_count_preserved(self):
         enc = encode_corpus(TRAIN, make_token_encoder("nysiis"))
         assert len(enc.code_lines) == len(TRAIN)
+
+
+def _reference_encode(corpus, encode_token) -> EncodedCorpus:
+    """The per-token encode loop: ``encode_token`` runs on every token, no memo."""
+    word_lines, code_lines, passthrough, parity = [], [], 0, True
+    for line in corpus:
+        tokens = line.split()
+        codes = []
+        for tok in tokens:
+            out, passed = encode_token(tok)
+            passthrough += passed
+            codes.extend(out)
+        parity = parity and len(codes) == len(tokens)
+        word_lines.append(" ".join(tokens))
+        code_lines.append(" ".join(codes))
+    return EncodedCorpus(word_lines, code_lines, parity, passthrough)
+
+
+def _reference_word_codec(codec):
+    def encode_token(tok):
+        try:
+            return [codec(tok)], False
+        except NonAlphabeticToken:
+            return [tok], True
+    return encode_token
+
+
+PINYIN = load_code_table(bundled_table_path("pinyin"), "pinyin")
+CLUSTERS = random_cluster_uniform(["ab", "ba", "cab", "x1", "笑", "9"], 0.5, seed=3)
+REFERENCE_ENCODERS = {
+    **{name: (lambda name=name: make_token_encoder(name),
+              _reference_word_codec(codec))
+       for name, codec in WORD_ENCODERS.items()},
+    "pinyin": (lambda: make_token_encoder("pinyin", table=PINYIN),
+               lambda tok: (table_encode(tok, PINYIN, "per_character"), False)),
+    "cluster": (lambda: make_token_encoder("cluster", cluster_model=CLUSTERS),
+                lambda tok: (encode_with_clusters([tok], CLUSTERS), False)),
+}
+# a small pool so that tokens repeat, plus free-form letters, digits and punctuation
+TOKENS = st.sampled_from(["ab", "ba", "cab", "x1", "9", "42", "...", "it's", "笑校",
+                          "笑", "Ab", "-"]) | st.text("abcxAB19.,'-笑校", min_size=1,
+                                                      max_size=5)
+LINES = st.lists(st.tuples(TOKENS, st.sampled_from([" ", "  ", "\t"])), max_size=8).map(
+    lambda pairs: "".join(tok + sep for tok, sep in pairs))
+
+
+class TestTypeMemo:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_ENCODERS))
+    @settings(max_examples=80, deadline=None)
+    @given(train=st.lists(LINES, max_size=10), dev=st.lists(LINES, max_size=6))
+    def test_matches_per_token_reference(self, name, train, dev):
+        make, reference = REFERENCE_ENCODERS[name]
+        encoder = make()  # one encoder, shared by both splits as in run_pipeline
+        for corpus in (train, dev):
+            got = encode_corpus(corpus, encoder)
+            want = _reference_encode(corpus, reference)
+            assert got.word_lines == want.word_lines
+            assert got.code_lines == want.code_lines
+            assert got.token_parity == want.token_parity
+            assert got.passthrough_tokens == want.passthrough_tokens
+
+    def test_memo_hands_out_tuples(self):
+        encoder = make_token_encoder("metaphone")
+        codes, passed = encoder("speak")
+        assert isinstance(codes, tuple) and not passed
+        assert encoder("speak") is encoder("speak")
+        assert encoder("42") == (("42",), True)
+
+    def test_codec_runs_once_per_type_across_splits(self, tmp_path, monkeypatch):
+        calls: Counter = Counter()
+        codec = WORD_ENCODERS["metaphone"]
+
+        def counting(tok):
+            calls[tok] += 1
+            return codec(tok)
+
+        monkeypatch.setitem(pipeline.WORD_ENCODERS, "metaphone", counting)
+        splits = {
+            "train": TRAIN,
+            "dev": ["the cat speaks", "42 machines", "body , bad ."],
+            "test": ["the mat", "1 2 3 ,", "new words here"],
+        }
+        paths = {name: _write_corpus(tmp_path / f"{name}.txt", lines)
+                 for name, lines in splits.items()}
+        out = run_pipeline(PipelineConfig(
+            train_path=str(paths["train"]), dev_path=str(paths["dev"]),
+            test_path=str(paths["test"]), output_dir=str(tmp_path / "out"),
+            encoder="metaphone", bpe_operations_words=4, bpe_operations_codes=4,
+        ))
+        types = {tok for lines in splits.values() for line in lines for tok in line.split()}
+        assert set(calls) == types
+        assert set(calls.values()) == {1}
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["passthrough_tokens"] == {"train": 4, "dev": 3, "test": 4}
 
 
 class TestCombine:
