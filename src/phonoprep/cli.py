@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import secrets
@@ -20,14 +21,8 @@ import numpy as np
 
 from . import __version__
 from .augment import NoiseSpec, PerturbationSpec, noise_augment, perturb_corpus
-from .clustering import (
-    derive_size_distribution,
-    load_cluster_model,
-    random_cluster,
-    random_cluster_uniform,
-    save_cluster_model,
-)
-from .encoders import load_code_table, bundled_table_path
+from .clustering import load_cluster_model, save_cluster_model
+from .encoders import load_code_table
 from .errors import InvalidConfig, PhonoprepError
 from .evaluate import bleu, vocab_stats
 from .geometry import (
@@ -44,23 +39,28 @@ from .geometry import (
     volume_cdf,
 )
 from .pipeline import (
+    CLUSTER_ENCODERS,
+    TABLE_ENCODERS,
     PipelineConfig,
     WORD_ENCODERS,
     _read_lines,
     _write_lines,
+    cluster_corpus,
     encode_corpus,
     make_token_encoder,
     run_pipeline,
 )
 from .subword import bpe_apply, bpe_decode, bpe_learn, load_bpe_model, save_bpe_model
 
-CODEC_CHOICES = tuple(WORD_ENCODERS) + ("pinyin", "wubi", "cluster")
+CODEC_CHOICES = tuple(WORD_ENCODERS) + TABLE_ENCODERS + ("cluster",)
 
 
 def _parse_seed(value: str) -> int:
-    """'auto' draws a fresh seed; anything else must be an integer."""
+    """'auto' draws a fresh seed and writes it to stderr; else an integer."""
     if value == "auto":
-        return secrets.randbits(63)
+        seed = secrets.randbits(63)
+        print(f"phonoprep: seed {seed}", file=sys.stderr)
+        return seed
     try:
         return int(value)
     except ValueError:
@@ -74,6 +74,14 @@ def _emit(args, text: str) -> None:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _emit_lines(args, lines: list[str]) -> None:
+    if args.output:
+        _write_lines(args.output, lines)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _rows_to_csv(header: list[str], rows: list) -> str:
@@ -106,40 +114,26 @@ def _grouped_points(args) -> list[np.ndarray]:
 # --- subcommand handlers ---
 
 def cmd_encode(args) -> int:
-    if args.codec == "cluster":
-        if not args.model:
-            raise PhonoprepError("--codec cluster requires --model")
-        encoder = make_token_encoder(
-            "cluster", cluster_model=load_cluster_model(args.model)
-        )
-    elif args.codec in ("pinyin", "wubi"):
-        table_path = args.table or bundled_table_path(args.codec)
-        table = load_code_table(table_path, args.codec)
-        encoder = make_token_encoder(args.codec, table=table,
-                                     granularity=args.granularity)
-    else:
-        encoder = make_token_encoder(args.codec)
+    if args.codec == "cluster" and not args.model:
+        raise PhonoprepError("--codec cluster requires --model")
+    encoder = make_token_encoder(
+        args.codec,
+        table=(load_code_table(args.table, args.codec)
+               if args.table and args.codec in TABLE_ENCODERS else None),
+        granularity=args.granularity,
+        cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
+    )
     source = _read_lines(args.input) if args.input else sys.stdin.read().splitlines()
-    out_lines = encode_corpus(source, encoder).code_lines
-    if args.output:
-        _write_lines(args.output, out_lines)
-    else:
-        for line in out_lines:
-            print(line)
+    _emit_lines(args, encode_corpus(source, encoder).code_lines)
     return 0
 
 
 def cmd_cluster(args) -> int:
-    lines = _read_lines(args.corpus)
-    units = sorted({tok for line in lines for tok in line.split()})
-    if args.fraction is not None:
-        model = random_cluster_uniform(units, args.fraction, args.seed)
-    else:
-        baseline = WORD_ENCODERS[args.baseline]
-        dist = derive_size_distribution(units, baseline)
-        model = random_cluster(units, dist, args.seed)
+    model = cluster_corpus(_read_lines(args.corpus), args.seed,
+                           fraction=args.fraction, baseline=args.baseline)
     save_cluster_model(model, args.output)
-    print(f"wrote {model.num_clusters} clusters for {len(units)} units to {args.output}")
+    print(f"wrote {model.num_clusters} clusters for {len(model.assignment)} units"
+          f" to {args.output}")
     return 0
 
 
@@ -153,28 +147,14 @@ def cmd_bpe_learn(args) -> int:
 def cmd_bpe_apply(args) -> int:
     model = load_bpe_model(args.model)
     source = _read_lines(args.input) if args.input else sys.stdin.read().splitlines()
-    out_lines = []
-    for line in source:
-        if args.reverse:
-            out_lines.append(" ".join(bpe_decode(line.split(), model)))
-        else:
-            out_lines.append(" ".join(bpe_apply(line.split(), model)))
-    if args.output:
-        _write_lines(args.output, out_lines)
-    else:
-        for line in out_lines:
-            print(line)
+    segment = bpe_decode if args.reverse else bpe_apply
+    _emit_lines(args, [" ".join(segment(line.split(), model)) for line in source])
     return 0
 
 
 def cmd_pipeline_run(args) -> int:
-    fields = (
-        "train_path", "output_dir", "encoder", "combine_mode", "separator",
-        "seed", "bpe_operations_words", "bpe_operations_codes", "dev_path",
-        "test_path", "table_path", "granularity", "cluster_baseline",
-        "cluster_fraction",
-    )
-    data = {k: getattr(args, k) for k in fields if getattr(args, k, None) is not None}
+    data = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
+            if getattr(args, f.name, None) is not None}
     if "train_path" not in data or "output_dir" not in data:
         raise PhonoprepError("pipeline run needs --train-path and --output-dir")
     out = run_pipeline(PipelineConfig(**data))
@@ -331,11 +311,7 @@ def cmd_eval_bleu(args) -> int:
 def cmd_eval_vocab(args) -> int:
     report = vocab_stats({Path(p).name: _read_lines(p) for p in args.inputs})
     if args.format == "json":
-        _emit(args, json.dumps({
-            "schema": "phonoprep/vocab-report/1",
-            "streams": {k: {"unique": u, "total": t}
-                        for k, (u, t) in sorted(report.streams.items())},
-        }, sort_keys=True))
+        _emit(args, json.dumps(report.to_dict(), sort_keys=True))
     else:
         rows = [[k, u, t] for k, (u, t) in sorted(report.streams.items())]
         _emit(args, _rows_to_csv(["stream", "unique", "total"], rows))
@@ -411,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = pipe_sub.add_parser("run")
     q.add_argument("--train-path", dest="train_path")
     q.add_argument("--output-dir", dest="output_dir")
-    q.add_argument("--encoder", choices=tuple(WORD_ENCODERS) + ("pinyin", "wubi", "cluster", "cluster_uniform"))
+    q.add_argument("--encoder", choices=tuple(WORD_ENCODERS) + TABLE_ENCODERS + CLUSTER_ENCODERS)
     q.add_argument("--combine-mode", dest="combine_mode",
                    choices=("codes_only", "concat", "multi_source"))
     q.add_argument("--separator")

@@ -16,20 +16,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyUnitList,
-    InvalidFraction,
-    NonAlphabeticToken,
-    SizeMismatch,
-    TooFewPoints,
-)
+from .encoders import encode_or_passthrough
+from .errors import EmptyUnitList, InvalidFraction, SizeMismatch, TooFewPoints
 
 __all__ = [
     "SizeDistribution",
     "ClusterModel",
     "KMeansModel",
     "UNKNOWN_CLUSTER",
-    "encode_or_passthrough",
     "derive_size_distribution",
     "random_cluster",
     "random_cluster_uniform",
@@ -96,14 +90,6 @@ class KMeansModel:
         return self.cost_history[-1]
 
 
-def encode_or_passthrough(unit: str, encoder: Callable[[str], str]) -> str:
-    """Apply ``encoder``; tokens it rejects keep their surface form."""
-    try:
-        return encoder(unit)
-    except NonAlphabeticToken:
-        return unit
-
-
 def derive_size_distribution(
     units: Sequence[str], encoder: Callable[[str], str]
 ) -> SizeDistribution:
@@ -112,7 +98,7 @@ def derive_size_distribution(
         raise EmptyUnitList("no units to encode")
     if len(set(units)) != len(units):
         raise ValueError("units must be distinct")
-    groups = Counter(encode_or_passthrough(u, encoder) for u in units)
+    groups = Counter(encode_or_passthrough(u, encoder)[0] for u in units)
     return SizeDistribution(tuple(groups.values()))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import EmptyTable, MalformedTableLine, NonAlphabeticToken
 
@@ -25,6 +26,7 @@ __all__ = [
     "soundex_encode",
     "nysiis_encode",
     "metaphone_encode",
+    "encode_or_passthrough",
     "load_code_table",
     "bundled_table_path",
     "table_encode",
@@ -302,6 +304,15 @@ def metaphone_encode(token: str, max_length: int | None = None) -> str:
     if max_length is not None:
         result = result[:max_length]
     return result
+
+
+def encode_or_passthrough(token: str, codec: Callable[[str], str]) -> tuple[str, bool]:
+    """``(codec(token), False)``, or ``(token, True)`` for a token the codec
+    rejects as non-alphabetic: such tokens keep their surface form."""
+    try:
+        return codec(token), False
+    except NonAlphabeticToken:
+        return token, True
 
 
 @dataclass(frozen=True)

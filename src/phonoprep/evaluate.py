@@ -56,6 +56,14 @@ class VocabReport:
     def total(self, stream: str = "corpus") -> int:
         return self.streams[stream][1]
 
+    def to_dict(self) -> dict:
+        """The ``phonoprep/vocab-report/1`` JSON payload."""
+        return {
+            "schema": "phonoprep/vocab-report/1",
+            "streams": {k: {"unique": u, "total": t}
+                        for k, (u, t) in sorted(self.streams.items())},
+        }
+
 
 def _clipped_matches(
     hyp_segments: list[list[str]],

@@ -31,6 +31,7 @@ from .errors import (
     MalformedFloat,
     ZeroDispersion,
 )
+from .subword import _iter_sentences
 
 __all__ = [
     "EmbeddingTable",
@@ -143,15 +144,6 @@ class DensityReport:
 
 
 # --- embeddings ---
-
-def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
-    if isinstance(corpus, str):
-        corpus = [corpus]
-    for line in corpus:
-        tokens = line.split()
-        if tokens:
-            yield tokens
-
 
 def cooccurrence_counts(
     corpus: str | Iterable[str], window: int = 5

@@ -17,6 +17,7 @@ import logging
 import os
 import secrets
 import shutil
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -33,18 +34,14 @@ from .clustering import (
 from .encoders import (
     CodeTable,
     bundled_table_path,
+    encode_or_passthrough,
     load_code_table,
     metaphone_encode,
     nysiis_encode,
     soundex_encode,
     table_encode,
 )
-from .errors import (
-    InvalidConfig,
-    NonAlphabeticToken,
-    PipelineStageError,
-    SeparatorCollision,
-)
+from .errors import InvalidConfig, PipelineStageError, SeparatorCollision
 from .evaluate import vocab_stats
 from .subword import bpe_apply, bpe_learn, save_bpe_model
 
@@ -55,6 +52,7 @@ __all__ = [
     "WORD_ENCODERS",
     "TABLE_ENCODERS",
     "make_token_encoder",
+    "cluster_corpus",
     "encode_corpus",
     "combine",
     "run_pipeline",
@@ -96,6 +94,8 @@ class PipelineConfig:
             raise ValueError(f"unknown encoder {self.encoder!r}; pick one of {known}")
         if self.combine_mode not in ("codes_only", "concat", "multi_source"):
             raise ValueError(f"unknown combine mode {self.combine_mode!r}")
+        if self.encoder == "cluster_uniform" and self.cluster_fraction is None:
+            raise ValueError("cluster_uniform needs cluster_fraction")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -149,10 +149,8 @@ def make_token_encoder(
         codec = WORD_ENCODERS[name]
 
         def encode(tok: str) -> Encoding:
-            try:
-                return (codec(tok),), False
-            except NonAlphabeticToken:
-                return (tok,), True
+            code, passed = encode_or_passthrough(tok, codec)
+            return (code,), passed
     elif name in TABLE_ENCODERS:
         if table is None:
             table = load_code_table(bundled_table_path(name), name)
@@ -177,6 +175,25 @@ def make_token_encoder(
         return hit
 
     return encode_token
+
+
+def cluster_corpus(
+    lines: Iterable[str],
+    seed: int,
+    fraction: float | None = None,
+    baseline: str = "metaphone",
+) -> ClusterModel:
+    """Random cluster model over the distinct tokens of ``lines``.
+
+    With ``fraction`` the clusters are near-equal and number
+    ``fraction`` times the vocabulary; otherwise their sizes copy how many
+    tokens share each code of the ``baseline`` word codec.
+    """
+    units = sorted({tok for line in lines for tok in line.split()})
+    if fraction is not None:
+        return random_cluster_uniform(units, fraction, seed)
+    dist = derive_size_distribution(units, WORD_ENCODERS[baseline])
+    return random_cluster(units, dist, seed)
 
 
 def encode_corpus(corpus: Iterable[str], encoder: TokenEncoder) -> EncodedCorpus:
@@ -275,6 +292,10 @@ def run_pipeline(config: PipelineConfig) -> Path:
     leaves any earlier output as it was, and a rerun leaves no stale files.
     An existing ``output_dir`` is replaced only if it is empty or holds an
     earlier run's manifest; anything else is refused before any work.
+
+    A failure inside a stage raises ``PipelineStageError`` whose ``stage`` is
+    one of ``read-inputs``, ``build-encoder``, ``encode``, ``bpe-learn``,
+    ``bpe-apply``, ``combine`` or ``reports``.
     """
     out = Path(config.output_dir)
     target = out.resolve()
@@ -309,39 +330,40 @@ def _replace_dir(new: Path, out: Path) -> None:
     shutil.rmtree(old)
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as a ``PipelineStageError`` of stage ``name``."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, str(exc)) from exc
+
+
 def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     for sub in ("inputs", "models", "streams", "reports"):
         (out / sub).mkdir()
 
+    sources = {"train": config.train_path, "dev": config.dev_path,
+               "test": config.test_path}
     splits: dict[str, list[str]] = {}
-    try:
-        splits["train"] = _read_lines(config.train_path)
-        if config.dev_path:
-            splits["dev"] = _read_lines(config.dev_path)
-        if config.test_path:
-            splits["test"] = _read_lines(config.test_path)
-    except OSError as exc:
-        raise PipelineStageError("read-inputs", str(exc)) from exc
-    for name in splits:
-        src = {"train": config.train_path, "dev": config.dev_path,
-               "test": config.test_path}[name]
-        shutil.copyfile(src, out / "inputs" / f"{name}.txt")
+    with _stage("read-inputs"):
+        for name, src in sources.items():
+            if name == "train" or src:
+                splits[name] = _read_lines(src)
+                shutil.copyfile(src, out / "inputs" / f"{name}.txt")
 
     # models are learned on the training split only
     cluster_model = None
-    try:
+    with _stage("build-encoder"):
         if config.encoder in CLUSTER_ENCODERS:
-            units = sorted({tok for line in splits["train"] for tok in line.split()})
-            if config.encoder == "cluster_uniform":
-                if config.cluster_fraction is None:
-                    raise ValueError("cluster_uniform needs cluster_fraction")
-                cluster_model = random_cluster_uniform(
-                    units, config.cluster_fraction, config.seed
-                )
-            else:
-                baseline = WORD_ENCODERS[config.cluster_baseline]
-                dist = derive_size_distribution(units, baseline)
-                cluster_model = random_cluster(units, dist, config.seed)
+            uniform = config.encoder == "cluster_uniform"
+            cluster_model = cluster_corpus(
+                splits["train"], config.seed,
+                fraction=config.cluster_fraction if uniform else None,
+                baseline=config.cluster_baseline,
+            )
             save_cluster_model(cluster_model, out / "models" / "clusters.tsv")
         table = None
         if config.encoder in TABLE_ENCODERS and config.table_path:
@@ -352,26 +374,16 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
             granularity=config.granularity,
             cluster_model=cluster_model,
         )
-    except PipelineStageError:
-        raise
-    except Exception as exc:
-        raise PipelineStageError("build-encoder", str(exc)) from exc
 
-    encoded: dict[str, EncodedCorpus] = {}
-    try:
-        for name, lines in splits.items():
-            encoded[name] = encode_corpus(lines, encoder)
-    except Exception as exc:
-        raise PipelineStageError("encode", str(exc)) from exc
+    with _stage("encode"):
+        encoded = {name: encode_corpus(lines, encoder) for name, lines in splits.items()}
     del encoder  # frees the per-type memo before BPE learning
 
-    try:
+    with _stage("bpe-learn"):
         word_bpe = bpe_learn(encoded["train"].word_lines, config.bpe_operations_words)
         code_bpe = bpe_learn(encoded["train"].code_lines, config.bpe_operations_codes)
         save_bpe_model(word_bpe, out / "models" / "words.bpe")
         save_bpe_model(code_bpe, out / "models" / "codes.bpe")
-    except Exception as exc:
-        raise PipelineStageError("bpe-learn", str(exc)) from exc
 
     written: list[Path] = [
         out / "models" / "words.bpe",
@@ -380,8 +392,8 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     if cluster_model is not None:
         written.append(out / "models" / "clusters.tsv")
 
-    try:
-        for name, enc in encoded.items():
+    for name, enc in encoded.items():
+        with _stage("bpe-apply"):
             words_path = out / "streams" / f"{name}.words"
             codes_path = out / "streams" / f"{name}.codes"
             _write_lines(words_path, enc.word_lines)
@@ -402,18 +414,13 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
                 token_parity=False,
                 passthrough_tokens=enc.passthrough_tokens,
             )
+        with _stage("combine"):
             written += combine(
                 processed, config.combine_mode, config.separator,
                 out / "streams", prefix=name,
             )
-    except PipelineStageError:
-        raise
-    except SeparatorCollision as exc:
-        raise PipelineStageError("combine", str(exc)) from exc
-    except Exception as exc:
-        raise PipelineStageError("bpe-apply", str(exc)) from exc
 
-    try:
+    with _stage("reports"):
         train = encoded["train"]
         report = vocab_stats({
             "words": train.word_lines,
@@ -421,18 +428,11 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
             "combined": train.word_lines + train.code_lines,
         })
         vocab_path = out / "reports" / "vocab.json"
-        vocab_payload = {
-            "schema": "phonoprep/vocab-report/1",
-            "streams": {k: {"unique": u, "total": t}
-                        for k, (u, t) in sorted(report.streams.items())},
-        }
         vocab_path.write_text(
-            json.dumps(vocab_payload, indent=2, sort_keys=True) + "\n",
+            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         written.append(vocab_path)
-    except Exception as exc:
-        raise PipelineStageError("reports", str(exc)) from exc
 
     manifest = {
         "schema": "phonoprep/manifest/1",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -59,11 +60,14 @@ class BpeModel:
         object.__setattr__(self, "_ranks", ranks)
 
 
-def _iter_tokens(corpus: str | Iterable[str]) -> Iterable[str]:
+def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
+    """The tokens of each non-blank line; a bare string is one line."""
     if isinstance(corpus, str):
         corpus = [corpus]
     for line in corpus:
-        yield from line.split()
+        tokens = line.split()
+        if tokens:
+            yield tokens
 
 
 def bpe_learn(
@@ -78,7 +82,7 @@ def bpe_learn(
     """
     if num_operations < 0:
         raise ValueError("num_operations must be >= 0")
-    word_freqs = Counter(_iter_tokens(corpus))
+    word_freqs = Counter(chain.from_iterable(_iter_sentences(corpus)))
     if not word_freqs:
         raise EmptyCorpus("corpus has no tokens")
 

@@ -7,14 +7,17 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from phonoprep.cli import main
+from phonoprep.cli import _Parser, build_parser, main
+from phonoprep.clustering import save_cluster_model
 from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
 from phonoprep.errors import NonAlphabeticToken
-from phonoprep.pipeline import WORD_ENCODERS
+from phonoprep.evaluate import vocab_stats
+from phonoprep.pipeline import WORD_ENCODERS, PipelineConfig, cluster_corpus
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
@@ -71,6 +74,22 @@ class TestDispatch:
         )
         assert code == 0
         assert "# seed:" in model.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("flags, options", [
+        (["--fraction", "0.5"], {"fraction": 0.5}),
+        (["--baseline", "soundex"], {"baseline": "soundex"}),
+        ([], {}),
+    ])
+    def test_cluster_writes_cluster_corpus_model(self, capsys, tmp_path, flags, options):
+        lines = ["body but bad", "speak 42 , space", "", "suppose body"]
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = tmp_path / "m.tsv"
+        code, _, _ = run_cli(["cluster", "--corpus", str(corpus), "--seed", "9",
+                              "--output", str(model), *flags], capsys)
+        assert code == 0
+        save_cluster_model(cluster_corpus(lines, 9, **options), tmp_path / "want.tsv")
+        assert model.read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
 class TestEncode:
@@ -160,6 +179,15 @@ class TestEval:
         code, out, _ = run_cli(["eval", "vocab", "--input", str(f)], capsys)
         assert code == 0
         assert "v.txt,2,3" in out
+
+    def test_vocab_json_is_the_report_payload(self, capsys, tmp_path):
+        f = tmp_path / "v.txt"
+        f.write_text("a b a\n\nc\n", encoding="utf-8")
+        code, out, _ = run_cli(["eval", "vocab", "--input", str(f), "--format", "json"],
+                               capsys)
+        assert code == 0
+        report = vocab_stats({"v.txt": ["a b a", "", "c"]})
+        assert out == json.dumps(report.to_dict(), sort_keys=True) + "\n"
 
 
 class TestGeometry:
@@ -255,6 +283,24 @@ class TestGeometry:
         )
         assert code == 0
         assert out.splitlines()[0] == "step,volume"
+
+    @pytest.mark.parametrize("command", ["coverage", "density"])
+    def test_csv_seed_auto_is_recorded_on_stderr(self, capsys, tmp_path, command):
+        # six groups of five points: density samples five reference groups
+        groups, points = tmp_path / "g.tsv", tmp_path / "p.txt"
+        groups.write_text("".join(f"u{i}\tG{i % 6}\n" for i in range(30)), encoding="utf-8")
+        points.write_text("".join(f"u{i} {(i * 7) % 11}.0 {(i * 5) % 13}.0\n"
+                                  for i in range(30)), encoding="utf-8")
+        argv = ["geometry", command, "--groups", str(groups), "--points", str(points)]
+        if command == "density":
+            argv += ["--samples", "256"]
+        code, out, err = run_cli(argv + ["--seed", "auto"], capsys)
+        assert code == 0
+        (seed,) = re.findall(r"^phonoprep: seed (\d+)$", err, flags=re.M)
+        code, again, err = run_cli(argv + ["--seed", seed], capsys)
+        assert code == 0
+        assert again == out
+        assert err == ""
 
 
 class TestBpeAndPipeline:
@@ -426,3 +472,24 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "phonoprep" in result.stdout
+
+
+class TestPipelineRunCli:
+    def test_every_config_field_has_a_flag(self):
+        _Parser.registry = []
+        build_parser()
+        (run,) = [p for p in _Parser.registry if p.prog.endswith(" pipeline run")]
+        dests = {action.dest for action in run._actions}
+        assert {f.name for f in fields(PipelineConfig)} <= dests
+
+    def test_cluster_uniform_without_fraction_is_data_error(self, capsys, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_text("body but bad\n", encoding="utf-8")
+        code, _, err = run_cli(
+            ["pipeline", "run", "--train-path", str(train), "--output-dir",
+             str(tmp_path / "out"), "--encoder", "cluster_uniform", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "cluster_fraction" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from phonoprep.encoders import (
     bundled_table_path,
+    encode_or_passthrough,
     load_code_table,
     metaphone_encode,
     nysiis_encode,
@@ -140,6 +141,11 @@ class TestSharedCodecProperties:
             return
         assert encode(word.lower()) == encode(word.upper())
         assert encode(word) == encode(word)
+
+
+@pytest.mark.parametrize("token, expected", [("body", ("B300", False)), ("42", ("42", True))])
+def test_encode_or_passthrough(token, expected):
+    assert encode_or_passthrough(token, soundex_encode) == expected
 
 
 class TestCodeTable:

@@ -194,6 +194,14 @@ class TestVocabStats:
         assert report.streams["words"] == (3, 3)
         assert report.streams["codes"] == (2, 3)
 
+    def test_to_dict_is_the_report_payload(self):
+        report = vocab_stats({"words": ["a b c"], "codes": ["X X Y"]})
+        assert report.to_dict() == {
+            "schema": "phonoprep/vocab-report/1",
+            "streams": {"codes": {"unique": 2, "total": 3},
+                        "words": {"unique": 3, "total": 3}},
+        }
+
     def test_encoded_stream_compresses_vocabulary(self):
         words = CORPUS
         codes = [" ".join(soundex_encode(w) for w in line.split()) for line in words]

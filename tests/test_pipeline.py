@@ -344,3 +344,30 @@ class TestRunPipeline:
         del data["train_path"]
         with pytest.raises(InvalidConfig, match="train_path"):
             PipelineConfig.from_dict(data)
+
+    STAGE_FAILURES = {
+        "read-inputs": {"train_path": "latin1.txt"},
+        "build-encoder": {"encoder": "pinyin", "table_path": "bad-table.tsv"},
+        "bpe-learn": {"train_path": "empty.txt"},
+        "combine": {"train_path": "x.txt", "separator": "x"},
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_FAILURES))
+    def test_failure_reports_stage_and_leaves_no_output(self, tmp_path, stage):
+        (tmp_path / "latin1.txt").write_bytes(b"caf\xe9 bar\n")
+        _write_corpus(tmp_path / "bad-table.tsv", ["no tab on this line"])
+        _write_corpus(tmp_path / "empty.txt", [])
+        _write_corpus(tmp_path / "x.txt", TRAIN + ["x marks the spot"])
+        overrides = {k: str(tmp_path / v) if k.endswith("_path") else v
+                     for k, v in self.STAGE_FAILURES[stage].items()}
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(self._config(tmp_path, **overrides))
+        assert exc.value.stage == stage
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
+
+    def test_cluster_uniform_needs_fraction(self, tmp_path):
+        with pytest.raises(ValueError, match="cluster_fraction"):
+            self._config(tmp_path, encoder="cluster_uniform")
+        with pytest.raises(ValueError, match="cluster_fraction"):
+            PipelineConfig.from_dict({"train_path": "t", "output_dir": "o",
+                                      "encoder": "cluster_uniform"})

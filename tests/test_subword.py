@@ -14,6 +14,7 @@ from phonoprep.errors import ContinuationMarkerToken, DanglingContinuation, Empt
 from phonoprep.pipeline import encode_corpus, make_token_encoder
 from phonoprep.subword import (
     BpeModel,
+    _iter_sentences,
     bpe_apply,
     bpe_decode,
     bpe_learn,
@@ -64,6 +65,12 @@ _small_corpus = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
         max_size=6,
     )
 )
+
+
+def test_iter_sentences_bare_string_and_blank_lines():
+    # a bare string is one line, whatever it holds
+    assert list(_iter_sentences("a  b\nc")) == [["a", "b", "c"]]
+    assert list(_iter_sentences(["a b", "", " \t ", "c"])) == [["a", "b"], ["c"]]
 
 
 class TestLearn:
