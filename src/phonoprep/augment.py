@@ -5,11 +5,18 @@ embedding-space neighbors (sampled proportionally to positive cosine
 similarity). ``perturb_edit`` applies a fixed number of word-level edit
 operations. Both are deterministic per seed, with independent per-sentence
 substreams so corpora can be processed in parallel.
+
+Weighted draws reproduce ``Generator.choice(n, p=weights)`` index for index
+and leave the generator in the same state: numpy's normalised CDF is built
+once (per word type for neighbors, per call for edit operations) and each
+draw bisects it with one ``rng.random()``. The weights are validated once,
+where they are built, instead of on every draw.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,10 +87,10 @@ class _NeighborSampler:
         self.normed = matrix / norms[:, None]
         self.index = {u: i for i, u in enumerate(self.units)}
         self.top_n = top_n
-        self._cache: dict[str, tuple[list[str], np.ndarray] | None] = {}
+        self._cache: dict[str, tuple[list[str], list[float]] | None] = {}
 
-    def candidates(self, word: str) -> tuple[list[str], np.ndarray] | None:
-        """Top-n neighbors of ``word`` (excluding itself) with sampling weights."""
+    def candidates(self, word: str) -> tuple[list[str], list[float]] | None:
+        """Top-n neighbors of ``word`` (excluding itself) with their sampling CDF."""
         if word in self._cache:
             return self._cache[word]
         wi = self.index.get(word)
@@ -98,9 +105,29 @@ class _NeighborSampler:
         if weights.sum() <= 0:
             result = None
         else:
-            result = ([self.units[i] for i in top], weights / weights.sum())
+            result = ([self.units[i] for i in top], _cdf(weights / weights.sum()))
         self._cache[word] = result
         return result
+
+
+def _cdf(p) -> list[float]:
+    """The CDF ``Generator.choice(p=p)`` searches: ``p.cumsum()`` over its last value.
+
+    ``p`` must be finite and non-negative with a positive sum; callers check
+    that where the weights are built.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _draw(cdf: list[float], rng: np.random.Generator) -> int:
+    """The index ``Generator.choice(len(cdf), p=p)`` returns, from one ``rng.random()``.
+
+    numpy takes ``cdf.searchsorted(rng.random(), side="right")``;
+    ``bisect_right`` makes the same comparisons on the same floats.
+    """
+    return bisect_right(cdf, rng.random())
 
 
 def _replacement_count(fraction: float, length: int) -> int:
@@ -140,8 +167,8 @@ def noise_augment(
                 cand = sampler.candidates(tokens[pos])
                 if cand is None:
                     continue
-                words, weights = cand
-                tokens[pos] = words[rng.choice(len(words), p=weights)]
+                words, cdf = cand
+                tokens[pos] = words[_draw(cdf, rng)]
                 replaced += 1
         out.append(" ".join(tokens))
 
@@ -173,10 +200,11 @@ def perturb_edit(
         raise ValueError("vocab must be non-empty")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
+    op_cdf = _cdf(spec.op_weights)
     tokens = list(sentence)
     exhausted = not tokens
     for _ in range(spec.k):
-        op = EDIT_OPS[rng.choice(3, p=spec.op_weights)]
+        op = EDIT_OPS[_draw(op_cdf, rng)]
         if exhausted:
             op = "insertion"
         if op == "deletion":

@@ -43,14 +43,21 @@ from .pipeline import (
     TABLE_ENCODERS,
     PipelineConfig,
     WORD_ENCODERS,
-    _read_lines,
     _write_lines,
     cluster_corpus,
     encode_corpus,
     make_token_encoder,
     run_pipeline,
 )
-from .subword import bpe_apply, bpe_decode, bpe_learn, load_bpe_model, save_bpe_model
+from .subword import (
+    bpe_apply,
+    bpe_decode,
+    bpe_learn,
+    load_bpe_model,
+    read_lines,
+    save_bpe_model,
+    split_lines,
+)
 
 CODEC_CHOICES = tuple(WORD_ENCODERS) + TABLE_ENCODERS + ("cluster",)
 
@@ -74,6 +81,13 @@ def _emit(args, text: str) -> None:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _input_lines(args) -> list[str]:
+    """Lines of ``--input``, else of stdin, read as bytes so no newline is translated."""
+    if args.input:
+        return read_lines(args.input)
+    return split_lines(sys.stdin.buffer.read().decode("utf-8"))
 
 
 def _emit_lines(args, lines: list[str]) -> None:
@@ -123,13 +137,12 @@ def cmd_encode(args) -> int:
         granularity=args.granularity,
         cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
     )
-    source = _read_lines(args.input) if args.input else sys.stdin.read().splitlines()
-    _emit_lines(args, encode_corpus(source, encoder).code_lines)
+    _emit_lines(args, encode_corpus(_input_lines(args), encoder).code_lines)
     return 0
 
 
 def cmd_cluster(args) -> int:
-    model = cluster_corpus(_read_lines(args.corpus), args.seed,
+    model = cluster_corpus(read_lines(args.corpus), args.seed,
                            fraction=args.fraction, baseline=args.baseline)
     save_cluster_model(model, args.output)
     print(f"wrote {model.num_clusters} clusters for {len(model.assignment)} units"
@@ -138,7 +151,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_bpe_learn(args) -> int:
-    model = bpe_learn(_read_lines(args.corpus), args.operations)
+    model = bpe_learn(read_lines(args.corpus), args.operations)
     save_bpe_model(model, args.output)
     print(f"learned {len(model.merges)} merges to {args.output}")
     return 0
@@ -146,9 +159,8 @@ def cmd_bpe_learn(args) -> int:
 
 def cmd_bpe_apply(args) -> int:
     model = load_bpe_model(args.model)
-    source = _read_lines(args.input) if args.input else sys.stdin.read().splitlines()
     segment = bpe_decode if args.reverse else bpe_apply
-    _emit_lines(args, [" ".join(segment(line.split(), model)) for line in source])
+    _emit_lines(args, [" ".join(segment(line.split(), model)) for line in _input_lines(args)])
     return 0
 
 
@@ -164,7 +176,7 @@ def cmd_pipeline_run(args) -> int:
 
 def cmd_geometry_embed(args) -> int:
     table = train_embeddings(
-        _read_lines(args.corpus), d=args.dim, window=args.window, seed=args.seed,
+        read_lines(args.corpus), d=args.dim, window=args.window, seed=args.seed,
         normalize=args.normalize,
     )
     save_embeddings(table, args.output)
@@ -265,7 +277,7 @@ def cmd_augment_noise(args) -> int:
     table = load_embeddings(args.embeddings)
     spec = NoiseSpec(fraction=args.fraction, top_n=args.top_n, seed=args.seed)
     stats: dict = {}
-    out = noise_augment(_read_lines(args.input), table, spec, stats_out=stats)
+    out = noise_augment(read_lines(args.input), table, spec, stats_out=stats)
     _write_lines(args.output, out)
     manifest = {
         "schema": "phonoprep/noise-manifest/1",
@@ -284,7 +296,7 @@ def cmd_augment_noise(args) -> int:
 
 
 def cmd_augment_perturb(args) -> int:
-    lines = _read_lines(args.input)
+    lines = read_lines(args.input)
     vocab = sorted({tok for line in lines for tok in line.split()})
     spec = PerturbationSpec(k=args.k, seed=args.seed)
     _write_lines(args.output, perturb_corpus(lines, vocab, spec))
@@ -293,7 +305,7 @@ def cmd_augment_perturb(args) -> int:
 
 
 def cmd_eval_bleu(args) -> int:
-    report = bleu(_read_lines(args.hyp), _read_lines(args.ref), smooth=args.smooth)
+    report = bleu(read_lines(args.hyp), read_lines(args.ref), smooth=args.smooth)
     if args.format == "json":
         _emit(args, json.dumps({
             "schema": "phonoprep/bleu-report/1",
@@ -309,7 +321,7 @@ def cmd_eval_bleu(args) -> int:
 
 
 def cmd_eval_vocab(args) -> int:
-    report = vocab_stats({Path(p).name: _read_lines(p) for p in args.inputs})
+    report = vocab_stats({Path(p).name: read_lines(p) for p in args.inputs})
     if args.format == "json":
         _emit(args, json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -321,12 +333,6 @@ def cmd_eval_vocab(args) -> int:
 # --- parser assembly ---
 
 class _Parser(argparse.ArgumentParser):
-    registry: list["_Parser"] = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        _Parser.registry.append(self)
-
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -477,7 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(argv: list[str]) -> list[str]:
+def _parsers(parser: argparse.ArgumentParser):
+    """``parser`` and every subparser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Load a flat JSON config named by --config and install it as defaults.
 
     Defaults go onto every (sub)parser: argparse subparsers use their own
@@ -494,22 +509,22 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
         raise PhonoprepError(f"config {config_path} must be a flat JSON object")
     defaults = {k.replace("-", "_"): v for k, v in data.items()}
     # one flat config serves every subcommand: a key is known if any option has it
-    known = {action.dest for registered in _Parser.registry
-             for action in registered._actions if action.default is not argparse.SUPPRESS}
+    parsers = list(_parsers(parser))
+    known = {action.dest for p in parsers
+             for action in p._actions if action.default is not argparse.SUPPRESS}
     unknown = sorted(set(defaults) - known)
     if unknown:
         raise InvalidConfig(f"config {config_path}: unknown key(s) {', '.join(unknown)}")
-    for registered in _Parser.registry:
-        registered.set_defaults(**defaults)
+    for p in parsers:
+        p.set_defaults(**defaults)
     return argv[:at] + argv[at + 2:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _Parser.registry = []
     parser = build_parser()
     try:
-        argv = _apply_config_defaults(argv)
+        argv = _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .encoders import encode_or_passthrough
 from .errors import EmptyUnitList, InvalidFraction, SizeMismatch, TooFewPoints
+from .subword import read_lines
 
 __all__ = [
     "SizeDistribution",
@@ -253,12 +254,12 @@ def load_kmeans_model(
 ) -> KMeansModel:
     centroids = np.array([
         [float(x) for x in line.split("\t")]
-        for line in Path(centroids_path).read_text(encoding="utf-8").splitlines()
+        for line in read_lines(centroids_path)
         if line
     ])
     assignment = np.array([
         int(line)
-        for line in Path(assignment_path).read_text(encoding="utf-8").splitlines()
+        for line in read_lines(assignment_path)
         if line
     ])
     return KMeansModel(centroids=centroids, assignment=assignment,
@@ -281,7 +282,7 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
     seed = 0
     source = "baseline-derived"
     assignment: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         if line.startswith("# seed:"):
             seed = int(line.split(":", 1)[1])
         elif line.startswith("# source:"):

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import EmptyTable, MalformedTableLine, NonAlphabeticToken
+from .subword import read_lines
 
 __all__ = [
     "CodeTable",
@@ -337,15 +338,13 @@ def load_code_table(path: str | Path, kind: str) -> CodeTable:
         raise ValueError(f"unknown table kind {kind!r}")
     path = Path(path)
     entries: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or len(parts[0]) != 1 or not parts[1]:
-                raise MalformedTableLine(str(path), lineno, line)
-            entries.setdefault(parts[0], []).append(parts[1])
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or len(parts[0]) != 1 or not parts[1]:
+            raise MalformedTableLine(str(path), lineno, line)
+        entries.setdefault(parts[0], []).append(parts[1])
     if not entries:
         raise EmptyTable(f"no entries in {path}")
     return CodeTable(

@@ -31,7 +31,7 @@ from .errors import (
     MalformedFloat,
     ZeroDispersion,
 )
-from .subword import _iter_sentences
+from .subword import _iter_sentences, read_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -264,25 +264,24 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dimension = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            unit, comps = parts[0], parts[1:]
-            if dimension is None:
-                dimension = len(comps)
-                if dimension < 1:
-                    raise DimensionMismatch(str(path), lineno, 1, 0)
-            if len(comps) != dimension:
-                raise DimensionMismatch(str(path), lineno, dimension, len(comps))
-            try:
-                vec = np.array([float(x) for x in comps])
-            except ValueError as exc:
-                raise MalformedFloat(f"{path}:{lineno}: {exc}") from None
-            if unit in vectors:
-                log.warning("duplicate unit %r at %s:%d; last entry wins", unit, path, lineno)
-            vectors[unit] = vec
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        unit, comps = parts[0], parts[1:]
+        if dimension is None:
+            dimension = len(comps)
+            if dimension < 1:
+                raise DimensionMismatch(str(path), lineno, 1, 0)
+        if len(comps) != dimension:
+            raise DimensionMismatch(str(path), lineno, dimension, len(comps))
+        try:
+            vec = np.array([float(x) for x in comps])
+        except ValueError as exc:
+            raise MalformedFloat(f"{path}:{lineno}: {exc}") from None
+        if unit in vectors:
+            log.warning("duplicate unit %r at %s:%d; last entry wins", unit, path, lineno)
+        vectors[unit] = vec
     if dimension is None:
         raise EmptyCorpus(f"no vectors in {path}")
     return EmbeddingTable(dimension=dimension, vectors=vectors)

@@ -43,7 +43,7 @@ from .encoders import (
 )
 from .errors import InvalidConfig, PipelineStageError, SeparatorCollision
 from .evaluate import vocab_stats
-from .subword import bpe_apply, bpe_learn, save_bpe_model
+from .subword import bpe_apply, bpe_learn, read_lines, save_bpe_model
 
 __all__ = [
     "PipelineConfig",
@@ -276,10 +276,6 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
             f.write(line + "\n")
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -351,7 +347,7 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     with _stage("read-inputs"):
         for name, src in sources.items():
             if name == "train" or src:
-                splits[name] = _read_lines(src)
+                splits[name] = read_lines(src)
                 shutil.copyfile(src, out / "inputs" / f"{name}.txt")
 
     # models are learned on the training split only

@@ -34,6 +34,8 @@ __all__ = [
     "bpe_decode",
     "save_bpe_model",
     "load_bpe_model",
+    "read_lines",
+    "split_lines",
 ]
 
 MERGE_FILE_HEADER = "#version: 0.2"
@@ -58,6 +60,26 @@ class BpeModel:
         if len(self.merges) > self.num_operations:
             raise ValueError("more merges than operations")
         object.__setattr__(self, "_ranks", ranks)
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``: only ``"\\n"`` ends a line, and one ``"\\r"`` before it goes.
+
+    Unlike ``str.splitlines()``, characters such as U+0085, U+2028 or a lone
+    ``"\\r"`` stay inside their line, so every reader counts lines the way
+    the writers (one ``"\\n"`` per line) do. The text after the last
+    ``"\\n"`` is a line only if it is not empty.
+    """
+    *lines, last = text.split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if last:
+        lines.append(last)
+    return lines
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The ``split_lines`` of a UTF-8 file, read without newline translation."""
+    return split_lines(Path(path).read_bytes().decode("utf-8"))
 
 
 def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
@@ -233,7 +255,7 @@ def load_bpe_model(
     continuation_marker: str = "@@",
 ) -> BpeModel:
     merges = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if lineno == 1 and line.startswith("#version"):
             continue
         if not line.strip():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 from phonoprep.augment import (
     NoiseSpec,
     PerturbationSpec,
+    _cdf,
+    _draw,
     _NeighborSampler,
     edit_distance,
     noise_augment,
@@ -17,7 +22,9 @@ from phonoprep.augment import (
     perturb_edit,
 )
 from phonoprep.errors import EmptyEmbedding
-from phonoprep.geometry import EmbeddingTable
+from phonoprep.geometry import EmbeddingTable, train_embeddings
+
+DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
 
 def table_from(vectors: dict[str, list[float]]) -> EmbeddingTable:
@@ -115,6 +122,59 @@ class TestPerturbEdit:
         assert len(out) == 3
 
 
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+             min_size=1, max_size=12).filter(lambda w: sum(w) > 0),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_cdf_draw_matches_generator_choice(weights, seed):
+    p = np.array(weights) / sum(weights)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf = _cdf(p)
+    for _ in range(4):
+        assert _draw(cdf, ours) == theirs.choice(len(p), p=p)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def reference_perturb_edit(sentence, vocab, spec, rng):
+    """Reference ``perturb_edit`` that draws each operation with ``Generator.choice(p=...)``."""
+    tokens = list(sentence)
+    exhausted = not tokens
+    for _ in range(spec.k):
+        op = ("deletion", "substitution", "insertion")[rng.choice(3, p=spec.op_weights)]
+        if exhausted:
+            op = "insertion"
+        if op == "deletion":
+            del tokens[rng.integers(len(tokens))]
+        elif op == "substitution":
+            tokens[rng.integers(len(tokens))] = vocab[rng.integers(len(vocab))]
+        else:
+            tokens.insert(rng.integers(len(tokens) + 1), vocab[rng.integers(len(vocab))])
+        if not tokens:
+            exhausted = True
+    return tokens
+
+
+class TestPerturbEditMatchesReference:
+    VOCAB = [f"w{i}" for i in range(7)]
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.sampled_from("abcdef"), max_size=8),
+        st.integers(min_value=0, max_value=8),
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.7, 0.2, 0.1),
+                         (0, 0.5, 0.5), (1 / 3, 1 / 3, 1 / 3), (2, 0, 1e-9)]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_same_tokens_and_generator_state(self, sentence, k, weights, seed):
+        spec = PerturbationSpec(k=k, seed=seed, op_weights=weights)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert perturb_edit(sentence, self.VOCAB, spec, rng=ours) == \
+            reference_perturb_edit(sentence, self.VOCAB, spec, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestNoiseAugment:
     def test_forced_swap_with_two_words(self):
         table = table_from({"hot": [1.0, 0.1], "warm": [1.0, 0.0]})
@@ -177,6 +237,13 @@ class TestNoiseAugment:
         assert "covers only" in caplog.text
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vector_is_refused_at_construction(bad):
+    # the sampler draws without re-validating its weights; this keeps them finite
+    with pytest.raises(ValueError, match="non-finite"):
+        table_from({"a": [1.0, 0.0], "b": [bad, 0.5]})
+
+
 class _CountingMatrix:
     """Stands in for ``_NeighborSampler.normed``, counting similarity products."""
 
@@ -208,3 +275,36 @@ class TestNeighborSampler:
         assert sampler.candidates("a") is first
         assert first[0] == ["b", "c"]
         assert counting.products == 1
+
+
+class TestDeskStreamsArePinned:
+    """SHA-256 of the desk-corpus noise and perturbation streams.
+
+    Any change to a draw, to the order of draws or to the per-sentence
+    generators moves these; re-record them only for a deliberate change.
+    """
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
+        return lines, train_embeddings(lines, d=100, window=5, seed=7, normalize=True)
+
+    @staticmethod
+    def digest(lines: list[str]) -> str:
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+    def test_noise_stream(self, desk):
+        lines, table = desk
+        stats: dict = {}
+        out = noise_augment(lines, table, NoiseSpec(0.2, 10, 11), stats_out=stats)
+        assert stats["replaced_tokens"] == 32401
+        assert self.digest(out) == (
+            "97f473f0644a7d38082dae0351cc57eb802bf9e7fc50dfe7757e8b6854784f43"
+        )
+
+    def test_perturb_stream(self, desk):
+        lines, table = desk
+        out = perturb_corpus(lines, sorted(table.vectors), PerturbationSpec(k=3, seed=5))
+        assert self.digest(out) == (
+            "6776ff98d4352b8ec97107d96d0b1f3123a780cbd7ae1e562d5651ae0c4efefe"
+        )

@@ -7,12 +7,15 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phonoprep.cli import _Parser, build_parser, main
+from phonoprep.cli import _parsers, build_parser, main
 from phonoprep.clustering import save_cluster_model
 from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
 from phonoprep.errors import NonAlphabeticToken
@@ -384,6 +387,28 @@ class TestBpeAndPipeline:
         assert manifest["config"]["encoder"] == "metaphone"
 
 
+    def test_config_after_earlier_parsers_acts_as_in_a_fresh_process(self, capsys, tmp_path):
+        first, second = build_parser(), build_parser()
+        assert not {id(p) for p in _parsers(first)} & {id(p) for p in _parsers(second)}
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("body but bad bed\nspeak speech\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fraction": 0.5}), encoding="utf-8")
+        out = tmp_path / "m.tsv"
+        argv = ["cluster", "--config", str(config), "--corpus", str(corpus),
+                "--seed", "3", "--output", str(out)]
+        code, stdout, _ = run_cli(argv, capsys)
+        in_process = out.read_bytes()
+        out.unlink()
+        fresh = subprocess.run([sys.executable, "-m", "phonoprep.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, stdout) == (fresh.returncode, fresh.stdout)
+        assert in_process == out.read_bytes()
+        assert b"# source: uniform" in in_process
+        # the config reached only main's own parsers
+        args = first.parse_args(["cluster", "--corpus", "c", "--seed", "1", "--output", "o"])
+        assert args.fraction is None
+
     def test_unknown_config_key_is_data_error(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("body but bad speak\n", encoding="utf-8")
@@ -476,9 +501,7 @@ class TestConsoleScript:
 
 class TestPipelineRunCli:
     def test_every_config_field_has_a_flag(self):
-        _Parser.registry = []
-        build_parser()
-        (run,) = [p for p in _Parser.registry if p.prog.endswith(" pipeline run")]
+        (run,) = [p for p in _parsers(build_parser()) if p.prog.endswith(" pipeline run")]
         dests = {action.dest for action in run._actions}
         assert {f.name for f in fields(PipelineConfig)} <= dests
 
@@ -493,3 +516,52 @@ class TestPipelineRunCli:
         assert code == 2
         assert "cluster_fraction" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+
+
+LINE_BREAK_LOOKALIKES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lf_bytes(lines: list[str]) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+class TestLineBoundaries:
+    """Only "\n" (with one "\r" before it dropped) ends an input line."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.text(alphabet="ab \t" + LINE_BREAK_LOOKALIKES, max_size=8),
+                    max_size=6))
+    def test_outputs_keep_the_input_line_count(self, lines):
+        lines = ["a b a b"] + lines
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            src, ref = tmp / "in.txt", tmp / "ref.txt"
+            src.write_bytes(_lf_bytes(lines))
+            ref.write_bytes(_lf_bytes([" ".join(line.split()) for line in lines]))
+            assert main(["bpe", "learn", "--corpus", str(src), "--operations", "3",
+                         "--output", str(tmp / "m.bpe")]) == 0
+            for argv in (
+                ["encode", "--codec", "soundex", "--input", str(src)],
+                ["bpe", "apply", "--model", str(tmp / "m.bpe"), "--input", str(src)],
+                ["augment", "perturb", "--input", str(src), "-k", "1", "--seed", "3"],
+            ):
+                out = tmp / "out.txt"
+                assert main(argv + ["--output", str(out)]) == 0, argv
+                assert out.read_bytes().count(b"\n") == len(lines), argv
+            # hyp and ref hold the same tokens, line by line
+            assert main(["eval", "bleu", "--hyp", str(src), "--ref", str(ref),
+                         "--format", "json", "--output", str(tmp / "bleu.json")]) == 0
+            report = json.loads((tmp / "bleu.json").read_text(encoding="utf-8"))
+            assert report["bleu"] == pytest.approx(100.0)
+
+    def test_stdin_keeps_the_input_line_count(self, tmp_path):
+        lines = ["a b", "caf\u0085e bar", "x\ry", "crlf\r", "\u2028", ""]
+        model = tmp_path / "m.bpe"
+        model.write_text("#version: 0.2\n", encoding="utf-8")
+        for argv in (["encode", "--codec", "soundex"], ["bpe", "apply", "--model", str(model)]):
+            result = subprocess.run(
+                [sys.executable, "-m", "phonoprep.cli", *argv],
+                input=_lf_bytes(lines), capture_output=True,
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.count(b"\n") == len(lines), argv

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -371,3 +372,42 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="cluster_fraction"):
             PipelineConfig.from_dict({"train_path": "t", "output_dir": "o",
                                       "encoder": "cluster_uniform"})
+
+
+# every character str.splitlines() (or a text-mode read of a lone "\r") takes for
+# a line break, besides "\n"; str.split() treats all of them as whitespace
+LINE_BREAK_LOOKALIKES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+line_texts = st.lists(st.text(alphabet="ab \t" + LINE_BREAK_LOOKALIKES, max_size=8),
+                      max_size=6)
+
+
+class TestLineBoundaries:
+    @settings(max_examples=25, deadline=None)
+    @given(line_texts, line_texts, st.sampled_from(["concat", "multi_source"]))
+    def test_streams_keep_the_input_line_count(self, train, dev, mode):
+        train = ["a b"] + train  # bpe-learn needs a token
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, lines in (("train", train), ("dev", dev)):
+                (tmp / f"{name}.txt").write_bytes(
+                    "".join(line + "\n" for line in lines).encode("utf-8"))
+            out = run_pipeline(PipelineConfig(
+                train_path=str(tmp / "train.txt"), dev_path=str(tmp / "dev.txt"),
+                output_dir=str(tmp / "out"), combine_mode=mode,
+                bpe_operations_words=5, bpe_operations_codes=5,
+            ))
+            streams = sorted((out / "streams").iterdir())
+            assert streams
+            for path in streams:
+                expected = len(train if path.name.startswith("train.") else dev)
+                assert path.read_bytes().count(b"\n") == expected, path.name
+
+    def test_crlf_input_gives_the_lf_streams(self, tmp_path):
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n")):
+            train = tmp_path / f"{name}.txt"
+            train.write_bytes("".join(line + ending for line in TRAIN).encode("utf-8"))
+            run_pipeline(PipelineConfig(train_path=str(train),
+                                        output_dir=str(tmp_path / name)))
+        for stream in ("train.concat", "train.words", "train.codes"):
+            lf = (tmp_path / "lf" / "streams" / stream).read_bytes()
+            assert (tmp_path / "crlf" / "streams" / stream).read_bytes() == lf

@@ -20,6 +20,7 @@ from phonoprep.subword import (
     bpe_learn,
     load_bpe_model,
     save_bpe_model,
+    split_lines,
 )
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
@@ -232,3 +233,18 @@ class TestMergeFile:
         save_bpe_model(bpe_learn(corpus, 15), p1)
         save_bpe_model(bpe_learn(corpus, 15), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []),
+    ("\n", [""]),
+    ("a", ["a"]),
+    ("a\n\nb\n", ["a", "", "b"]),
+    ("a\r\nb\r\n", ["a", "b"]),
+    ("a\r\r\n", ["a\r"]),
+    ("a\rb\n", ["a\rb"]),
+    ("tail\r", ["tail\r"]),
+    ("caf\u0085e\u2028x\x0b\x0c\x1c\x1d\x1e\u2029\n", ["caf\u0085e\u2028x\x0b\x0c\x1c\x1d\x1e\u2029"]),
+])
+def test_split_lines_breaks_only_at_newline(text, lines):
+    assert split_lines(text) == lines
