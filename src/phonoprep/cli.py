@@ -26,6 +26,8 @@ from .encoders import load_code_table
 from .errors import InvalidConfig, PhonoprepError
 from .evaluate import bleu, vocab_stats
 from .geometry import (
+    CurveReport,
+    EmbeddingTable,
     HullParams,
     concentration_factor,
     coverage_curve,
@@ -34,7 +36,6 @@ from .geometry import (
     load_embeddings,
     pca_project,
     save_embeddings,
-    smooth_hull,
     train_embeddings,
     volume_cdf,
 )
@@ -43,7 +44,6 @@ from .pipeline import (
     TABLE_ENCODERS,
     PipelineConfig,
     WORD_ENCODERS,
-    _write_lines,
     cluster_corpus,
     encode_corpus,
     make_token_encoder,
@@ -57,6 +57,8 @@ from .subword import (
     read_lines,
     save_bpe_model,
     split_lines,
+    write_json,
+    write_lines,
 )
 
 CODEC_CHOICES = tuple(WORD_ENCODERS) + TABLE_ENCODERS + ("cluster",)
@@ -76,13 +78,6 @@ def _parse_seed(value: str) -> int:
         ) from None
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-
-
 def _input_lines(args) -> list[str]:
     """Lines of ``--input``, else of stdin, read as bytes so no newline is translated."""
     if args.input:
@@ -90,25 +85,27 @@ def _input_lines(args) -> list[str]:
     return split_lines(sys.stdin.buffer.read().decode("utf-8"))
 
 
-def _emit_lines(args, lines: list[str]) -> None:
+def _emit(args, lines: list[str]) -> None:
+    """Write ``lines`` to ``--output``, else to stdout."""
     if args.output:
-        _write_lines(args.output, lines)
+        write_lines(args.output, lines)
     else:
         for line in lines:
             print(line)
 
 
-def _rows_to_csv(header: list[str], rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
-def _load_points_file(path: str) -> dict[str, np.ndarray]:
-    table = load_embeddings(path)
-    return dict(table.vectors)
+def _emit_report(args, report) -> None:
+    """Render ``report`` as ``--format`` asks; a report without a text form prints CSV."""
+    if args.format == "json":
+        text = json.dumps(report.to_dict(), sort_keys=True)
+    elif args.format == "text" and hasattr(report, "format_line"):
+        text = report.format_line()
+    else:
+        header, rows = report.rows()
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue().rstrip("\n")
+    _emit(args, [text])
 
 
 def _hull_params(args) -> HullParams | None:
@@ -120,7 +117,7 @@ def _hull_params(args) -> HullParams | None:
 
 
 def _grouped_points(args) -> list[np.ndarray]:
-    projected = _load_points_file(args.points)
+    projected = load_embeddings(args.points).vectors
     encoding = load_cluster_model(args.groups).assignment
     return group_points(projected, encoding)
 
@@ -137,7 +134,7 @@ def cmd_encode(args) -> int:
         granularity=args.granularity,
         cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
     )
-    _emit_lines(args, encode_corpus(_input_lines(args), encoder).code_lines)
+    _emit(args, encode_corpus(_input_lines(args), encoder).code_lines)
     return 0
 
 
@@ -160,16 +157,14 @@ def cmd_bpe_learn(args) -> int:
 def cmd_bpe_apply(args) -> int:
     model = load_bpe_model(args.model)
     segment = bpe_decode if args.reverse else bpe_apply
-    _emit_lines(args, [" ".join(segment(line.split(), model)) for line in _input_lines(args)])
+    _emit(args, [" ".join(segment(line.split(), model)) for line in _input_lines(args)])
     return 0
 
 
 def cmd_pipeline_run(args) -> int:
     data = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
             if getattr(args, f.name, None) is not None}
-    if "train_path" not in data or "output_dir" not in data:
-        raise PhonoprepError("pipeline run needs --train-path and --output-dir")
-    out = run_pipeline(PipelineConfig(**data))
+    out = run_pipeline(PipelineConfig.from_dict(data))
     print(f"artifacts written to {out}")
     return 0
 
@@ -188,88 +183,35 @@ def cmd_geometry_embed(args) -> int:
 def cmd_geometry_project(args) -> int:
     table = load_embeddings(args.vectors)
     _, projected = pca_project(table)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-        for unit in sorted(projected):
-            x, y = projected[unit]
-            f.write(f"{unit} {x!r} {y!r}\n")
+    save_embeddings(EmbeddingTable(2, projected), args.output)
     print(f"projected {len(projected)} units to {args.output}")
     return 0
 
 
 def cmd_geometry_gamma(args) -> int:
-    report = concentration_factor(_grouped_points(args))
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "schema": "phonoprep/gamma-report/1",
-            "gamma": report.gamma,
-            "groups": report.k,
-            "group_sizes": list(report.group_sizes),
-        }, sort_keys=True))
-    elif args.format == "csv":
-        _emit(args, _rows_to_csv(["gamma", "groups"], [[report.gamma, report.k]]))
-    else:
-        _emit(args, f"{report.gamma:.12g}")
+    _emit_report(args, concentration_factor(_grouped_points(args)))
     return 0
 
 
 def cmd_geometry_cdf(args) -> int:
-    points = _grouped_points(args)
-    cdf = volume_cdf(points, _hull_params(args))
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "schema": "phonoprep/volume-cdf/1",
-            "points": [{"volume": v, "fraction": f} for v, f in cdf],
-        }, sort_keys=True))
-    else:
-        _emit(args, _rows_to_csv(["volume", "fraction"], cdf))
+    cdf = volume_cdf(_grouped_points(args), _hull_params(args))
+    _emit_report(args, CurveReport.volume_cdf(cdf))
     return 0
 
 
 def cmd_geometry_coverage(args) -> int:
-    groups = _grouped_points(args)
-    curve = coverage_curve(groups, order_seed=args.seed, params=_hull_params(args))
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "schema": "phonoprep/coverage-curve/1",
-            "seed": args.seed,
-            "steps": [{"step": s, "volume": v} for s, v in curve],
-        }, sort_keys=True))
-    else:
-        _emit(args, _rows_to_csv(["step", "volume"], curve))
+    curve = coverage_curve(_grouped_points(args), order_seed=args.seed,
+                           params=_hull_params(args))
+    _emit_report(args, CurveReport.coverage(curve, args.seed))
     return 0
 
 
 def cmd_geometry_density(args) -> int:
     groups = _grouped_points(args)
-    all_points = np.vstack([g for g in groups])
-    report = density_measure(
-        all_points, groups,
-        neighbor_index=args.index,
-        params=_hull_params(args),
-        m=args.samples,
-        threshold=args.threshold,
-        seed=args.seed,
-    )
-    indices = sorted(report.max_density)
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "schema": "phonoprep/density-report/1",
-            "seed": args.seed,
-            "converge_threshold": report.converge_threshold,
-            "samples_used": report.samples_used,
-            "chosen_groups": list(report.chosen_groups),
-            "per_index": {
-                str(i): {
-                    "max": report.max_density[i],
-                    "sum": report.sum_density[i],
-                    "mean": report.mean_density[i],
-                } for i in indices
-            },
-        }, sort_keys=True))
-    else:
-        rows = [[i, report.max_density[i], report.sum_density[i], report.mean_density[i]]
-                for i in indices]
-        _emit(args, _rows_to_csv(["index", "max", "sum", "mean"], rows))
+    _emit_report(args, density_measure(
+        np.vstack(groups), groups, neighbor_index=args.index, params=_hull_params(args),
+        m=args.samples, threshold=args.threshold, seed=args.seed,
+    ))
     return 0
 
 
@@ -277,19 +219,12 @@ def cmd_augment_noise(args) -> int:
     table = load_embeddings(args.embeddings)
     spec = NoiseSpec(fraction=args.fraction, top_n=args.top_n, seed=args.seed)
     stats: dict = {}
-    out = noise_augment(read_lines(args.input), table, spec, stats_out=stats)
-    _write_lines(args.output, out)
-    manifest = {
-        "schema": "phonoprep/noise-manifest/1",
-        "seed": args.seed,
-        "fraction": args.fraction,
-        "top_n": args.top_n,
-        "stats": stats,
-    }
+    write_lines(args.output, noise_augment(read_lines(args.input), table, spec,
+                                           stats_out=stats))
     if args.manifest:
-        Path(args.manifest).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(args.manifest, {"schema": "phonoprep/noise-manifest/1", "seed": args.seed,
+                                   "fraction": args.fraction, "top_n": args.top_n,
+                                   "stats": stats})
     print(f"replaced {stats['replaced_tokens']} of {stats['total_tokens']} tokens"
           f" (seed {args.seed})")
     return 0
@@ -299,34 +234,18 @@ def cmd_augment_perturb(args) -> int:
     lines = read_lines(args.input)
     vocab = sorted({tok for line in lines for tok in line.split()})
     spec = PerturbationSpec(k=args.k, seed=args.seed)
-    _write_lines(args.output, perturb_corpus(lines, vocab, spec))
+    write_lines(args.output, perturb_corpus(lines, vocab, spec))
     print(f"applied {args.k} edits per sentence to {len(lines)} sentences (seed {args.seed})")
     return 0
 
 
 def cmd_eval_bleu(args) -> int:
-    report = bleu(read_lines(args.hyp), read_lines(args.ref), smooth=args.smooth)
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "schema": "phonoprep/bleu-report/1",
-            "bleu": report.bleu,
-            "precisions": list(report.precisions),
-            "brevity_penalty": report.brevity_penalty,
-            "hyp_length": report.hyp_length,
-            "ref_length": report.ref_length,
-        }, sort_keys=True))
-    else:
-        _emit(args, report.format_line())
+    _emit_report(args, bleu(read_lines(args.hyp), read_lines(args.ref), smooth=args.smooth))
     return 0
 
 
 def cmd_eval_vocab(args) -> int:
-    report = vocab_stats({Path(p).name: read_lines(p) for p in args.inputs})
-    if args.format == "json":
-        _emit(args, json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        rows = [[k, u, t] for k, (u, t) in sorted(report.streams.items())]
-        _emit(args, _rows_to_csv(["stream", "unique", "total"], rows))
+    _emit_report(args, vocab_stats({Path(p).name: read_lines(p) for p in args.inputs}))
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoders import encode_or_passthrough
 from .errors import EmptyUnitList, InvalidFraction, SizeMismatch, TooFewPoints
-from .subword import read_lines
+from .subword import read_lines, write_lines
 
 __all__ = [
     "SizeDistribution",
@@ -56,9 +56,6 @@ class SizeDistribution:
     def total(self) -> int:
         return sum(self.multiplicities)
 
-    def __len__(self) -> int:
-        return len(self.multiplicities)
-
 
 @dataclass(frozen=True)
 class ClusterModel:
@@ -91,14 +88,18 @@ class KMeansModel:
         return self.cost_history[-1]
 
 
+def _check_units(units: Sequence[str]) -> None:
+    if not units:
+        raise EmptyUnitList("no units to cluster")
+    if len(set(units)) != len(units):
+        raise ValueError("units must be distinct")
+
+
 def derive_size_distribution(
     units: Sequence[str], encoder: Callable[[str], str]
 ) -> SizeDistribution:
     """Group ``units`` by their baseline code and return the group sizes."""
-    if not units:
-        raise EmptyUnitList("no units to encode")
-    if len(set(units)) != len(units):
-        raise ValueError("units must be distinct")
+    _check_units(units)
     groups = Counter(encode_or_passthrough(u, encoder)[0] for u in units)
     return SizeDistribution(tuple(groups.values()))
 
@@ -118,10 +119,7 @@ def _partition(units: Sequence[str], sizes: Sequence[int], seed: int, source: st
 
 def random_cluster(units: Sequence[str], dist: SizeDistribution, seed: int) -> ClusterModel:
     """Uniformly sample units without replacement into clusters sized by ``dist``."""
-    if not units:
-        raise EmptyUnitList("no units to cluster")
-    if len(set(units)) != len(units):
-        raise ValueError("units must be distinct")
+    _check_units(units)
     if dist.total != len(units):
         raise SizeMismatch(
             f"distribution covers {dist.total} units, got {len(units)}"
@@ -131,10 +129,7 @@ def random_cluster(units: Sequence[str], dist: SizeDistribution, seed: int) -> C
 
 def random_cluster_uniform(units: Sequence[str], fraction: float, seed: int) -> ClusterModel:
     """Partition into ``round(fraction * |units|)`` near-equal clusters."""
-    if not units:
-        raise EmptyUnitList("no units to cluster")
-    if len(set(units)) != len(units):
-        raise ValueError("units must be distinct")
+    _check_units(units)
     if not 0.0 < fraction <= 1.0:
         raise InvalidFraction(f"fraction {fraction} outside (0, 1]")
     n = len(units)
@@ -240,12 +235,9 @@ def save_kmeans_model(
     assignment_path: str | Path,
 ) -> None:
     """Write centroids as TSV rows and point assignments one index per line."""
-    with open(centroids_path, "w", encoding="utf-8", newline="\n") as f:
-        for row in model.centroids:
-            f.write("\t".join(repr(float(x)) for x in row) + "\n")
-    with open(assignment_path, "w", encoding="utf-8", newline="\n") as f:
-        for j in model.assignment:
-            f.write(f"{int(j)}\n")
+    write_lines(centroids_path,
+                ("\t".join(repr(float(x)) for x in row) for row in model.centroids))
+    write_lines(assignment_path, (str(int(j)) for j in model.assignment))
 
 
 def load_kmeans_model(
@@ -269,7 +261,7 @@ def load_kmeans_model(
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
     lines = [f"# seed: {model.seed}", f"# source: {model.source}"]
     lines += [f"{unit}\t{cid}" for unit, cid in sorted(model.assignment.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:

@@ -43,6 +43,11 @@ class BleuReport:
             f"hyp_len={self.hyp_length}, ref_len={self.ref_length})"
         )
 
+    def to_dict(self) -> dict:
+        return {"schema": "phonoprep/bleu-report/1", "bleu": self.bleu,
+                "precisions": list(self.precisions), "brevity_penalty": self.brevity_penalty,
+                "hyp_length": self.hyp_length, "ref_length": self.ref_length}
+
 
 @dataclass(frozen=True)
 class VocabReport:
@@ -57,12 +62,15 @@ class VocabReport:
         return self.streams[stream][1]
 
     def to_dict(self) -> dict:
-        """The ``phonoprep/vocab-report/1`` JSON payload."""
         return {
             "schema": "phonoprep/vocab-report/1",
             "streams": {k: {"unique": u, "total": t}
                         for k, (u, t) in sorted(self.streams.items())},
         }
+
+    def rows(self) -> tuple[list[str], list]:
+        return ["stream", "unique", "total"], [
+            [k, u, t] for k, (u, t) in sorted(self.streams.items())]
 
 
 def _clipped_matches(

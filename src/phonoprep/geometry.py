@@ -31,7 +31,7 @@ from .errors import (
     MalformedFloat,
     ZeroDispersion,
 )
-from .subword import _iter_sentences, read_lines
+from .subword import _iter_sentences, read_lines, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -39,6 +39,7 @@ __all__ = [
     "HullParams",
     "HullMetrics",
     "GammaReport",
+    "CurveReport",
     "DensityReport",
     "train_embeddings",
     "save_embeddings",
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+DENSITY_BATCH = 64  # interior samples drawn between convergence checks
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,45 @@ class GammaReport:
     def k(self) -> int:
         return len(self.centroids)
 
+    def format_line(self) -> str:
+        return f"{self.gamma:.12g}"
+
+    def to_dict(self) -> dict:
+        return {"schema": "phonoprep/gamma-report/1", "gamma": self.gamma,
+                "groups": self.k, "group_sizes": list(self.group_sizes)}
+
+    def rows(self) -> tuple[list[str], list]:
+        return ["gamma", "groups"], [[self.gamma, self.k]]
+
+
+@dataclass(frozen=True)
+class CurveReport:
+    """A curve of ``(x, y)`` points: the volume CDF or the coverage curve."""
+
+    schema: str
+    key: str  # name of the JSON list of points
+    columns: tuple[str, str]
+    points: list[tuple[float, float]]
+    seed: int | None = None  # group order of the coverage curve
+
+    @classmethod
+    def volume_cdf(cls, points: list[tuple[float, float]]) -> "CurveReport":
+        return cls("phonoprep/volume-cdf/1", "points", ("volume", "fraction"), points)
+
+    @classmethod
+    def coverage(cls, points: list[tuple[int, float]], seed: int) -> "CurveReport":
+        return cls("phonoprep/coverage-curve/1", "steps", ("step", "volume"), points, seed)
+
+    def to_dict(self) -> dict:
+        data = {"schema": self.schema,
+                self.key: [dict(zip(self.columns, point)) for point in self.points]}
+        if self.seed is not None:
+            data["seed"] = self.seed
+        return data
+
+    def rows(self) -> tuple[list[str], list]:
+        return list(self.columns), self.points
+
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -141,6 +183,24 @@ class DensityReport:
     converge_threshold: float
     samples_used: int
     chosen_groups: tuple[int, ...]
+    seed: int
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": "phonoprep/density-report/1",
+            "seed": self.seed,
+            "converge_threshold": self.converge_threshold,
+            "samples_used": self.samples_used,
+            "chosen_groups": list(self.chosen_groups),
+            "per_index": {str(i): {"max": self.max_density[i], "sum": self.sum_density[i],
+                                   "mean": self.mean_density[i]}
+                          for i in sorted(self.max_density)},
+        }
+
+    def rows(self) -> tuple[list[str], list]:
+        return ["index", "max", "sum", "mean"], [
+            [i, self.max_density[i], self.sum_density[i], self.mean_density[i]]
+            for i in sorted(self.max_density)]
 
 
 # --- embeddings ---
@@ -253,10 +313,9 @@ def train_embeddings(
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for unit in sorted(table.vectors):
-            comps = " ".join(repr(float(x)) for x in table.vectors[unit])
-            f.write(f"{unit} {comps}\n")
+    """Write ``unit v1 v2 ... vd`` lines, sorted by unit, that ``load_embeddings`` reads."""
+    write_lines(path, (f"{unit} {' '.join(repr(float(x)) for x in table.vectors[unit])}"
+                       for unit in sorted(table.vectors)))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
@@ -444,7 +503,6 @@ def density_measure(
     m: int = 10_000,
     threshold: float = 0.001,
     seed: int = 0,
-    batch_size: int = 64,
 ) -> DensityReport:
     """Sample the hull interior and measure distance to reference groups.
 
@@ -480,7 +538,7 @@ def density_measure(
     samples_used = 0
     prev_mean = None
     while samples_used < m:
-        batch = min(batch_size, m - samples_used)
+        batch = min(DENSITY_BATCH, m - samples_used)
         q = rng.random((batch, len(corners)))
         weights = q / q.sum(axis=1, keepdims=True)
         samples = weights @ corners
@@ -503,6 +561,7 @@ def density_measure(
         converge_threshold=threshold,
         samples_used=samples_used,
         chosen_groups=chosen,
+        seed=seed,
     )
 
 

@@ -12,7 +12,6 @@ are byte-identical.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import secrets
@@ -43,7 +42,7 @@ from .encoders import (
 )
 from .errors import InvalidConfig, PipelineStageError, SeparatorCollision
 from .evaluate import vocab_stats
-from .subword import bpe_apply, bpe_learn, read_lines, save_bpe_model
+from .subword import bpe_apply, bpe_learn, read_lines, save_bpe_model, write_json, write_lines
 
 __all__ = [
     "PipelineConfig",
@@ -249,7 +248,7 @@ def combine(
     out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "codes_only":
         path = out_dir / f"{prefix}.input-codes"
-        _write_lines(path, encoded.code_lines)
+        write_lines(path, encoded.code_lines)
         return [path]
     if mode == "concat":
         _check_separator(encoded.word_lines, separator, "word stream")
@@ -259,21 +258,15 @@ def combine(
             for w, c in zip(encoded.word_lines, encoded.code_lines)
         ]
         path = out_dir / f"{prefix}.concat"
-        _write_lines(path, lines)
+        write_lines(path, lines)
         return [path]
     if mode == "multi_source":
         words = out_dir / f"{prefix}.src-words"
         codes = out_dir / f"{prefix}.src-codes"
-        _write_lines(words, encoded.word_lines)
-        _write_lines(codes, encoded.code_lines)
+        write_lines(words, encoded.word_lines)
+        write_lines(codes, encoded.code_lines)
         return [words, codes]
     raise ValueError(f"unknown combine mode {mode!r}")
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -392,8 +385,8 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
         with _stage("bpe-apply"):
             words_path = out / "streams" / f"{name}.words"
             codes_path = out / "streams" / f"{name}.codes"
-            _write_lines(words_path, enc.word_lines)
-            _write_lines(codes_path, enc.code_lines)
+            write_lines(words_path, enc.word_lines)
+            write_lines(codes_path, enc.code_lines)
             written += [words_path, codes_path]
 
             bpe_words = [
@@ -424,10 +417,7 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
             "combined": train.word_lines + train.code_lines,
         })
         vocab_path = out / "reports" / "vocab.json"
-        vocab_path.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(vocab_path, report.to_dict())
         written.append(vocab_path)
 
     manifest = {
@@ -443,6 +433,4 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
             for p in sorted(written + [out / "inputs" / f"{n}.txt" for n in splits])
         },
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "manifest.json", manifest)

@@ -19,6 +19,7 @@ exactly; ``bpe_apply`` rejects tokens that themselves end with the marker.
 from __future__ import annotations
 
 import heapq
+import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -36,19 +37,21 @@ __all__ = [
     "load_bpe_model",
     "read_lines",
     "split_lines",
+    "write_lines",
+    "write_json",
 ]
 
 MERGE_FILE_HEADER = "#version: 0.2"
+END_OF_WORD = "</w>"  # closes every word while learning; never merged
+CONTINUATION = "@@"  # suffix of every non-final applied piece
 
 
 @dataclass(frozen=True)
 class BpeModel:
-    """Ordered merge operations plus the marker conventions used to apply them."""
+    """Ordered merge operations, applied in rank order."""
 
     merges: tuple[tuple[str, str], ...]
     num_operations: int
-    end_of_word_marker: str = "</w>"
-    continuation_marker: str = "@@"
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
     # token -> applied pieces, filled by bpe_apply
     _segments: dict = field(default_factory=dict, repr=False, compare=False)
@@ -82,6 +85,18 @@ def read_lines(path: str | Path) -> list[str]:
     return split_lines(Path(path).read_bytes().decode("utf-8"))
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a ``"\\n"`` after it as UTF-8, as ``read_lines`` reads it."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for line in lines:
+            f.write(line + "\n")
+
+
+def write_json(path: str | Path, data: dict) -> None:
+    """Write ``data`` as JSON, indented and with sorted keys, and a final ``"\\n"``."""
+    write_lines(path, [json.dumps(data, indent=2, sort_keys=True)])
+
+
 def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
     """The tokens of each non-blank line; a bare string is one line."""
     if isinstance(corpus, str):
@@ -92,12 +107,7 @@ def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
             yield tokens
 
 
-def bpe_learn(
-    corpus: str | Iterable[str],
-    num_operations: int,
-    end_of_word_marker: str = "</w>",
-    continuation_marker: str = "@@",
-) -> BpeModel:
+def bpe_learn(corpus: str | Iterable[str], num_operations: int) -> BpeModel:
     """Learn up to ``num_operations`` merges from a corpus of sentences.
 
     Stops early once no adjacent pair occurs more than once.
@@ -109,11 +119,11 @@ def bpe_learn(
         raise EmptyCorpus("corpus has no tokens")
 
     # one working sequence per unique word; marker terminates each word
-    seqs: list[list[str]] = [list(w) + [end_of_word_marker] for w in word_freqs]
+    seqs: list[list[str]] = [list(w) + [END_OF_WORD] for w in word_freqs]
     freqs = list(word_freqs.values())
 
     def pairs(seq: list[str]) -> Iterable[tuple[str, str]]:
-        return (p for p in zip(seq, seq[1:]) if p[1] != end_of_word_marker)
+        return (p for p in zip(seq, seq[1:]) if p[1] != END_OF_WORD)
 
     # exact live count of every pair present, plus a superset index of the
     # words holding it (entries go stale as merges rewrite words)
@@ -176,12 +186,7 @@ def bpe_learn(
         if len(heap) > 2 * len(pair_counts):
             heap = rebuild()
 
-    return BpeModel(
-        merges=tuple(merges),
-        num_operations=num_operations,
-        end_of_word_marker=end_of_word_marker,
-        continuation_marker=continuation_marker,
-    )
+    return BpeModel(merges=tuple(merges), num_operations=num_operations)
 
 
 def _segment(word: str, model: BpeModel) -> list[str]:
@@ -210,16 +215,15 @@ def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
     """
     out: list[str] = []
     cache = model._segments
-    marker = model.continuation_marker
     for token in sentence:
         pieces = cache.get(token)
         if pieces is None:
-            if token.endswith(marker):
+            if token.endswith(CONTINUATION):
                 raise ContinuationMarkerToken(
-                    f"token {token!r} ends with the continuation marker {marker!r}"
+                    f"token {token!r} ends with the continuation marker {CONTINUATION!r}"
                 )
             raw = _segment(token, model)
-            pieces = [p + marker for p in raw[:-1]] + [raw[-1]]
+            pieces = [p + CONTINUATION for p in raw[:-1]] + [raw[-1]]
             cache[token] = pieces
         out.extend(pieces)
     return out
@@ -227,12 +231,11 @@ def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
 
 def bpe_decode(pieces: list[str], model: BpeModel) -> list[str]:
     """Rejoin subword pieces into tokens; exact inverse of ``bpe_apply``."""
-    marker = model.continuation_marker
     out: list[str] = []
     buf: list[str] = []
     for piece in pieces:
-        if piece.endswith(marker) and len(piece) > len(marker):
-            buf.append(piece[:-len(marker)])
+        if piece.endswith(CONTINUATION) and len(piece) > len(CONTINUATION):
+            buf.append(piece[:-len(CONTINUATION)])
         else:
             buf.append(piece)
             out.append("".join(buf))
@@ -244,16 +247,10 @@ def bpe_decode(pieces: list[str], model: BpeModel) -> list[str]:
 
 def save_bpe_model(model: BpeModel, path: str | Path) -> None:
     """Write the merge list in the de-facto merge-file layout."""
-    lines = [MERGE_FILE_HEADER]
-    lines += [f"{a} {b}" for a, b in model.merges]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [MERGE_FILE_HEADER] + [f"{a} {b}" for a, b in model.merges])
 
 
-def load_bpe_model(
-    path: str | Path,
-    end_of_word_marker: str = "</w>",
-    continuation_marker: str = "@@",
-) -> BpeModel:
+def load_bpe_model(path: str | Path) -> BpeModel:
     merges = []
     for lineno, line in enumerate(read_lines(path), 1):
         if lineno == 1 and line.startswith("#version"):
@@ -264,9 +261,4 @@ def load_bpe_model(
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'left right', got {line!r}")
         merges.append((parts[0], parts[1]))
-    return BpeModel(
-        merges=tuple(merges),
-        num_operations=len(merges),
-        end_of_word_marker=end_of_word_marker,
-        continuation_marker=continuation_marker,
-    )
+    return BpeModel(merges=tuple(merges), num_operations=len(merges))

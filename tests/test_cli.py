@@ -20,6 +20,7 @@ from phonoprep.clustering import save_cluster_model
 from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
 from phonoprep.errors import NonAlphabeticToken
 from phonoprep.evaluate import vocab_stats
+from phonoprep.geometry import load_embeddings, pca_project
 from phonoprep.pipeline import WORD_ENCODERS, PipelineConfig, cluster_corpus
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
@@ -254,7 +255,21 @@ class TestGeometry:
             capsys,
         )
         assert code == 0
-        assert len(projected.read_text(encoding="utf-8").splitlines()) > 0
+        _, want = pca_project(load_embeddings(vectors))
+        got = load_embeddings(projected)
+        assert got.dimension == 2 and sorted(got.vectors) == sorted(want)
+        for unit, point in want.items():
+            assert got.vectors[unit].tolist() == point.tolist()
+        # the projection is the --points input of the report subcommands
+        groups = tmp_path / "g.tsv"
+        groups.write_text("".join(f"{u}\t{'AB'[i % 2]}\n" for i, u in enumerate(sorted(want))),
+                          encoding="utf-8")
+        code, out, err = run_cli(
+            ["geometry", "gamma", "--groups", str(groups), "--points", str(projected)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert float(out) > 0
 
     def test_embed_seed_auto_is_recorded(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -517,6 +532,15 @@ class TestPipelineRunCli:
         assert "cluster_fraction" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
 
+    def test_missing_output_dir_is_data_error(self, capsys, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_text("body but bad\n", encoding="utf-8")
+        code, _, err = run_cli(["pipeline", "run", "--train-path", str(train), "--seed", "1"],
+                               capsys)
+        assert code == 2
+        assert re.search(r"output[-_]dir", err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+
 
 LINE_BREAK_LOOKALIKES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -565,3 +589,163 @@ class TestLineBoundaries:
             )
             assert result.returncode == 0, result.stderr
             assert result.stdout.count(b"\n") == len(lines), argv
+
+
+def _write_report_inputs(tmp_path: Path) -> dict[str, Path]:
+    """Six groups of five integer points, a hyp/ref pair and two vocab streams.
+
+    The hull of all points is the triangle (0, 0), (16, 0), (0, 16), so every
+    density sample is a single exact product per coordinate, whatever order
+    the BLAS kernel sums in.
+    """
+    paths = {name: tmp_path / name for name in
+             ("g.tsv", "p.txt", "hyp.txt", "ref.txt", "a.txt", "b.txt", "emb.txt", "in.txt")}
+    points = {i: {1: (16, 0), 2: (0, 16)}.get(i, ((i * 7) % 9, (i * 5) % 8)) for i in range(30)}
+    paths["g.tsv"].write_text("".join(f"u{i}\tG{i % 6}\n" for i in points), encoding="utf-8")
+    paths["p.txt"].write_text("".join(f"u{i} {x}.0 {y}.0\n" for i, (x, y) in points.items()),
+                              encoding="utf-8")
+    paths["hyp.txt"].write_text("the cat sat on a mat\nthe dog barked at it\nhello\n",
+                                encoding="utf-8")
+    paths["ref.txt"].write_text("the cat sat on the mat\nthe dog barked at the cat\nhi\n",
+                                encoding="utf-8")
+    paths["a.txt"].write_text("a b a\n\nc\n", encoding="utf-8")
+    paths["b.txt"].write_text("x y z x\n", encoding="utf-8")
+    paths["emb.txt"].write_text(
+        "alpha 1 0\nbeta 0.9 0.1\ngamma 0.8 0.2\ndelta 0.7 0.3\nepsilon 0.6 0.4\n",
+        encoding="utf-8",
+    )
+    paths["in.txt"].write_text("alpha beta gamma delta epsilon\n" * 5, encoding="utf-8")
+    return paths
+
+
+_GEOMETRY = ["--groups", "g.tsv", "--points", "p.txt"]
+_HULL = ["--beta", "2", "--radius", "5"]
+_DENSITY = ["geometry", "density", *_GEOMETRY, "--seed", "4", "--samples", "256"]
+_BLEU = ["eval", "bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"]
+_VOCAB = ["eval", "vocab", "--input", "a.txt", "--input", "b.txt"]
+
+# SHA-256 of the stdout of each report subcommand, recorded before the report
+# types rendered themselves; file arguments are relative to the inputs above
+REPORT_PINS = {
+    "gamma-text": (
+        ["geometry", "gamma", *_GEOMETRY],
+        "94ac4fe03da8f0b42d199d7e05dfb482d725e2f9ea9b5e4f065a6c7fb75c7d11",
+    ),
+    "gamma-json": (
+        ["geometry", "gamma", *_GEOMETRY, "--format", "json"],
+        "c613578457aa9b98637780c37c3b8652b65819b4599c5874def2f459bc4de193",
+    ),
+    "gamma-csv": (
+        ["geometry", "gamma", *_GEOMETRY, "--format", "csv"],
+        "babe117d30e2bb86850adc1546c4fa2adb3a8a03dea5d1fc018976dc1ee69c78",
+    ),
+    "cdf-json": (
+        ["geometry", "cdf", *_GEOMETRY, "--format", "json"],
+        "cf73a65a3dffc9c322f1343b1d1d92173a71d6759ea67a020740cd1abaf25bf9",
+    ),
+    "cdf-csv": (
+        ["geometry", "cdf", *_GEOMETRY, "--format", "csv"],
+        "bd8601a0cfe16e942bc194b247dac081c18c36b130cc1f79049b59e6f3b017b9",
+    ),
+    "cdf-text": (
+        ["geometry", "cdf", *_GEOMETRY, "--format", "text"],
+        "bd8601a0cfe16e942bc194b247dac081c18c36b130cc1f79049b59e6f3b017b9",
+    ),
+    "cdf-hull-json": (
+        ["geometry", "cdf", *_GEOMETRY, *_HULL, "--format", "json"],
+        "85d5a5316fb8590b85a20213bd3ea4a4717eed63b57d984277e7c735fe0d2540",
+    ),
+    "cdf-hull-csv": (
+        ["geometry", "cdf", *_GEOMETRY, *_HULL],
+        "bfe686befead2cd736108d29e4ffdc95c584e8bfd591f7dba09b85998931ce58",
+    ),
+    "coverage-json": (
+        ["geometry", "coverage", *_GEOMETRY, "--seed", "1", "--format", "json"],
+        "197e8575ad7ccacfd4c3fb6379bbdd87d735b5e8c03f154d29f32396bf52d74e",
+    ),
+    "coverage-csv": (
+        ["geometry", "coverage", *_GEOMETRY, "--seed", "1"],
+        "d62bd700c50689673ec667e2672599c5aeef9a1a8006941a7c8972c00e38dc17",
+    ),
+    "coverage-text": (
+        ["geometry", "coverage", *_GEOMETRY, "--seed", "1", "--format", "text"],
+        "d62bd700c50689673ec667e2672599c5aeef9a1a8006941a7c8972c00e38dc17",
+    ),
+    "density-1-json": (
+        [*_DENSITY, "--index", "1", "--format", "json"],
+        "ae8b4d7bb76b97fa25826f862dde8d345f3da1c3e6e25429debfbc41da226bac",
+    ),
+    "density-1-csv": (
+        [*_DENSITY, "--index", "1"],
+        "c9c26b28fd43aeb4c19dd29a2f9dd2a2447faa6278084f396e9735b8cc7c93cc",
+    ),
+    "density-3-json": (
+        [*_DENSITY, "--index", "3", "--format", "json"],
+        "43765ed2b96e866174ff752984818af9a965fb37268719434c3295df4a5cd73b",
+    ),
+    "density-3-csv": (
+        [*_DENSITY, "--index", "3", "--format", "csv"],
+        "d233c0fa34d477937e3ac2e0a243d5deb9216c80d99803ebbcfce7ccf28d2a8f",
+    ),
+    "density-3-text": (
+        [*_DENSITY, "--format", "text"],
+        "d233c0fa34d477937e3ac2e0a243d5deb9216c80d99803ebbcfce7ccf28d2a8f",
+    ),
+    "bleu-text": (
+        _BLEU,
+        "a341bac0cd3541c0fa86442548aadaeea4c0388851b35ab12ee95e62c872cce5",
+    ),
+    "bleu-json": (
+        [*_BLEU, "--format", "json"],
+        "50ebe4ee3a563b2d5af690360f17b70b8f24a38c4ad369215d4d71e68d70833a",
+    ),
+    "bleu-smooth-text": (
+        [*_BLEU, "--smooth"],
+        "d46ec9035e08ed9dfba45441c630c5c6df38ea0e7c17b535b28cd258f8a00bbb",
+    ),
+    "bleu-smooth-json": (
+        [*_BLEU, "--smooth", "--format", "json"],
+        "de9f2a02fce65465fa21ef087d368425c39a3369a610f51773786858be517283",
+    ),
+    "vocab-json": (
+        [*_VOCAB, "--format", "json"],
+        "ff793eb494cbf4eb17d2177ccd4f16f3db3c60d9055d60f3c1d4f8edda95dc55",
+    ),
+    "vocab-csv": (
+        _VOCAB,
+        "705def6412edeaaaa2e47effca8b5101d2b4942693af98b6325b7a20a0de7a8a",
+    ),
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("case", sorted(REPORT_PINS))
+    def test_report_stdout_is_pinned(self, capsys, tmp_path, case):
+        argv, digest = REPORT_PINS[case]
+        paths = _write_report_inputs(tmp_path)
+        code, out, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+    def test_report_output_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        argv, _ = REPORT_PINS["density-3-csv"]
+        paths = _write_report_inputs(tmp_path)
+        argv = [str(paths.get(a, a)) for a in argv]
+        _, out, _ = run_cli(argv, capsys)
+        code, _, _ = run_cli([*argv, "--output", str(tmp_path / "report.csv")], capsys)
+        assert code == 0
+        assert (tmp_path / "report.csv").read_bytes() == out.encode("utf-8")
+
+    def test_noise_manifest_is_pinned(self, capsys, tmp_path):
+        paths = _write_report_inputs(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        code, _, _ = run_cli(
+            ["augment", "noise", "--input", str(paths["in.txt"]), "--embeddings",
+             str(paths["emb.txt"]), "--output", str(tmp_path / "noised.txt"),
+             "--seed", "3", "--manifest", str(manifest)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
+            "b853f66d4e2c91b03b20cbeadb962aa37eaa52809ec2abdc50c146cacc7e17f7"
+        ), manifest.read_text(encoding="utf-8")
