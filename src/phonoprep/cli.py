@@ -245,7 +245,13 @@ def cmd_eval_bleu(args) -> int:
 
 
 def cmd_eval_vocab(args) -> int:
-    _emit_report(args, vocab_stats({Path(p).name: read_lines(p) for p in args.inputs}))
+    streams: dict[str, list[str]] = {}
+    for p in args.inputs:
+        name = Path(p).name
+        if name in streams:  # the report keys each stream by its file name
+            raise PhonoprepError(f"two --input files are named {name!r}")
+        streams[name] = read_lines(p)
+    _emit_report(args, vocab_stats(streams))
     return 0
 
 

@@ -1,19 +1,19 @@
 """Byte Pair Encoding over whitespace-tokenized text.
 
-Learning initializes every word as its character sequence terminated by an
-end-of-word marker, then greedily merges the most frequent adjacent symbol
-pair; a pair must occur at least twice, and ties go to the lexicographically
-smallest pair, so learning is fully deterministic. Pair counts are kept
-incrementally (a merge re-counts only the words it rewrites) and the next
-pair comes off a lazy max-heap keyed by ``(-count, pair)``, whose stale
-entries are dropped when popped, as in subword-nmt and fastBPE. Overlapping
-occurrences all count: ``aaa`` holds ``(a, a)`` twice.
-The marker is a boundary symbol: pairs touching it are never merged, which
-keeps words separable and makes decoding exact.
+Learning initializes every word as its character sequence, then greedily
+merges the most frequent adjacent symbol pair; a pair must occur at least
+twice, and ties go to the lexicographically smallest pair, so learning is
+fully deterministic. Pair counts are kept incrementally (a merge re-counts
+only the words it rewrites) and the next pair comes off a lazy max-heap
+keyed by ``(-count, pair)``, whose stale entries are dropped when popped, as
+in subword-nmt and fastBPE. Overlapping occurrences all count: ``aaa`` holds
+``(a, a)`` twice. Pairs are counted within a word and never across two, so
+no end-of-word symbol is needed; the text ``</w>`` inside a token is
+ordinary text.
 
 Applied output uses a continuation suffix on every non-final piece of a
 word (the ``@@`` convention), so ``bpe_decode`` inverts ``bpe_apply``
-exactly; ``bpe_apply`` rejects tokens that themselves end with the marker.
+exactly; ``bpe_apply`` rejects tokens that themselves end with that suffix.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 MERGE_FILE_HEADER = "#version: 0.2"
-END_OF_WORD = "</w>"  # closes every word while learning; never merged
 CONTINUATION = "@@"  # suffix of every non-final applied piece
 
 
@@ -118,20 +117,18 @@ def bpe_learn(corpus: str | Iterable[str], num_operations: int) -> BpeModel:
     if not word_freqs:
         raise EmptyCorpus("corpus has no tokens")
 
-    # one working sequence per unique word; marker terminates each word
-    seqs: list[list[str]] = [list(w) + [END_OF_WORD] for w in word_freqs]
+    # one working sequence of symbols per unique word
+    seqs: list[list[str]] = [list(w) for w in word_freqs]
     freqs = list(word_freqs.values())
-
-    def pairs(seq: list[str]) -> Iterable[tuple[str, str]]:
-        return (p for p in zip(seq, seq[1:]) if p[1] != END_OF_WORD)
 
     # exact live count of every pair present, plus a superset index of the
     # words holding it (entries go stale as merges rewrite words)
     pair_counts: dict[tuple[str, str], int] = {}
     pair_words: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
     for wi, seq in enumerate(seqs):
-        for pair in pairs(seq):
-            pair_counts[pair] = pair_counts.get(pair, 0) + freqs[wi]
+        f = freqs[wi]
+        for pair in zip(seq, seq[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + f
             pair_words[pair].add(wi)
 
     # (-count, pair) pops the most frequent pair, ties to the smallest pair;
@@ -151,7 +148,7 @@ def bpe_learn(corpus: str | Iterable[str], num_operations: int) -> BpeModel:
         merges.append(best)
         left, right = best
         joined = left + right
-        deltas: Counter[tuple[str, str]] = Counter()
+        deltas: dict[tuple[str, str], int] = {}
         # merging leaves no (left, right) behind, so the index entry is spent
         for wi in pair_words.pop(best):
             seq = seqs[wi]
@@ -167,10 +164,10 @@ def bpe_learn(corpus: str | Iterable[str], num_operations: int) -> BpeModel:
             if len(merged) == n:  # stale index entry
                 continue
             f = freqs[wi]
-            for pair in pairs(seq):
-                deltas[pair] -= f
-            for pair in pairs(merged):
-                deltas[pair] += f
+            for pair in zip(seq, seq[1:]):
+                deltas[pair] = deltas.get(pair, 0) - f
+            for pair in zip(merged, merged[1:]):
+                deltas[pair] = deltas.get(pair, 0) + f
                 pair_words[pair].add(wi)
             seqs[wi] = merged
         for pair, delta in deltas.items():

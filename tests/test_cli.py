@@ -184,6 +184,17 @@ class TestEval:
         assert code == 0
         assert "v.txt,2,3" in out
 
+    def test_vocab_refuses_two_inputs_with_one_name(self, capsys, tmp_path):
+        # streams are keyed by file name: a second t.txt would replace the first
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "t.txt").write_text(f"{sub} {sub}\n", encoding="utf-8")
+        code, out, err = run_cli(["eval", "vocab", "--input", str(tmp_path / "a" / "t.txt"),
+                                  "--input", str(tmp_path / "b" / "t.txt")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "'t.txt'" in err
+
     def test_vocab_json_is_the_report_payload(self, capsys, tmp_path):
         f = tmp_path / "v.txt"
         f.write_text("a b a\n\nc\n", encoding="utf-8")
@@ -301,6 +312,15 @@ class TestGeometry:
         )
         assert code == 0
         assert out.splitlines()[0] == "step,volume"
+
+    def test_density_without_samples_is_data_error(self, capsys, tmp_path):
+        paths = _write_report_inputs(tmp_path)
+        code, out, err = run_cli(["geometry", "density", "--groups", str(paths["g.tsv"]),
+                                  "--points", str(paths["p.txt"]), "--seed", "0",
+                                  "--samples", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "m must be >= 1" in err
 
     @pytest.mark.parametrize("command", ["coverage", "density"])
     def test_csv_seed_auto_is_recorded_on_stderr(self, capsys, tmp_path, command):

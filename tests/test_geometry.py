@@ -275,6 +275,13 @@ class TestDensity:
         dense = density_measure(pts, dense_groups, neighbor_index=1, m=4000, seed=2)
         assert dense.mean_density[1] < sparse.mean_density[1]
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_an_empty_sample_budget(self, m):
+        rng = np.random.default_rng(1)
+        groups = self._groups(rng)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            density_measure(np.vstack(groups), groups, m=m, seed=0)
+
     def test_budget_respected(self):
         rng = np.random.default_rng(1)
         groups = self._groups(rng)

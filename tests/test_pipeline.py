@@ -190,6 +190,17 @@ class TestCombine:
         with pytest.raises(SeparatorCollision):
             combine(enc, "concat", "<sep>", tmp_path)
 
+    def test_separator_inside_a_token_is_no_collision(self, tmp_path):
+        enc = EncodedCorpus(word_lines=["a<sep>b"], code_lines=["X<sep>"], token_parity=True)
+        (path,) = combine(enc, "concat", "<sep>", tmp_path)
+        assert path.read_text(encoding="utf-8") == "a<sep>b <sep> X<sep>\n"
+
+    def test_separator_collision_names_stream_and_first_line(self, tmp_path):
+        enc = EncodedCorpus(word_lines=["a", "b", "c"], code_lines=["X<sep>", "Y <sep>", "<sep>"],
+                            token_parity=True)
+        with pytest.raises(SeparatorCollision, match="code stream line 2$"):
+            combine(enc, "concat", "<sep>", tmp_path)
+
 
 def _write_corpus(path: Path, lines) -> Path:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

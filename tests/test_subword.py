@@ -26,19 +26,17 @@ from phonoprep.subword import (
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
 
-def reference_bpe_learn(lines: list[str], num_operations: int,
-                        end_of_word_marker: str = "</w>") -> tuple[tuple[str, str], ...]:
+def reference_bpe_learn(lines: list[str], num_operations: int) -> tuple[tuple[str, str], ...]:
     """Naive learner: recount every pair and scan all of them on every merge."""
     word_freqs = Counter(tok for line in lines for tok in line.split())
-    seqs = {w: list(w) + [end_of_word_marker] for w in word_freqs}
+    seqs = {w: list(w) for w in word_freqs}
     merges: list[tuple[str, str]] = []
     while len(merges) < num_operations:
         counts: Counter[tuple[str, str]] = Counter()
         for w, f in word_freqs.items():
             seq = seqs[w]
-            for a, b in zip(seq, seq[1:]):
-                if b != end_of_word_marker:
-                    counts[(a, b)] += f
+            for pair in zip(seq, seq[1:]):
+                counts[pair] += f
         candidates = [(-c, pair) for pair, c in counts.items() if c >= 2]
         if not candidates:
             break
@@ -57,8 +55,9 @@ def reference_bpe_learn(lines: list[str], num_operations: int,
     return tuple(merges)
 
 
-# small alphabets make count ties and overlapping runs ("aaaa") common
-_small_corpus = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+# small alphabets make count ties and overlapping runs ("aaaa") common; the
+# last one can spell the literal text "</w>"
+_small_corpus = st.sampled_from(["ab", "abc", "abcd", "x</w>"]).flatmap(
     lambda alphabet: st.lists(
         st.lists(st.text(alphabet=alphabet, min_size=1, max_size=7), min_size=1, max_size=6)
         .map(" ".join),
@@ -120,9 +119,17 @@ class TestLearn:
         # "aaa" holds (a,a) twice, so it alone reaches the two-occurrence floor
         assert bpe_learn("aaa", 5).merges == (("a", "a"),)
 
+    def test_literal_end_of_word_text_is_ordinary_text(self):
+        # "</w>" in a token is four characters like any others: building it
+        # as a piece must not stop its pairs from being counted
+        model = bpe_learn(["x</w> x</w>"], 10)
+        assert model.merges[-1] == ("x", "</w>")
+        assert bpe_apply(["x</w>"], model) == ["x</w>"]
+
     @settings(max_examples=300, deadline=None)
     @given(_small_corpus, st.integers(min_value=0, max_value=40))
     @example(["abb abb a"], 5)  # stale entries outnumber live pairs: heap is rebuilt
+    @example(["x</w> x</w>"], 10)  # a piece equal to "</w>" keeps its pairs
     def test_matches_reference_learner(self, lines, ops):
         # ops well past the merge supply of these corpora exercises the early stop
         assert bpe_learn(lines, ops).merges == reference_bpe_learn(lines, ops)
@@ -218,6 +225,18 @@ class TestMergeFile:
         save_bpe_model(model, path)
         loaded = load_bpe_model(path)
         assert loaded.merges == model.merges
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(alphabet="ab</w>@#:", min_size=1, max_size=8),
+                    min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=30))
+    @example(["</w>", "</w>", "a@@", "a@@", "#:", "#:"], 10)
+    def test_round_trip_property(self, tmp_path_factory, tokens, ops):
+        # pieces may spell "</w>", end in "@@" or start with "#" and still read back
+        model = bpe_learn(" ".join(tokens), ops)
+        path = tmp_path_factory.mktemp("merges") / "merges.txt"
+        save_bpe_model(model, path)
+        assert load_bpe_model(path).merges == model.merges
 
     def test_header_and_layout(self, tmp_path):
         model = bpe_learn("aa aa", 1)
