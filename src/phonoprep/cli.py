@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .augment import NoiseSpec, PerturbationSpec, noise_augment, perturb_corpus
 from .clustering import load_cluster_model, save_cluster_model
-from .encoders import load_code_table
+from .encoders import GRANULARITIES
 from .errors import InvalidConfig, PhonoprepError
 from .evaluate import bleu, vocab_stats
 from .geometry import (
@@ -40,7 +40,8 @@ from .geometry import (
     volume_cdf,
 )
 from .pipeline import (
-    CLUSTER_ENCODERS,
+    COMBINE_MODES,
+    ENCODERS,
     TABLE_ENCODERS,
     PipelineConfig,
     WORD_ENCODERS,
@@ -128,10 +129,7 @@ def cmd_encode(args) -> int:
     if args.codec == "cluster" and not args.model:
         raise PhonoprepError("--codec cluster requires --model")
     encoder = make_token_encoder(
-        args.codec,
-        table=(load_code_table(args.table, args.codec)
-               if args.table and args.codec in TABLE_ENCODERS else None),
-        granularity=args.granularity,
+        args.codec, args.table, args.granularity,
         cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
     )
     _emit(args, encode_corpus(_input_lines(args), encoder).code_lines)
@@ -207,6 +205,8 @@ def cmd_geometry_coverage(args) -> int:
 
 
 def cmd_geometry_density(args) -> int:
+    if args.samples < 1:
+        raise PhonoprepError(f"--samples must be >= 1, got {args.samples}")
     groups = _grouped_points(args)
     _emit_report(args, density_measure(
         np.vstack(groups), groups, neighbor_index=args.index, params=_hull_params(args),
@@ -282,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode tokens on stdin or a file")
     p.add_argument("--codec", choices=CODEC_CHOICES, required=True)
     p.add_argument("--table", help="code table override for pinyin/wubi")
-    p.add_argument("--granularity", choices=("per_character", "letters"),
-                   default="per_character")
+    p.add_argument("--granularity", choices=GRANULARITIES, default="per_character")
     p.add_argument("--model", help="cluster model file for --codec cluster")
     p.add_argument("--input", help="input file (default: stdin)")
     p.add_argument("--output", help="output file (default: stdout)")
@@ -318,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = pipe_sub.add_parser("run")
     q.add_argument("--train-path", dest="train_path")
     q.add_argument("--output-dir", dest="output_dir")
-    q.add_argument("--encoder", choices=tuple(WORD_ENCODERS) + TABLE_ENCODERS + CLUSTER_ENCODERS)
-    q.add_argument("--combine-mode", dest="combine_mode",
-                   choices=("codes_only", "concat", "multi_source"))
+    q.add_argument("--encoder", choices=ENCODERS)
+    q.add_argument("--combine-mode", dest="combine_mode", choices=COMBINE_MODES)
     q.add_argument("--separator")
     q.add_argument("--seed", type=_parse_seed, required=True)
     q.add_argument("--bpe-operations-words", dest="bpe_operations_words", type=int)
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dev-path", dest="dev_path")
     q.add_argument("--test-path", dest="test_path")
     q.add_argument("--table-path", dest="table_path")
-    q.add_argument("--granularity", choices=("per_character", "letters"))
+    q.add_argument("--granularity", choices=GRANULARITIES)
     q.add_argument("--cluster-baseline", dest="cluster_baseline",
                    choices=tuple(WORD_ENCODERS))
     q.add_argument("--cluster-fraction", dest="cluster_fraction", type=float)

@@ -77,7 +77,7 @@ class ClusterModel:
 class KMeansModel:
     centroids: np.ndarray  # (K, d)
     assignment: np.ndarray  # (n,) cluster index per point
-    cost_history: tuple[float, ...]  # within-cluster cost after each update
+    cost_history: tuple[float, ...]  # within-cluster cost after each update; () if loaded
 
     @property
     def k(self) -> int:
@@ -244,18 +244,10 @@ def load_kmeans_model(
     centroids_path: str | Path,
     assignment_path: str | Path,
 ) -> KMeansModel:
-    centroids = np.array([
-        [float(x) for x in line.split("\t")]
-        for line in read_lines(centroids_path)
-        if line
-    ])
-    assignment = np.array([
-        int(line)
-        for line in read_lines(assignment_path)
-        if line
-    ])
-    return KMeansModel(centroids=centroids, assignment=assignment,
-                       cost_history=(float("nan"),))
+    centroids = np.array([[float(x) for x in line.split("\t")]
+                          for line in read_lines(centroids_path) if line])
+    assignment = np.array([int(line) for line in read_lines(assignment_path) if line])
+    return KMeansModel(centroids=centroids, assignment=assignment, cost_history=())
 
 
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:

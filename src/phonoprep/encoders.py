@@ -23,6 +23,8 @@ from .subword import read_lines
 
 __all__ = [
     "CodeTable",
+    "TABLE_KINDS",
+    "GRANULARITIES",
     "fold_to_ascii_letters",
     "soundex_encode",
     "nysiis_encode",
@@ -316,6 +318,9 @@ def encode_or_passthrough(token: str, codec: Callable[[str], str]) -> tuple[str,
         return token, True
 
 
+TABLE_KINDS = ("pinyin", "wubi")
+
+
 @dataclass(frozen=True)
 class CodeTable:
     """Immutable character -> ordered code list lookup (Pinyin or Wubi)."""
@@ -334,7 +339,7 @@ def load_code_table(path: str | Path, kind: str) -> CodeTable:
     Duplicate characters keep all codes in file order; the first listed
     code is the default.
     """
-    if kind not in ("pinyin", "wubi"):
+    if kind not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
     path = Path(path)
     entries: dict[str, list[str]] = {}
@@ -355,9 +360,12 @@ def load_code_table(path: str | Path, kind: str) -> CodeTable:
 
 def bundled_table_path(kind: str) -> Path:
     """Path of the pinyin.tsv / wubi.tsv file shipped with the package."""
-    if kind not in ("pinyin", "wubi"):
+    if kind not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
     return Path(__file__).parent / "data" / f"{kind}.tsv"
+
+
+GRANULARITIES = ("per_character", "letters")
 
 
 def table_encode(token: str, table: CodeTable, granularity: str = "per_character") -> list[str]:
@@ -368,7 +376,7 @@ def table_encode(token: str, table: CodeTable, granularity: str = "per_character
     ``xiao4`` becomes ``x i a o 4``). Characters absent from the table
     pass through unchanged.
     """
-    if granularity not in ("per_character", "letters"):
+    if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
     codes = []
     for ch in token:

@@ -31,7 +31,7 @@ from .clustering import (
     save_cluster_model,
 )
 from .encoders import (
-    CodeTable,
+    TABLE_KINDS,
     bundled_table_path,
     encode_or_passthrough,
     load_code_table,
@@ -47,6 +47,8 @@ from .subword import bpe_apply, bpe_learn, read_lines, save_bpe_model, write_jso
 __all__ = [
     "PipelineConfig",
     "EncodedCorpus",
+    "ENCODERS",
+    "COMBINE_MODES",
     "TokenEncoder",
     "WORD_ENCODERS",
     "TABLE_ENCODERS",
@@ -64,8 +66,9 @@ WORD_ENCODERS: dict[str, Callable[[str], str]] = {
     "nysiis": nysiis_encode,
     "metaphone": metaphone_encode,
 }
-TABLE_ENCODERS = ("pinyin", "wubi")
+TABLE_ENCODERS = TABLE_KINDS
 CLUSTER_ENCODERS = ("cluster", "cluster_uniform")
+ENCODERS = (*WORD_ENCODERS, *TABLE_ENCODERS, *CLUSTER_ENCODERS)
 
 
 @dataclass(frozen=True)
@@ -75,26 +78,28 @@ class PipelineConfig:
     train_path: str
     output_dir: str
     encoder: str = "metaphone"
-    combine_mode: str = "concat"  # codes_only | concat | multi_source
+    combine_mode: str = "concat"  # one of COMBINE_MODES
     separator: str = "<sep>"
     seed: int = 0
     bpe_operations_words: int = 0
     bpe_operations_codes: int = 0
     dev_path: str | None = None
     test_path: str | None = None
-    table_path: str | None = None  # pinyin/wubi table override
+    table_path: str | None = None  # pinyin/wubi only: table instead of the bundled one
     granularity: str = "per_character"  # table encoders only
     cluster_baseline: str = "metaphone"  # size-distribution source
-    cluster_fraction: float | None = None  # uniform clustering instead
+    cluster_fraction: float | None = None  # cluster_uniform only, which needs it
 
     def __post_init__(self):
-        known = tuple(WORD_ENCODERS) + TABLE_ENCODERS + CLUSTER_ENCODERS
-        if self.encoder not in known:
-            raise ValueError(f"unknown encoder {self.encoder!r}; pick one of {known}")
-        if self.combine_mode not in ("codes_only", "concat", "multi_source"):
+        if self.encoder not in ENCODERS:
+            raise ValueError(f"unknown encoder {self.encoder!r}; pick one of {ENCODERS}")
+        if self.combine_mode not in COMBINE_MODES:
             raise ValueError(f"unknown combine mode {self.combine_mode!r}")
-        if self.encoder == "cluster_uniform" and self.cluster_fraction is None:
-            raise ValueError("cluster_uniform needs cluster_fraction")
+        if (self.encoder == "cluster_uniform") != (self.cluster_fraction is not None):
+            raise ValueError("cluster_fraction is needed by, and read only by, cluster_uniform")
+        if self.table_path is not None and self.encoder not in TABLE_ENCODERS:
+            raise ValueError(f"table_path is read only by the {' and '.join(TABLE_ENCODERS)}"
+                             " encoders")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,7 +137,7 @@ TokenEncoder = Callable[[str], Encoding]
 
 def make_token_encoder(
     name: str,
-    table: CodeTable | None = None,
+    table_path: str | Path | None = None,
     granularity: str = "per_character",
     cluster_model: ClusterModel | None = None,
 ) -> TokenEncoder:
@@ -143,6 +148,9 @@ def make_token_encoder(
     pure function of the token, so the encoder memoizes them per token type
     in a dict of its own: the codec runs once per distinct token over the
     encoder's lifetime, and the memo goes with the encoder.
+
+    Table encoders read the code table at ``table_path``, or the one shipped
+    with the package when it is None or empty; other encoders ignore it.
     """
     if name in WORD_ENCODERS:
         codec = WORD_ENCODERS[name]
@@ -151,8 +159,7 @@ def make_token_encoder(
             code, passed = encode_or_passthrough(tok, codec)
             return (code,), passed
     elif name in TABLE_ENCODERS:
-        if table is None:
-            table = load_code_table(bundled_table_path(name), name)
+        table = load_code_table(table_path or bundled_table_path(name), name)
 
         def encode(tok: str) -> Encoding:
             return tuple(table_encode(tok, table, granularity)), False
@@ -229,14 +236,15 @@ def encode_corpus(corpus: Iterable[str], encoder: TokenEncoder) -> EncodedCorpus
 
 
 def _check_separator(lines: Sequence[str], separator: str, stream: str) -> None:
-    # a token equal to the separator is also a substring of its line
-    if not any(separator in line for line in lines):
-        return
     for i, line in enumerate(lines, start=1):
-        if separator in line.split():
+        # a token equal to the separator is also a substring of its line
+        if separator in line and separator in line.split():
             raise SeparatorCollision(
                 f"separator {separator!r} occurs in {stream} line {i}"
             )
+
+
+COMBINE_MODES = ("codes_only", "concat", "multi_source")
 
 
 def combine(
@@ -270,10 +278,6 @@ def combine(
         write_lines(codes, encoded.code_lines)
         return [words, codes]
     raise ValueError(f"unknown combine mode {mode!r}")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_pipeline(config: PipelineConfig) -> Path:
@@ -350,22 +354,12 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     cluster_model = None
     with _stage("build-encoder"):
         if config.encoder in CLUSTER_ENCODERS:
-            uniform = config.encoder == "cluster_uniform"
-            cluster_model = cluster_corpus(
-                splits["train"], config.seed,
-                fraction=config.cluster_fraction if uniform else None,
-                baseline=config.cluster_baseline,
-            )
+            cluster_model = cluster_corpus(splits["train"], config.seed,
+                                           fraction=config.cluster_fraction,
+                                           baseline=config.cluster_baseline)
             save_cluster_model(cluster_model, out / "models" / "clusters.tsv")
-        table = None
-        if config.encoder in TABLE_ENCODERS and config.table_path:
-            table = load_code_table(config.table_path, config.encoder)
-        encoder = make_token_encoder(
-            config.encoder,
-            table=table,
-            granularity=config.granularity,
-            cluster_model=cluster_model,
-        )
+        encoder = make_token_encoder(config.encoder, config.table_path,
+                                     config.granularity, cluster_model)
 
     with _stage("encode"):
         encoded = {name: encode_corpus(lines, encoder) for name, lines in splits.items()}
@@ -377,51 +371,28 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
         save_bpe_model(word_bpe, out / "models" / "words.bpe")
         save_bpe_model(code_bpe, out / "models" / "codes.bpe")
 
-    written: list[Path] = [
-        out / "models" / "words.bpe",
-        out / "models" / "codes.bpe",
-    ]
-    if cluster_model is not None:
-        written.append(out / "models" / "clusters.tsv")
-
     for name, enc in encoded.items():
         with _stage("bpe-apply"):
-            words_path = out / "streams" / f"{name}.words"
-            codes_path = out / "streams" / f"{name}.codes"
-            write_lines(words_path, enc.word_lines)
-            write_lines(codes_path, enc.code_lines)
-            written += [words_path, codes_path]
-
-            bpe_words = [
-                " ".join(bpe_apply(line.split(), word_bpe))
-                for line in enc.word_lines
-            ]
-            bpe_codes = [
-                " ".join(bpe_apply(line.split(), code_bpe))
-                for line in enc.code_lines
-            ]
+            write_lines(out / "streams" / f"{name}.words", enc.word_lines)
+            write_lines(out / "streams" / f"{name}.codes", enc.code_lines)
             processed = EncodedCorpus(
-                word_lines=bpe_words,
-                code_lines=bpe_codes,
+                word_lines=[" ".join(bpe_apply(line.split(), word_bpe))
+                            for line in enc.word_lines],
+                code_lines=[" ".join(bpe_apply(line.split(), code_bpe))
+                            for line in enc.code_lines],
                 token_parity=False,
-                passthrough_tokens=enc.passthrough_tokens,
             )
         with _stage("combine"):
-            written += combine(
-                processed, config.combine_mode, config.separator,
-                out / "streams", prefix=name,
-            )
+            combine(processed, config.combine_mode, config.separator,
+                    out / "streams", prefix=name)
 
     with _stage("reports"):
         train = encoded["train"]
-        report = vocab_stats({
+        write_json(out / "reports" / "vocab.json", vocab_stats({
             "words": train.word_lines,
             "codes": train.code_lines,
             "combined": train.word_lines + train.code_lines,
-        })
-        vocab_path = out / "reports" / "vocab.json"
-        write_json(vocab_path, report.to_dict())
-        written.append(vocab_path)
+        }).to_dict())
 
     manifest = {
         "schema": "phonoprep/manifest/1",
@@ -431,9 +402,10 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
         "passthrough_tokens": {
             name: enc.passthrough_tokens for name, enc in encoded.items()
         },
+        # ``out`` is this run's fresh build directory: it holds exactly its artifacts
         "files": {
-            str(p.relative_to(out)): _sha256(p)
-            for p in sorted(written + [out / "inputs" / f"{n}.txt" for n in splits])
+            str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()
         },
     }
     write_json(out / "manifest.json", manifest)

@@ -320,7 +320,7 @@ class TestGeometry:
                                   "--samples", "0"], capsys)
         assert code == 2
         assert out == ""
-        assert "m must be >= 1" in err
+        assert "--samples must be >= 1" in err
 
     @pytest.mark.parametrize("command", ["coverage", "density"])
     def test_csv_seed_auto_is_recorded_on_stderr(self, capsys, tmp_path, command):
@@ -550,6 +550,19 @@ class TestPipelineRunCli:
         )
         assert code == 2
         assert "cluster_fraction" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--encoder", "cluster", "--cluster-fraction", "0.25"], "cluster_fraction"),
+        (["--encoder", "metaphone", "--table-path", "/nonexistent.tsv"], "table_path"),
+    ])
+    def test_unread_config_value_is_data_error(self, capsys, tmp_path, flags, field):
+        train = tmp_path / "train.txt"
+        train.write_text("body but bad\n", encoding="utf-8")
+        code, _, err = run_cli(["pipeline", "run", "--train-path", str(train), "--output-dir",
+                                str(tmp_path / "out"), "--seed", "1", *flags], capsys)
+        assert code == 2
+        assert field in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
 
     def test_missing_output_dir_is_data_error(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from phonoprep.clustering import (
     ClusterModel,
+    KMeansModel,
     SizeDistribution,
     derive_size_distribution,
     encode_with_clusters,
@@ -350,3 +351,26 @@ class TestModelFile:
         loaded = load_kmeans_model(cpath, apath)
         np.testing.assert_allclose(loaded.centroids, model.centroids)
         np.testing.assert_array_equal(loaded.assignment, model.assignment)
+        assert loaded.cost_history == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 4)),
+        data=st.data(),
+    )
+    def test_kmeans_files_round_trip_exactly(self, tmp_path_factory, shape, data):
+        # values are written with repr(float), so every finite or infinite float comes back
+        k, d = shape
+        centroids = np.array(data.draw(st.lists(
+            st.lists(st.floats(allow_nan=False), min_size=d, max_size=d),
+            min_size=k, max_size=k)))
+        assignment = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                                 max_size=20)))
+        model = KMeansModel(centroids=centroids, assignment=assignment, cost_history=(1.0,))
+        root = tmp_path_factory.mktemp("kmeans")
+        save_kmeans_model(model, root / "centroids.tsv", root / "assign.txt")
+        loaded = load_kmeans_model(root / "centroids.tsv", root / "assign.txt")
+        assert loaded.centroids.shape == centroids.shape
+        assert loaded.centroids.tobytes() == centroids.tobytes()
+        np.testing.assert_array_equal(loaded.assignment, assignment)
+        assert loaded.cost_history == ()

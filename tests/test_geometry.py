@@ -454,7 +454,29 @@ class TestCooccurrenceCounts:
         assert_same_csr(matrix, want)
 
 
+# any token str.split() can produce, with number-like and '#'-prefixed ones made common
+_unit = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.sampled_from(["1.5", "nan", "-inf", "#", "#x", "é"]),
+).filter(lambda t: t.split() == [t])
+
+
 class TestEmbeddingFile:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 4), data=st.data())
+    def test_round_trip_property(self, tmp_path_factory, d, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)  # EmbeddingTable refuses others
+        vectors = data.draw(st.dictionaries(
+            _unit, st.lists(finite, min_size=d, max_size=d).map(np.array),
+            min_size=1, max_size=10))
+        path = tmp_path_factory.mktemp("vec") / "vec.txt"
+        save_embeddings(EmbeddingTable(dimension=d, vectors=vectors), path)
+        loaded = load_embeddings(path)
+        assert loaded.dimension == d
+        assert sorted(loaded.vectors) == sorted(vectors)
+        for unit, vec in vectors.items():
+            assert loaded.vectors[unit].tobytes() == vec.tobytes()
+
     def test_round_trip(self, tmp_path):
         table = train_embeddings(["one two three two one"] * 3, d=2, window=2, seed=0)
         path = tmp_path / "vec.txt"

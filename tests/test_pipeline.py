@@ -101,7 +101,7 @@ REFERENCE_ENCODERS = {
     **{name: (lambda name=name: make_token_encoder(name),
               _reference_word_codec(codec))
        for name, codec in WORD_ENCODERS.items()},
-    "pinyin": (lambda: make_token_encoder("pinyin", table=PINYIN),
+    "pinyin": (lambda: make_token_encoder("pinyin"),
                lambda tok: (table_encode(tok, PINYIN, "per_character"), False)),
     "cluster": (lambda: make_token_encoder("cluster", cluster_model=CLUSTERS),
                 lambda tok: (encode_with_clusters([tok], CLUSTERS), False)),
@@ -383,6 +383,63 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="cluster_fraction"):
             PipelineConfig.from_dict({"train_path": "t", "output_dir": "o",
                                       "encoder": "cluster_uniform"})
+
+    @pytest.mark.parametrize("encoder", ["cluster", "metaphone", "pinyin"])
+    def test_cluster_fraction_needs_cluster_uniform(self, tmp_path, encoder):
+        with pytest.raises(ValueError, match="cluster_fraction"):
+            self._config(tmp_path, encoder=encoder, cluster_fraction=0.25)
+
+    @pytest.mark.parametrize("encoder", ["metaphone", "cluster", "cluster_uniform"])
+    def test_table_path_needs_a_table_encoder(self, tmp_path, encoder):
+        with pytest.raises(ValueError, match="table_path"):
+            self._config(tmp_path, encoder=encoder, table_path="/nonexistent.tsv",
+                         cluster_fraction=0.5 if encoder == "cluster_uniform" else None)
+
+    @pytest.mark.parametrize("encoder", ["pinyin", "wubi"])
+    def test_table_path_is_read_by_table_encoders(self, tmp_path, encoder):
+        table = _write_corpus(tmp_path / "t.tsv", ["笑\tZZ"])
+        train = _write_corpus(tmp_path / "zh.txt", ["笑 我"])
+        out = run_pipeline(self._config(tmp_path, encoder=encoder, train_path=str(train),
+                                        table_path=str(table)))
+        assert (out / "streams" / "train.codes").read_text(encoding="utf-8") == "ZZ 我\n"
+
+
+PIN_SPLITS = {
+    "train": TRAIN + ["笑 校 是 时 我", "the sat mat , cat"],
+    "dev": ["the cat speaks", "42 machines 笑", "body , bad ."],
+    "test": ["the mat", "1 2 3 ,", "new words 我 here"],
+}
+
+
+class TestManifestFilePins:
+    """SHA-256 of ``json.dumps(manifest["files"], sort_keys=True)``, recorded
+    before the manifest came to list the build directory; the ``config`` echo
+    holds temporary paths, so only the ``files`` block is pinned."""
+
+    PINS = {
+        ("metaphone", "codes_only"):
+            "eb4209eec7ff3a3d45e93c5b0b8df5dcd929c684da5ae2fb8ec5f06d8aa999ca",
+        ("metaphone", "concat"):
+            "b2310e4b1e2d602508fcb8fba938aa5f3cd58ec6eb4f8081b0c89c70bc41c58a",
+        ("metaphone", "multi_source"):
+            "e424b5224e62ba252ee63db334b59e674ed52045c4bfd7c2e51986d1da6e57e6",
+        ("cluster", "concat"):
+            "2ac9e6c9cef9186d4e232b02736a44beee8ee30711a04d87421078f401db0e13",
+        ("pinyin", "multi_source"):
+            "312ea4f92aa2da4717effae1d5028a044ae3766229d965471c673f62af1dff9e",
+    }
+
+    @pytest.mark.parametrize("encoder,mode", sorted(PINS))
+    def test_files_block_is_pinned(self, tmp_path, encoder, mode):
+        paths = {f"{name}_path": str(_write_corpus(tmp_path / f"{name}.txt", lines))
+                 for name, lines in PIN_SPLITS.items()}
+        out = run_pipeline(PipelineConfig(
+            **paths, output_dir=str(tmp_path / "out"), encoder=encoder,
+            combine_mode=mode, seed=7, bpe_operations_words=12, bpe_operations_codes=6,
+        ))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        block = json.dumps(manifest["files"], sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(block).hexdigest() == self.PINS[encoder, mode]
 
 
 # every character str.splitlines() (or a text-mode read of a lone "\r") takes for
