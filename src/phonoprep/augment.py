@@ -2,9 +2,12 @@
 
 ``noise_augment`` substitutes a fixed fraction of words per sentence with
 embedding-space neighbors (sampled proportionally to positive cosine
-similarity). ``perturb_edit`` applies a fixed number of word-level edit
-operations. Both are deterministic per seed, with independent per-sentence
-substreams so corpora can be processed in parallel.
+similarity). It reads its whole corpus before it draws: the neighbors of the
+corpus's words, and of no other table word, are computed up front, one matrix
+product per block of words, which may round a similarity differently in the
+last place than a per-word product (tests pin the drawn streams).
+``perturb_edit`` applies a fixed number of word-level edit operations. Both
+are deterministic per seed, with independent per-sentence substreams.
 
 Weighted draws reproduce ``Generator.choice(n, p=weights)`` index for index
 and leave the generator in the same state: numpy's normalised CDF is built
@@ -18,7 +21,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -76,38 +79,36 @@ class PerturbationSpec:
 
 
 class _NeighborSampler:
-    """Cosine-nearest-neighbor candidates over an embedding vocabulary."""
+    """Top-n cosine neighbors, with their sampling CDFs, of the given words;
+    None for a word with no positively similar neighbor (a lone unit has none)."""
 
-    def __init__(self, table: EmbeddingTable, top_n: int):
+    BLOCK = 128  # rows per similarity product
+
+    def __init__(self, table: EmbeddingTable, top_n: int, words: Container[str]):
         if not table.vectors:
             raise EmptyEmbedding("embedding table has no vectors")
-        self.units, matrix = table.matrix()
+        units, matrix = table.matrix()
         norms = np.linalg.norm(matrix, axis=1)
         norms[norms == 0] = 1.0
-        self.normed = matrix / norms[:, None]
-        self.index = {u: i for i, u in enumerate(self.units)}
-        self.top_n = top_n
-        self._cache: dict[str, tuple[list[str], list[float]] | None] = {}
+        normed = matrix / norms[:, None]
+        rows = [i for i, u in enumerate(units) if u in words]
+        n = max(min(top_n, len(units) - 1), 1)
+        self._candidates: dict[str, tuple[list[str], list[float]] | None] = {}
+        for start in range(0, len(rows), self.BLOCK):
+            block = rows[start:start + self.BLOCK]
+            sims = normed[block] @ normed.T
+            sims[np.arange(len(block)), block] = -np.inf
+            top = np.argpartition(sims, -n, axis=1)[:, -n:]
+            order = np.argsort(np.take_along_axis(sims, top, axis=1), axis=1)[:, ::-1]
+            top = np.take_along_axis(top, order, axis=1)
+            weights = np.maximum(np.take_along_axis(sims, top, axis=1), 0.0)
+            for wi, neighbors, w in zip(block, top, weights):
+                self._candidates[units[wi]] = (
+                    ([units[i] for i in neighbors], _cdf(w / w.sum())) if w.sum() > 0 else None)
 
     def candidates(self, word: str) -> tuple[list[str], list[float]] | None:
         """Top-n neighbors of ``word`` (excluding itself) with their sampling CDF."""
-        if word in self._cache:
-            return self._cache[word]
-        wi = self.index.get(word)
-        if wi is None or len(self.units) < 2:
-            return None
-        sims = self.normed @ self.normed[wi]
-        sims[wi] = -np.inf
-        n = min(self.top_n, len(self.units) - 1)
-        top = np.argpartition(sims, -n)[-n:]
-        top = top[np.argsort(sims[top])[::-1]]
-        weights = np.maximum(sims[top], 0.0)
-        if weights.sum() <= 0:
-            result = None
-        else:
-            result = ([self.units[i] for i in top], _cdf(weights / weights.sum()))
-        self._cache[word] = result
-        return result
+        return self._candidates.get(word)
 
 
 def _cdf(p) -> list[float]:
@@ -147,29 +148,28 @@ def noise_augment(
     Words without vectors (or without positively-similar neighbors) stay
     unchanged. Sentence count and per-sentence length are preserved.
     """
-    sampler = _NeighborSampler(table, spec.top_n)
+    lines = list(corpus)
+    sampler = _NeighborSampler(table, spec.top_n, {t for line in lines for t in line.split()})
     out: list[str] = []
     total_tokens = 0
     covered_tokens = 0
     replaced = 0
-    for sent_index, line in enumerate(corpus):
+    for sent_index, line in enumerate(lines):
         tokens = line.split()
         total_tokens += len(tokens)
-        covered_tokens += sum(1 for t in tokens if t in sampler.index)
+        covered_tokens += sum(1 for t in tokens if t in table.vectors)
         if not tokens:
             out.append(line)
             continue
         rng = np.random.default_rng([spec.seed, sent_index])
         count = _replacement_count(spec.fraction, len(tokens))
-        if count > 0:
-            positions = rng.choice(len(tokens), size=count, replace=False)
-            for pos in sorted(positions):
-                cand = sampler.candidates(tokens[pos])
-                if cand is None:
-                    continue
-                words, cdf = cand
-                tokens[pos] = words[_draw(cdf, rng)]
-                replaced += 1
+        for pos in sorted(rng.choice(len(tokens), size=count, replace=False)):
+            cand = sampler.candidates(tokens[pos])
+            if cand is None:
+                continue
+            words, cdf = cand
+            tokens[pos] = words[_draw(cdf, rng)]
+            replaced += 1
         out.append(" ".join(tokens))
 
     coverage = covered_tokens / total_tokens if total_tokens else 0.0

@@ -126,10 +126,13 @@ def _grouped_points(args) -> list[np.ndarray]:
 # --- subcommand handlers ---
 
 def cmd_encode(args) -> int:
+    for flag, value in (("--table", args.table), ("--granularity", args.granularity)):
+        if value is not None and args.codec not in TABLE_ENCODERS:
+            raise PhonoprepError(f"{flag} is read only by --codec {' and '.join(TABLE_ENCODERS)}")
     if args.codec == "cluster" and not args.model:
         raise PhonoprepError("--codec cluster requires --model")
     encoder = make_token_encoder(
-        args.codec, args.table, args.granularity,
+        args.codec, args.table, args.granularity or "per_character",
         cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
     )
     _emit(args, encode_corpus(_input_lines(args), encoder).code_lines)
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode tokens on stdin or a file")
     p.add_argument("--codec", choices=CODEC_CHOICES, required=True)
     p.add_argument("--table", help="code table override for pinyin/wubi")
-    p.add_argument("--granularity", choices=GRANULARITIES, default="per_character")
+    p.add_argument("--granularity", choices=GRANULARITIES)
     p.add_argument("--model", help="cluster model file for --codec cluster")
     p.add_argument("--input", help="input file (default: stdin)")
     p.add_argument("--output", help="output file (default: stdout)")

@@ -31,6 +31,7 @@ from .clustering import (
     save_cluster_model,
 )
 from .encoders import (
+    GRANULARITIES,
     TABLE_KINDS,
     bundled_table_path,
     encode_or_passthrough,
@@ -97,9 +98,15 @@ class PipelineConfig:
             raise ValueError(f"unknown combine mode {self.combine_mode!r}")
         if (self.encoder == "cluster_uniform") != (self.cluster_fraction is not None):
             raise ValueError("cluster_fraction is needed by, and read only by, cluster_uniform")
-        if self.table_path is not None and self.encoder not in TABLE_ENCODERS:
-            raise ValueError(f"table_path is read only by the {' and '.join(TABLE_ENCODERS)}"
-                             " encoders")
+        if self.granularity not in GRANULARITIES:
+            raise ValueError(f"unknown granularity {self.granularity!r}")
+        if self.cluster_baseline not in WORD_ENCODERS:
+            raise ValueError(f"unknown cluster_baseline {self.cluster_baseline!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, readers in (("table_path", TABLE_ENCODERS), ("granularity", TABLE_ENCODERS),
+                              ("cluster_baseline", ("cluster",))):
+            if getattr(self, name) != defaults[name] and self.encoder not in readers:
+                raise ValueError(f"{name} is read only by {' and '.join(readers)}")
 
     def to_dict(self) -> dict:
         return asdict(self)

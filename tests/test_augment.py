@@ -244,37 +244,103 @@ def test_non_finite_vector_is_refused_at_construction(bad):
         table_from({"a": [1.0, 0.0], "b": [bad, 0.5]})
 
 
-class _CountingMatrix:
-    """Stands in for ``_NeighborSampler.normed``, counting similarity products."""
+@pytest.fixture
+def products(monkeypatch) -> list[int]:
+    """Row count of every similarity product a sampler takes, in order."""
+    counts: list[int] = []
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.products = 0
+    class CountingMatrix(np.ndarray):
+        def __matmul__(self, other):
+            counts.append(len(self))
+            return np.asarray(self) @ np.asarray(other)
 
-    def __getitem__(self, index):
-        return self.matrix[index]
+    matrix = EmbeddingTable.matrix
 
-    def __matmul__(self, other):
-        self.products += 1
-        return self.matrix @ other
+    def counting_matrix(table, units=None):
+        units, m = matrix(table, units)
+        return units, m.view(CountingMatrix)
+
+    monkeypatch.setattr(EmbeddingTable, "matrix", counting_matrix)
+    return counts
+
+
+def gaussian_table(units: int, dim: int, seed: int) -> EmbeddingTable:
+    rng = np.random.default_rng(seed)
+    return table_from({f"w{i}": rng.normal(size=dim).tolist() for i in range(units)})
+
+
+def reference_candidates(table: EmbeddingTable, top_n: int, word: str):
+    """Neighbors of one word from its own ``normed @ normed[wi]`` product."""
+    units, matrix = table.matrix()
+    norms = np.linalg.norm(matrix, axis=1)
+    norms[norms == 0] = 1.0
+    normed = matrix / norms[:, None]
+    wi = units.index(word)
+    if len(units) < 2:
+        return None
+    sims = normed @ normed[wi]
+    sims[wi] = -np.inf
+    n = min(top_n, len(units) - 1)
+    top = np.argpartition(sims, -n)[-n:]
+    top = top[np.argsort(sims[top])[::-1]]
+    weights = np.maximum(sims[top], 0.0)
+    if weights.sum() <= 0:
+        return None
+    return [units[i] for i in top], _cdf(weights / weights.sum())
 
 
 class TestNeighborSampler:
-    def test_word_without_similar_neighbor_is_computed_once(self):
-        sampler = _NeighborSampler(table_from({"a": [1.0, 0.0], "b": [-1.0, 0.0]}), top_n=1)
-        counting = sampler.normed = _CountingMatrix(sampler.normed)
+    def test_word_without_similar_neighbor_is_computed_once(self, products):
+        sampler = _NeighborSampler(table_from({"a": [1.0, 0.0], "b": [-1.0, 0.0]}), 1, {"a"})
         assert [sampler.candidates("a") for _ in range(3)] == [None, None, None]
-        assert counting.products == 1
+        assert products == [1]
 
-    def test_candidates_are_cached(self):
+    def test_candidates_are_cached(self, products):
         sampler = _NeighborSampler(
-            table_from({"a": [1.0, 0.0], "b": [0.9, 0.1], "c": [0.0, 1.0]}), top_n=2
+            table_from({"a": [1.0, 0.0], "b": [0.9, 0.1], "c": [0.0, 1.0]}), 2, {"a", "b", "c"}
         )
-        counting = sampler.normed = _CountingMatrix(sampler.normed)
         first = sampler.candidates("a")
         assert sampler.candidates("a") is first
         assert first[0] == ["b", "c"]
-        assert counting.products == 1
+        assert products == [3]
+
+    def test_every_word_comes_from_one_blocked_product(self, products):
+        table = gaussian_table(300, 6, seed=3)
+        words = set(table.vectors)
+        sampler = _NeighborSampler(table, 5, words)
+        assert _NeighborSampler.BLOCK == 128
+        assert products == [128, 128, 44]  # ceil(300 / 128) products, one row per word
+        assert all(sampler.candidates(w) is sampler.candidates(w) for w in words)
+        assert products == [128, 128, 44]
+
+    def test_table_word_absent_from_corpus_is_never_computed(self, products):
+        table = gaussian_table(300, 6, seed=4)
+        corpus = ["w1 w2 oov w1", "w7 w2 w3", "", "w250 oov"]
+        noise_augment(corpus, table, NoiseSpec(fraction=0.5, top_n=4, seed=0))
+        assert products == [5]
+        assert _NeighborSampler(table, 4, {"w1"}).candidates("w2") is None
+        assert products == [5, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32),
+        st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_matches_per_word_product(self, units, dim, top_n, seed, share):
+        table = gaussian_table(units, dim, seed)
+        pick = np.random.default_rng(seed + 1).random(units) < share
+        words = {f"w{i}" for i in np.flatnonzero(pick)} | {"oov"}
+        sampler = _NeighborSampler(table, top_n, words)
+        for word in sorted(words - {"oov"}):
+            ours, ref = sampler.candidates(word), reference_candidates(table, top_n, word)
+            assert (ours is None) == (ref is None)
+            if ours is not None:
+                assert ours[0] == ref[0]
+                np.testing.assert_allclose(ours[1], ref[1], rtol=0, atol=1e-12)
+        assert sampler.candidates("oov") is None
 
 
 class TestDeskStreamsArePinned:

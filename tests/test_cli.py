@@ -142,6 +142,22 @@ class TestEncode:
         assert out_path.read_bytes() == self._per_token_output(
             lines, lambda tok: table_encode(tok, table, "letters"))
 
+    @pytest.mark.parametrize("codec,flags", [
+        ("metaphone", ["--table", "/nonexistent.tsv"]),
+        ("soundex", ["--granularity", "letters"]),
+        ("nysiis", ["--granularity", "per_character"]),
+        ("cluster", ["--table", "/nonexistent.tsv"]),
+    ])
+    def test_table_flag_for_a_codec_without_a_table_is_data_error(self, capsys, tmp_path,
+                                                                  codec, flags):
+        src = tmp_path / "in.txt"
+        src.write_text("body but bad\n", encoding="utf-8")
+        code, out, err = run_cli(["encode", "--codec", codec, *flags, "--input", str(src)],
+                                 capsys)
+        assert code == 2
+        assert flags[0] in err
+        assert out == ""
+
     def test_desk_corpus_metaphone_output_is_pinned(self, capsys, tmp_path):
         # SHA-256 of the output of the per-token loop on the desk corpus
         out_path = tmp_path / "codes.txt"
@@ -555,6 +571,8 @@ class TestPipelineRunCli:
     @pytest.mark.parametrize("flags,field", [
         (["--encoder", "cluster", "--cluster-fraction", "0.25"], "cluster_fraction"),
         (["--encoder", "metaphone", "--table-path", "/nonexistent.tsv"], "table_path"),
+        (["--encoder", "metaphone", "--granularity", "letters"], "granularity"),
+        (["--encoder", "metaphone", "--cluster-baseline", "soundex"], "cluster_baseline"),
     ])
     def test_unread_config_value_is_data_error(self, capsys, tmp_path, flags, field):
         train = tmp_path / "train.txt"

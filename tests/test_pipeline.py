@@ -395,6 +395,36 @@ class TestRunPipeline:
             self._config(tmp_path, encoder=encoder, table_path="/nonexistent.tsv",
                          cluster_fraction=0.5 if encoder == "cluster_uniform" else None)
 
+    @pytest.mark.parametrize("field,value,encoder", [
+        ("granularity", "bogus", "pinyin"),
+        ("granularity", "bogus", "metaphone"),
+        ("cluster_baseline", "bogus", "cluster"),
+        ("cluster_baseline", "pinyin", "cluster"),
+    ])
+    def test_unknown_granularity_or_baseline_is_refused(self, tmp_path, field, value, encoder):
+        with pytest.raises(ValueError, match=field):
+            self._config(tmp_path, encoder=encoder, **{field: value})
+
+    @pytest.mark.parametrize("field,value,encoder", [
+        ("granularity", "letters", "metaphone"),
+        ("granularity", "letters", "cluster"),
+        ("cluster_baseline", "soundex", "metaphone"),
+        ("cluster_baseline", "soundex", "pinyin"),
+        ("cluster_baseline", "soundex", "cluster_uniform"),
+    ])
+    def test_value_an_encoder_never_reads_is_refused(self, tmp_path, field, value, encoder):
+        with pytest.raises(ValueError, match=field):
+            self._config(tmp_path, encoder=encoder, **{field: value},
+                         cluster_fraction=0.5 if encoder == "cluster_uniform" else None)
+
+    @pytest.mark.parametrize("field,value,encoder", [
+        ("granularity", "letters", "pinyin"),
+        ("granularity", "letters", "wubi"),
+        ("cluster_baseline", "soundex", "cluster"),
+    ])
+    def test_value_its_encoder_reads_is_accepted(self, tmp_path, field, value, encoder):
+        assert getattr(self._config(tmp_path, encoder=encoder, **{field: value}), field) == value
+
     @pytest.mark.parametrize("encoder", ["pinyin", "wubi"])
     def test_table_path_is_read_by_table_encoders(self, tmp_path, encoder):
         table = _write_corpus(tmp_path / "t.tsv", ["笑\tZZ"])
