@@ -311,11 +311,13 @@ def metaphone_encode(token: str, max_length: int | None = None) -> str:
 
 def encode_or_passthrough(token: str, codec: Callable[[str], str]) -> tuple[str, bool]:
     """``(codec(token), False)``, or ``(token, True)`` for a token the codec
-    rejects as non-alphabetic: such tokens keep their surface form."""
+    rejects as non-alphabetic or gives an empty code (metaphone's ``wh``):
+    such tokens keep their surface form, so no token drops out of its line."""
     try:
-        return codec(token), False
+        code = codec(token)
     except NonAlphabeticToken:
         return token, True
+    return (code, False) if code else (token, True)
 
 
 TABLE_KINDS = ("pinyin", "wubi")

@@ -10,6 +10,7 @@ score.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -191,20 +192,21 @@ def bleu(
 
 
 def vocab_stats(
-    corpus: Iterable[str] | Mapping[str, Iterable[str]],
+    corpus: Iterable[str] | Mapping[str, Iterable[str] | Mapping[str, int]],
 ) -> VocabReport:
-    """Exact unique/total token counts, per stream when given a mapping."""
+    """Exact unique/total token counts, per stream when given a mapping.
+
+    A stream is its lines, or its token counts: a mapping of each token to
+    how often it occurs, whose keys are the unique tokens and whose values
+    sum to the total.
+    """
     if isinstance(corpus, Mapping):
         named = corpus
     else:
         named = {"corpus": corpus}
     streams = {}
-    for name, lines in named.items():
-        unique: set[str] = set()
-        total = 0
-        for line in lines:
-            tokens = line.split()
-            total += len(tokens)
-            unique.update(tokens)
-        streams[name] = (len(unique), total)
+    for name, stream in named.items():
+        if not isinstance(stream, Mapping):
+            stream = Counter(chain.from_iterable(map(str.split, stream)))
+        streams[name] = (len(stream), sum(stream.values()))
     return VocabReport(streams=streams)

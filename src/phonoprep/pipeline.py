@@ -16,8 +16,9 @@ import logging
 import os
 import secrets
 import shutil
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -43,7 +44,16 @@ from .encoders import (
 )
 from .errors import InvalidConfig, PipelineStageError, SeparatorCollision
 from .evaluate import vocab_stats
-from .subword import bpe_apply, bpe_learn, read_lines, save_bpe_model, write_json, write_lines
+from .subword import (
+    CONTINUATION,
+    BpeModel,
+    bpe_apply,
+    bpe_learn,
+    read_lines,
+    save_bpe_model,
+    write_json,
+    write_lines,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -92,6 +102,21 @@ class PipelineConfig:
     cluster_fraction: float | None = None  # cluster_uniform only, which needs it
 
     def __post_init__(self):
+        for name in ("train_path", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("dev_path", "test_path", "table_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+        for name in ("bpe_operations_words", "bpe_operations_codes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        # concat lines are split back at the separator token, which BPE never touches
+        sep = self.separator
+        if not isinstance(sep, str) or sep.split() != [sep] or sep.endswith(CONTINUATION):
+            raise ValueError(f"separator must be one token not ending with {CONTINUATION!r},"
+                             f" got {sep!r}")
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}; pick one of {ENCODERS}")
         if self.combine_mode not in COMBINE_MODES:
@@ -132,6 +157,9 @@ class EncodedCorpus:
     code_lines: list[str]
     token_parity: bool  # per-line token counts equal across streams
     passthrough_tokens: int = 0
+    # token -> occurrences in each stream, as encode_corpus counts them
+    word_counts: Counter[str] = field(default_factory=Counter)
+    code_counts: Counter[str] = field(default_factory=Counter)
 
     def __post_init__(self):
         if len(self.word_lines) != len(self.code_lines):
@@ -210,35 +238,44 @@ def cluster_corpus(
 
 
 def encode_corpus(corpus: Iterable[str], encoder: TokenEncoder) -> EncodedCorpus:
-    """Token-aligned code stream for a sentence stream.
+    """Token-aligned code stream for a sentence stream, with the token counts of both.
 
     Tokens the codec rejects pass through unchanged (counted per token);
     per-character encoders may expand the token count, relaxing alignment
-    to the sentence level. ``encoder`` comes from ``make_token_encoder``,
-    which memoizes per token type, so the codec runs once per type however
-    often it repeats, here and across calls sharing the encoder.
+    to the sentence level: parity holds when every token has one code.
+    The tokens are counted in one pass, and each token type is encoded
+    once; a type's codes gain its count, and its code string stands for it
+    in every code line. ``encoder`` comes from ``make_token_encoder``,
+    which memoizes per token type, so the codec also runs once per type
+    across calls sharing the encoder.
     """
     word_lines: list[str] = []
-    code_lines: list[str] = []
-    passthrough = 0
-    parity = True
+    word_counts: Counter[str] = Counter()
     for line in corpus:
         tokens = line.split()
-        codes: list[str] = []
-        for tok in tokens:
-            out, passed = encoder(tok)
-            if passed:
-                passthrough += 1
-            codes.extend(out)
-        if len(codes) != len(tokens):
-            parity = False
+        word_counts.update(tokens)
         word_lines.append(" ".join(tokens))
-        code_lines.append(" ".join(codes))
+
+    code_of: dict[str, str] = {}
+    code_counts: Counter[str] = Counter()
+    passthrough = 0
+    parity = True
+    for tok, n in word_counts.items():
+        codes, passed = encoder(tok)
+        if passed:
+            passthrough += n
+        if len(codes) != 1:
+            parity = False
+        code_of[tok] = joined = " ".join(codes)
+        for code in joined.split():
+            code_counts[code] += n
     return EncodedCorpus(
         word_lines=word_lines,
-        code_lines=code_lines,
+        code_lines=[" ".join(map(code_of.__getitem__, line.split())) for line in word_lines],
         token_parity=parity,
         passthrough_tokens=passthrough,
+        word_counts=word_counts,
+        code_counts=code_counts,
     )
 
 
@@ -344,6 +381,12 @@ def _stage(name: str):
         raise PipelineStageError(name, str(exc)) from exc
 
 
+def _segment_lines(lines: list[str], types: Iterable[str], model: BpeModel) -> list[str]:
+    """``bpe_apply`` of every line, segmenting each of the lines' token ``types`` once."""
+    pieces = {tok: " ".join(bpe_apply([tok], model)) for tok in types}
+    return [" ".join(map(pieces.__getitem__, line.split())) for line in lines]
+
+
 def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     for sub in ("inputs", "models", "streams", "reports"):
         (out / sub).mkdir()
@@ -372,9 +415,10 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
         encoded = {name: encode_corpus(lines, encoder) for name, lines in splits.items()}
     del encoder  # frees the per-type memo before BPE learning
 
+    train = encoded["train"]
     with _stage("bpe-learn"):
-        word_bpe = bpe_learn(encoded["train"].word_lines, config.bpe_operations_words)
-        code_bpe = bpe_learn(encoded["train"].code_lines, config.bpe_operations_codes)
+        word_bpe = bpe_learn(train.word_counts, config.bpe_operations_words)
+        code_bpe = bpe_learn(train.code_counts, config.bpe_operations_codes)
         save_bpe_model(word_bpe, out / "models" / "words.bpe")
         save_bpe_model(code_bpe, out / "models" / "codes.bpe")
 
@@ -383,10 +427,8 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
             write_lines(out / "streams" / f"{name}.words", enc.word_lines)
             write_lines(out / "streams" / f"{name}.codes", enc.code_lines)
             processed = EncodedCorpus(
-                word_lines=[" ".join(bpe_apply(line.split(), word_bpe))
-                            for line in enc.word_lines],
-                code_lines=[" ".join(bpe_apply(line.split(), code_bpe))
-                            for line in enc.code_lines],
+                word_lines=_segment_lines(enc.word_lines, enc.word_counts, word_bpe),
+                code_lines=_segment_lines(enc.code_lines, enc.code_counts, code_bpe),
                 token_parity=False,
             )
         with _stage("combine"):
@@ -394,11 +436,10 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
                     out / "streams", prefix=name)
 
     with _stage("reports"):
-        train = encoded["train"]
         write_json(out / "reports" / "vocab.json", vocab_stats({
-            "words": train.word_lines,
-            "codes": train.code_lines,
-            "combined": train.word_lines + train.code_lines,
+            "words": train.word_counts,
+            "codes": train.code_counts,
+            "combined": train.word_counts + train.code_counts,
         }).to_dict())
 
     manifest = {

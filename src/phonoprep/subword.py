@@ -24,7 +24,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus
 
@@ -106,14 +106,23 @@ def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
             yield tokens
 
 
-def bpe_learn(corpus: str | Iterable[str], num_operations: int) -> BpeModel:
+def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: int) -> BpeModel:
     """Learn up to ``num_operations`` merges from a corpus of sentences.
 
-    Stops early once no adjacent pair occurs more than once.
+    ``corpus`` is either the sentences or their token counts, a mapping of
+    each token (as ``str.split()`` gives it) to how often it occurs. The
+    merges depend only on those counts, not on the order of the tokens, so
+    both forms of one corpus learn the same merges. Stops early once no
+    adjacent pair occurs more than once.
     """
     if num_operations < 0:
         raise ValueError("num_operations must be >= 0")
-    word_freqs = Counter(chain.from_iterable(_iter_sentences(corpus)))
+    if isinstance(corpus, Mapping):
+        word_freqs = corpus
+        if any(f < 1 for f in word_freqs.values()):
+            raise ValueError("every token count must be >= 1")
+    else:
+        word_freqs = Counter(chain.from_iterable(_iter_sentences(corpus)))
     if not word_freqs:
         raise EmptyCorpus("corpus has no tokens")
 

@@ -111,6 +111,13 @@ class TestEncode:
             out_lines.append(" ".join(codes))
         return "".join(line + "\n" for line in out_lines).encode("utf-8")
 
+    def test_empty_code_passes_the_token_through(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("the wh cat\n", encoding="utf-8")
+        code, out, _ = run_cli(["encode", "--codec", "metaphone", "--input", str(src)], capsys)
+        assert code == 0
+        assert out == "0 wh KT\n"
+
     @pytest.mark.parametrize("codec", sorted(WORD_ENCODERS))
     def test_output_matches_per_token_loop(self, capsys, tmp_path, codec):
         src = tmp_path / "in.txt"
@@ -582,6 +589,33 @@ class TestPipelineRunCli:
         assert code == 2
         assert field in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+
+    @pytest.mark.parametrize("separator", ["", " ", "a b", "x@@"])
+    def test_separator_that_is_not_one_token_is_data_error(self, capsys, tmp_path, separator):
+        train = tmp_path / "train.txt"
+        train.write_text("body but bad\n", encoding="utf-8")
+        code, _, err = run_cli(["pipeline", "run", "--train-path", str(train), "--output-dir",
+                                str(tmp_path / "out"), "--seed", "1",
+                                "--separator", separator], capsys)
+        assert code == 2
+        assert "separator" in err and "stage" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("separator", 7), ("bpe-operations-words", 2.5), ("bpe-operations-codes", True),
+    ])
+    def test_config_value_of_the_wrong_type_is_data_error(self, capsys, tmp_path, key, value):
+        train = tmp_path / "train.txt"
+        train.write_text("body but bad\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train-path": str(train),
+                                      "output-dir": str(tmp_path / "out"), key: value}),
+                          encoding="utf-8")
+        code, _, err = run_cli(["pipeline", "run", "--config", str(config), "--seed", "1"],
+                               capsys)
+        assert code == 2
+        assert key.replace("-", "_") in err and "stage" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "train.txt"]
 
     def test_missing_output_dir_is_data_error(self, capsys, tmp_path):
         train = tmp_path / "train.txt"

@@ -24,7 +24,7 @@ from phonoprep.clustering import (
     save_cluster_model,
     save_kmeans_model,
 )
-from phonoprep.encoders import soundex_encode
+from phonoprep.encoders import metaphone_encode, soundex_encode
 from phonoprep.errors import (
     EmptyUnitList,
     InvalidFraction,
@@ -57,6 +57,11 @@ class TestSizeDistribution:
     def test_empty_units(self):
         with pytest.raises(EmptyUnitList):
             derive_size_distribution([], soundex_encode)
+
+    def test_units_without_a_code_are_their_own_groups(self):
+        # metaphone gives "" for all three; they pass through, so no "" group forms
+        dist = derive_size_distribution(["wh", "gh", "hw", "body"], metaphone_encode)
+        assert dist.multiplicities == (1, 1, 1, 1)
 
 
 class TestRandomCluster:

@@ -148,6 +148,13 @@ def test_encode_or_passthrough(token, expected):
     assert encode_or_passthrough(token, soundex_encode) == expected
 
 
+@pytest.mark.parametrize("token", ["wh", "gh", "hw", "WHY"])
+def test_empty_code_passes_through(token):
+    # metaphone has no sound for these; an empty code would drop the token from its line
+    assert metaphone_encode(token) == ""
+    assert encode_or_passthrough(token, metaphone_encode) == (token, True)
+
+
 class TestCodeTable:
     def test_bundled_pinyin_table1(self):
         table = load_code_table(bundled_table_path("pinyin"), "pinyin")

@@ -202,6 +202,17 @@ class TestVocabStats:
                         "words": {"unique": 3, "total": 3}},
         }
 
+    @given(st.dictionaries(st.sampled_from(["words", "codes"]),
+                           st.lists(st.text(alphabet="ab c\t", max_size=8), max_size=5)))
+    def test_counts_give_the_rows_of_their_lines(self, streams):
+        counts = {name: Counter(tok for line in lines for tok in line.split())
+                  for name, lines in streams.items()}
+        assert vocab_stats(counts) == vocab_stats(streams)
+        # the pipeline's combined row: the union of the keys, the totals summed
+        combined = [line for lines in streams.values() for line in lines]
+        assert (vocab_stats({"combined": sum(counts.values(), Counter())})
+                == vocab_stats({"combined": combined}))
+
     def test_encoded_stream_compresses_vocabulary(self):
         words = CORPUS
         codes = [" ".join(soundex_encode(w) for w in line.split()) for line in words]

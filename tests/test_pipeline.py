@@ -30,6 +30,7 @@ from phonoprep.pipeline import (
     make_token_encoder,
     run_pipeline,
 )
+from phonoprep.subword import bpe_apply, bpe_decode, load_bpe_model, read_lines
 
 TRAIN = [
     "body but bad",
@@ -68,6 +69,18 @@ class TestEncodeCorpus:
     def test_sentence_count_preserved(self):
         enc = encode_corpus(TRAIN, make_token_encoder("nysiis"))
         assert len(enc.code_lines) == len(TRAIN)
+
+    def test_empty_code_passes_the_token_through(self):
+        # metaphone has no sound for "wh": an empty code would vanish from its line
+        enc = encode_corpus(["the wh cat"], make_token_encoder("metaphone"))
+        assert enc.code_lines == ["0 wh KT"]
+        assert enc.passthrough_tokens == 1
+        assert enc.token_parity
+
+    def test_counts_are_the_tokens_of_the_lines(self):
+        enc = encode_corpus(["  speak 42 ,", "", "speak\tthe 42"], make_token_encoder("soundex"))
+        assert enc.word_counts == Counter({"speak": 2, "42": 2, ",": 1, "the": 1})
+        assert enc.code_counts == Counter({"S120": 2, "42": 2, ",": 1, "T000": 1})
 
 
 def _reference_encode(corpus, encode_token) -> EncodedCorpus:
@@ -291,6 +304,46 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert exc.value.stage == "read-inputs"
 
+    def test_empty_codes_keep_the_streams_aligned(self, tmp_path):
+        train = _write_corpus(tmp_path / "wh.txt", ["the wh cat", "gh hw sat"])
+        out = run_pipeline(self._config(tmp_path, train_path=str(train), encoder="metaphone"))
+        words = read_lines(out / "streams" / "train.words")
+        codes = read_lines(out / "streams" / "train.codes")
+        assert codes == ["0 wh KT", "gh hw ST"]
+        assert [len(line.split()) for line in codes] == [len(line.split()) for line in words]
+        word_part, code_part = read_lines(out / "streams" / "train.concat")[0].split(" <sep> ")
+        models = {name: load_bpe_model(out / "models" / f"{name}.bpe")
+                  for name in ("words", "codes")}
+        assert bpe_decode(word_part.split(), models["words"]) == ["the", "wh", "cat"]
+        assert bpe_decode(code_part.split(), models["codes"]) == ["0", "wh", "KT"]
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["token_parity"] == {"train": True}
+        assert manifest["passthrough_tokens"] == {"train": 3}
+
+    @pytest.mark.parametrize("separator", ["", " ", "a b", " <sep>", "x@@", "@@", 7, None])
+    def test_separator_must_be_one_token(self, tmp_path, separator):
+        with pytest.raises(ValueError, match="separator"):
+            self._config(tmp_path, separator=separator)
+
+    @pytest.mark.parametrize("separator", ["|||", "@@x", "<sep>"])
+    def test_one_token_separator_is_accepted(self, tmp_path, separator):
+        assert self._config(tmp_path, separator=separator).separator == separator
+
+    @pytest.mark.parametrize("field", ["bpe_operations_words", "bpe_operations_codes"])
+    @pytest.mark.parametrize("value", [2.5, True, False, -1, "3", None])
+    def test_bpe_operations_must_be_a_count(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._config(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("train_path", 7), ("train_path", None), ("output_dir", None),
+        ("output_dir", Path("out")), ("dev_path", 3), ("test_path", b"test.txt"),
+        ("table_path", Path("t.tsv")),
+    ])
+    def test_path_fields_must_be_strings(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._config(tmp_path, encoder="pinyin", **{field: value})
+
     def test_token_ending_with_marker_reports_stage(self, tmp_path):
         train = _write_corpus(tmp_path / "marked.txt", TRAIN + ["ab@@ cd"])
         with pytest.raises(PipelineStageError) as exc:
@@ -470,6 +523,40 @@ class TestManifestFilePins:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         block = json.dumps(manifest["files"], sort_keys=True).encode("utf-8")
         assert hashlib.sha256(block).hexdigest() == self.PINS[encoder, mode]
+
+
+class TestPerTypeSegmentation:
+    """The BPE streams ``run_pipeline`` writes, against ``bpe_apply`` run line by line."""
+
+    ENCODERS = {
+        "metaphone": {"encoder": "metaphone"},
+        "pinyin-letters": {"encoder": "pinyin", "granularity": "letters"},
+        "cluster": {"encoder": "cluster"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENCODERS))
+    @settings(max_examples=30, deadline=None)
+    @given(train=st.lists(LINES, max_size=8), dev=st.lists(LINES, max_size=5),
+           test=st.lists(LINES, max_size=5), ops=st.integers(min_value=0, max_value=30))
+    def test_streams_match_the_per_line_reference(self, name, train, dev, test, ops):
+        # train needs a token; dev and test always hold types that train lacks
+        splits = {"train": ["ab ba 笑"] + train, "dev": dev + ["zz 校 ab"],
+                  "test": ["qq 9 笑校"] + test}
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = {f"{split}_path": str(_write_corpus(tmp / f"{split}.txt", lines))
+                     for split, lines in splits.items()}
+            out = run_pipeline(PipelineConfig(
+                **paths, output_dir=str(tmp / "out"), combine_mode="multi_source",
+                bpe_operations_words=ops, bpe_operations_codes=ops, **self.ENCODERS[name],
+            ))
+            for stream in ("words", "codes"):
+                model = load_bpe_model(out / "models" / f"{stream}.bpe")
+                for split in splits:
+                    plain = read_lines(out / "streams" / f"{split}.{stream}")
+                    want = [" ".join(bpe_apply(line.split(), model)) for line in plain]
+                    got = read_lines(out / "streams" / f"{split}.src-{stream}")
+                    assert got == want, (split, stream)
 
 
 # every character str.splitlines() (or a text-mode read of a lone "\r") takes for

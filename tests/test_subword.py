@@ -134,6 +134,24 @@ class TestLearn:
         # ops well past the merge supply of these corpora exercises the early stop
         assert bpe_learn(lines, ops).merges == reference_bpe_learn(lines, ops)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_small_corpus, st.integers(min_value=0, max_value=40), st.data())
+    def test_counts_give_the_merges_of_their_lines(self, lines, ops, data):
+        # the merges depend only on how often each token occurs, not on the
+        # order in which the counts list the tokens
+        counts = Counter(tok for line in lines for tok in line.split())
+        counts = data.draw(st.permutations(list(counts.items())))
+        assert bpe_learn(dict(counts), ops).merges == bpe_learn(lines, ops).merges
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_counts_must_be_positive(self, count):
+        with pytest.raises(ValueError, match="count"):
+            bpe_learn({"ab": 3, "ba": count}, 5)
+
+    def test_empty_counts(self):
+        with pytest.raises(EmptyCorpus):
+            bpe_learn({}, 5)
+
     def test_desk_merge_files_are_pinned(self, tmp_path):
         # the pipeline-desk merge-file goldens of perfbench/golden.json; they pin
         # counts, tie-breaks and the early stop (the codes stop at 468 merges)
