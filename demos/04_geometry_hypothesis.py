@@ -8,7 +8,7 @@ by hull-volume CDF, coverage speed, concentration factor, and the
 nearest-neighbor density probe. Expect the phonetic and random groupings
 to look alike and K-Means to be far more concentrated.
 
-Runs in about half a minute.
+Runs in a few seconds.
 """
 
 from pathlib import Path

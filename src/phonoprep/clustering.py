@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .encoders import encode_or_passthrough
 from .errors import EmptyUnitList, InvalidFraction, SizeMismatch, TooFewPoints
@@ -32,8 +33,6 @@ __all__ = [
     "encode_with_clusters",
     "save_cluster_model",
     "load_cluster_model",
-    "save_kmeans_model",
-    "load_kmeans_model",
 ]
 
 UNKNOWN_CLUSTER = "G_UNK"
@@ -77,15 +76,11 @@ class ClusterModel:
 class KMeansModel:
     centroids: np.ndarray  # (K, d)
     assignment: np.ndarray  # (n,) cluster index per point
-    cost_history: tuple[float, ...]  # within-cluster cost after each update; () if loaded
+    cost_history: tuple[float, ...]  # within-cluster cost after each assignment
 
     @property
     def k(self) -> int:
         return len(self.centroids)
-
-    @property
-    def cost(self) -> float:
-        return self.cost_history[-1]
 
 
 def _check_units(units: Sequence[str]) -> None:
@@ -141,6 +136,54 @@ def random_cluster_uniform(units: Sequence[str], fraction: float, seed: int) -> 
     return _partition(units, sizes, seed, "uniform-k")
 
 
+# the geometry analysis clusters 2-D projections, where the tree is faster
+# than the full (n, k) distance table; other d keep the table
+_TREE_MAX_DIM = 2
+# the tree returns square roots, so a squared tree distance may differ from
+# the coordinate-order sum in the last bits; where the two nearest are this
+# close, the full row decides
+_NEAR_TIE = 1e-9
+
+
+def _nearest_by_table(pts: np.ndarray, centroids: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per point (ties to the lowest index) and its squared distance.
+
+    Squared distances are summed one coordinate at a time, in the order
+    np.sum(..., axis=-1) adds them for d < 8, without the (n, k, d) temporary.
+    """
+    d2 = np.subtract.outer(pts[:, 0], centroids[:, 0])
+    np.square(d2, out=d2)
+    term = np.empty_like(d2)
+    for c in range(1, pts.shape[1]):
+        np.subtract.outer(pts[:, c], centroids[:, c], out=term)
+        np.square(term, out=term)
+        d2 += term
+    nearest = np.argmin(d2, axis=1)
+    return nearest, d2[np.arange(len(pts)), nearest]
+
+
+def _nearest_by_tree(pts: np.ndarray, centroids: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``_nearest_by_table`` from the two nearest centroids of a k-d tree.
+
+    A clear winner is the table's argmin too; near ties (duplicate
+    centroids always give one) take the table row. Finite inputs only.
+    """
+    dist, idx = cKDTree(centroids).query(pts, k=2)
+    first, second = dist[:, 0] ** 2, dist[:, 1] ** 2
+    # negated so that an overflowed (inf - inf) gap counts as a tie
+    with np.errstate(invalid="ignore"):
+        tied = ~(second - first > _NEAR_TIE * second)
+    nearest = idx[:, 0]
+    if tied.any():
+        nearest[tied] = _nearest_by_table(pts[tied], centroids)[0]
+    chosen = np.square(pts[:, 0] - centroids[nearest, 0])
+    for c in range(1, pts.shape[1]):
+        chosen += np.square(pts[:, c] - centroids[nearest, c])
+    return nearest, chosen
+
+
 def _lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
     # k-means++ seeding
     centroids = np.empty((k, pts.shape[1]))
@@ -156,35 +199,37 @@ def _lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, max_iter: int
         closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[j]) ** 2, axis=1))
 
     n, dim = pts.shape
+    # bincount adds each cluster's members in input order, as a row-wise
+    # .mean(axis=0) does; a (m, 1) mean is one pairwise sum instead
+    by_bincount = dim >= 2
+    by_tree = dim <= _TREE_MAX_DIM and np.isfinite(pts).all()
     assignment = np.full(n, -1)
     costs: list[float] = []
-    d2 = np.empty((n, k))
-    term = np.empty((n, k))
     for _ in range(max_iter):
-        # squared distances summed one coordinate at a time, in the order
-        # np.sum(..., axis=2) adds them for dim < 8, without the (n, k, dim)
-        # temporary
-        np.subtract.outer(pts[:, 0], centroids[:, 0], out=d2)
-        np.square(d2, out=d2)
-        for c in range(1, dim):
-            np.subtract.outer(pts[:, c], centroids[:, c], out=term)
-            np.square(term, out=term)
-            d2 += term
-        new_assignment = np.argmin(d2, axis=1)
-        costs.append(float(d2[np.arange(n), new_assignment].sum()))
+        if by_tree and np.isfinite(centroids).all():
+            new_assignment, chosen = _nearest_by_tree(pts, centroids)
+        else:
+            new_assignment, chosen = _nearest_by_table(pts, centroids)
+        costs.append(float(chosen.sum()))
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-        # a stable sort keeps each cluster's members in input order
-        order = np.argsort(assignment, kind="stable")
-        bounds = np.searchsorted(assignment[order], np.arange(k + 1))
-        for j in range(k):
-            lo, hi = bounds[j], bounds[j + 1]
-            if hi > lo:
-                centroids[j] = pts[order[lo:hi]].mean(axis=0)
-            else:
-                dist_own = np.sum((pts - centroids[assignment]) ** 2, axis=1)
-                centroids[j] = pts[np.argmax(dist_own)]
+        counts = np.bincount(assignment, minlength=k)
+        if by_bincount and counts.all():
+            for c in range(dim):
+                centroids[:, c] = np.bincount(assignment, weights=pts[:, c], minlength=k) / counts
+        else:
+            # a stable sort keeps each cluster's members in input order
+            order = np.argsort(assignment, kind="stable")
+            bounds = np.searchsorted(assignment[order], np.arange(k + 1))
+            for j in range(k):
+                lo, hi = bounds[j], bounds[j + 1]
+                if hi > lo:
+                    centroids[j] = pts[order[lo:hi]].mean(axis=0)
+                else:
+                    # reads the centroids this loop has already moved
+                    dist_own = np.sum((pts - centroids[assignment]) ** 2, axis=1)
+                    centroids[j] = pts[np.argmax(dist_own)]
     return centroids, assignment, costs
 
 
@@ -202,7 +247,9 @@ def kmeans_fit(
     how ``np.sum(..., axis=-1)`` adds fewer than 8 of them; from d = 8 on
     numpy sums pairwise instead, so distances and costs may differ from
     such a sum in the last bit and an exact tie in the assignment could
-    resolve differently.
+    resolve differently. In up to ``_TREE_MAX_DIM`` dimensions the nearest
+    centroids come from a k-d tree instead of the full distance table,
+    with the same assignments, centroids and costs.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -227,27 +274,6 @@ def kmeans_fit(
 def encode_with_clusters(sentence: Iterable[str], model: ClusterModel) -> list[str]:
     """Replace each token by its cluster id; unknown tokens get G_UNK."""
     return [model.assignment.get(tok, UNKNOWN_CLUSTER) for tok in sentence]
-
-
-def save_kmeans_model(
-    model: KMeansModel,
-    centroids_path: str | Path,
-    assignment_path: str | Path,
-) -> None:
-    """Write centroids as TSV rows and point assignments one index per line."""
-    write_lines(centroids_path,
-                ("\t".join(repr(float(x)) for x in row) for row in model.centroids))
-    write_lines(assignment_path, (str(int(j)) for j in model.assignment))
-
-
-def load_kmeans_model(
-    centroids_path: str | Path,
-    assignment_path: str | Path,
-) -> KMeansModel:
-    centroids = np.array([[float(x) for x in line.split("\t")]
-                          for line in read_lines(centroids_path) if line])
-    assignment = np.array([int(line) for line in read_lines(assignment_path) if line])
-    return KMeansModel(centroids=centroids, assignment=assignment, cost_history=())
 
 
 def save_cluster_model(model: ClusterModel, path: str | Path) -> None:

@@ -338,6 +338,7 @@ class CodeTable:
 def load_code_table(path: str | Path, kind: str) -> CodeTable:
     """Read a TSV code table: ``character<TAB>code`` per line, ``#`` comments.
 
+    A code must be one ``str.split()`` token: non-empty, with no whitespace.
     Duplicate characters keep all codes in file order; the first listed
     code is the default.
     """
@@ -349,7 +350,8 @@ def load_code_table(path: str | Path, kind: str) -> CodeTable:
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 2 or len(parts[0]) != 1 or not parts[1]:
+        # a code is one token, so each character of a word gives one code token
+        if len(parts) != 2 or len(parts[0]) != 1 or parts[1].split() != [parts[1]]:
             raise MalformedTableLine(str(path), lineno, line)
         entries.setdefault(parts[0], []).append(parts[1])
     if not entries:

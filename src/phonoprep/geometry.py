@@ -366,27 +366,33 @@ def pca_project(table: EmbeddingTable) -> tuple[Projection2D, dict[str, np.ndarr
 
 # --- hull machinery ---
 
+def _chain(rows: Iterable[list[float]]) -> list[list[float]]:
+    """One monotone chain: keep each point, popping earlier ones that do not turn left."""
+    chain: list[list[float]] = []
+    for p in rows:
+        # cross product (b - a) x (p - a) of the last two chain points a, b
+        while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                   - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull; vertices in counter-clockwise order."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    """Monotone-chain convex hull; vertices in counter-clockwise order.
+
+    Duplicate points count once, and points are visited sorted by x, then
+    y. The order of the returned vertices is part of the contract, as
+    ``density_measure`` weights them in turn.
+    """
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    if len(pts) > 1:
+        pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
     if len(pts) <= 2:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    rows = pts.tolist()
+    return np.array(_chain(rows)[:-1] + _chain(reversed(rows))[:-1])
 
 
 def polygon_area(vertices: np.ndarray) -> float:

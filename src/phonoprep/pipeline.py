@@ -108,10 +108,15 @@ class PipelineConfig:
         for name in ("dev_path", "test_path", "table_path"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
-        for name in ("bpe_operations_words", "bpe_operations_codes"):
+        # numpy seeds its generators from integers >= 0 only
+        for name in ("seed", "bpe_operations_words", "bpe_operations_codes"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        fraction = self.cluster_fraction
+        if fraction is not None and (not isinstance(fraction, (int, float))
+                                     or isinstance(fraction, bool) or not 0 < fraction <= 1):
+            raise ValueError(f"cluster_fraction must be a number in (0, 1], got {fraction!r}")
         # concat lines are split back at the separator token, which BPE never touches
         sep = self.separator
         if not isinstance(sep, str) or sep.split() != [sep] or sep.endswith(CONTINUATION):

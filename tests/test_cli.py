@@ -617,6 +617,37 @@ class TestPipelineRunCli:
         assert key.replace("-", "_") in err and "stage" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "train.txt"]
 
+    def test_table_code_with_whitespace_is_data_error(self, capsys, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_text("x y\n", encoding="utf-8")
+        table = tmp_path / "t.tsv"
+        table.write_text("x\ta b\n", encoding="utf-8")
+        code, _, err = run_cli(["pipeline", "run", "--train-path", str(train), "--output-dir",
+                                str(tmp_path / "out"), "--seed", "1", "--encoder", "pinyin",
+                                "--table-path", str(table)], capsys)
+        assert code == 2
+        assert "stage build-encoder" in err and "malformed table line" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv", "train.txt"]
+
+    @pytest.mark.parametrize("config,flags,field", [
+        ({"encoder": "cluster_uniform", "cluster-fraction": True}, ["--seed", "1"],
+         "cluster_fraction"),
+        ({"encoder": "cluster_uniform", "cluster-fraction": 2}, ["--seed", "1"],
+         "cluster_fraction"),
+        ({"encoder": "cluster"}, ["--seed", "-5"], "seed"),
+    ])
+    def test_bad_cluster_value_is_data_error(self, capsys, tmp_path, config, flags, field):
+        train = tmp_path / "train.txt"
+        train.write_text("body but bad\n", encoding="utf-8")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train-path": str(train),
+                                    "output-dir": str(tmp_path / "out"), **config}),
+                        encoding="utf-8")
+        code, _, err = run_cli(["pipeline", "run", "--config", str(path), *flags], capsys)
+        assert code == 2
+        assert field in err and "stage" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "train.txt"]
+
     def test_missing_output_dir_is_data_error(self, capsys, tmp_path):
         train = tmp_path / "train.txt"
         train.write_text("body but bad\n", encoding="utf-8")

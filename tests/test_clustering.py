@@ -12,17 +12,14 @@ from hypothesis import strategies as st
 
 from phonoprep.clustering import (
     ClusterModel,
-    KMeansModel,
     SizeDistribution,
     derive_size_distribution,
     encode_with_clusters,
     kmeans_fit,
     load_cluster_model,
-    load_kmeans_model,
     random_cluster,
     random_cluster_uniform,
     save_cluster_model,
-    save_kmeans_model,
 )
 from phonoprep.encoders import metaphone_encode, soundex_encode
 from phonoprep.errors import (
@@ -256,6 +253,72 @@ class TestKMeansMatchesReference:
         np.testing.assert_allclose(model.cost_history, costs, rtol=1e-12)
 
 
+class TestKMeansLowDimensionMatchesReference:
+    """1-D and 2-D inputs, where the assignment comes from a k-d tree over the centroids."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 2]),
+        n=st.integers(50, 600),
+        k_frac=st.floats(0.0, 1.0),
+        spread=st.sampled_from([1e-3, 1.0, 37.5, 1e4]),
+        copies=st.integers(0, 10),
+        cloud_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, n=300, k_frac=0.0, spread=1.0, copies=0, cloud_seed=0, seed=0)
+    def test_gaussian_clouds(self, d, n, k_frac, spread, copies, cloud_seed, seed):
+        # in 1-D the clusters are large enough for a pairwise sum to round differently
+        rng = np.random.default_rng(cloud_seed)
+        pts = rng.normal(size=(n, d)) * spread + rng.normal(size=d)
+        # overwrite a few points with copies of others: duplicates meet equal distances
+        pts[rng.integers(n, size=copies)] = pts[rng.integers(n, size=copies)]
+        k = 1 + int(k_frac * (n // 4 - 1))
+        model = kmeans_fit(pts, k=k, seed=seed, max_iter=20, n_init=2)
+        assert_same_model(model, reference_kmeans_fit(pts, k, seed, 20, 2))
+
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4])  # seeds that pick (-1, 0) and (1, 0)
+    def test_equidistant_point_goes_to_the_first_centroid(self, seed):
+        points = [(-1.0, 0.0)] * 3 + [(1.0, 0.0)] * 3 + [(0.0, 0.0)]
+        seeded, _, _ = reference_lloyd_once(np.array(points), 2, np.random.default_rng(seed),
+                                            0, [])
+        assert sorted(map(tuple, seeded.tolist())) == [(-1.0, 0.0), (1.0, 0.0)]
+        first = kmeans_fit(points, k=2, seed=seed, max_iter=1, n_init=1)
+        assert first.assignment[-1] == 0  # the tied point, by the lowest index
+        assert_same_model(first, reference_kmeans_fit(points, 2, seed, 1, 1))
+        assert_same_model(kmeans_fit(points, k=2, seed=seed, n_init=1),
+                          reference_kmeans_fit(points, 2, seed, n_init=1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_empty_cluster_in_a_cloud(self, seed):
+        # once the seeding has covered every distinct point, the remaining
+        # centroids are drawn uniformly, duplicate others and leave clusters empty
+        pts = np.random.default_rng(seed).normal(size=(40, 2))
+        pts = np.vstack([pts, np.full((30, 2), 5.0)])
+        reseeds: list[int] = []
+        want = reference_kmeans_fit(pts, 45, seed, 20, 2, reseeds=reseeds)
+        assert reseeds
+        assert_same_model(kmeans_fit(pts, k=45, seed=seed, max_iter=20, n_init=2), want)
+
+    def test_non_finite_points_take_the_table(self):
+        pts = np.random.default_rng(5).normal(size=(30, 2))
+        pts[3] = (np.inf, 0.0)
+        with np.errstate(invalid="ignore"):
+            centroids, assignment, costs = reference_kmeans_fit(pts, 4, 1, 20, 2)
+            model = kmeans_fit(pts, k=4, seed=1, max_iter=20, n_init=2)
+        np.testing.assert_array_equal(model.centroids, centroids)
+        np.testing.assert_array_equal(model.assignment, assignment)
+        np.testing.assert_array_equal(model.cost_history, costs)  # NaN where the reference has one
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-155, 1e-162])
+    def test_squared_distances_that_overflow_or_go_subnormal(self, scale):
+        pts = np.random.default_rng(6).normal(size=(60, 2)) * scale
+        with np.errstate(over="ignore", under="ignore"):
+            want = reference_kmeans_fit(pts, 6, 2, 20, 2)
+            model = kmeans_fit(pts, k=6, seed=2, max_iter=20, n_init=2)
+        assert_same_model(model, want)
+
+
 class TestKMeans:
     SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
@@ -265,13 +328,13 @@ class TestKMeans:
 
     def test_k_equals_n(self):
         model = kmeans_fit(self.SQUARE, k=4, seed=0)
-        assert model.cost == pytest.approx(0.0)
+        assert model.cost_history[-1] == pytest.approx(0.0)
         assert len(set(model.assignment.tolist())) == 4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_square_matches_brute_force(self, seed):
         model = kmeans_fit(self.SQUARE, k=2, seed=seed)
-        assert model.cost == pytest.approx(_brute_force_best_2partition(self.SQUARE))
+        assert model.cost_history[-1] == pytest.approx(_brute_force_best_2partition(self.SQUARE))
 
     def test_cost_monotone(self):
         rng = np.random.default_rng(42)
@@ -287,7 +350,7 @@ class TestKMeans:
     def test_duplicate_points_ok(self):
         pts = [(1.0, 1.0)] * 6
         model = kmeans_fit(pts, k=3, seed=0)
-        assert model.cost == pytest.approx(0.0)
+        assert model.cost_history[-1] == pytest.approx(0.0)
 
 
 class TestEncodeWithClusters:
@@ -347,35 +410,3 @@ class TestModelFile:
         path = tmp_path_factory.mktemp("clusters") / "clusters.tsv"
         save_cluster_model(model, path)
         assert load_cluster_model(path) == model
-
-    def test_kmeans_files_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        model = kmeans_fit(rng.normal(size=(30, 3)), k=4, seed=1)
-        cpath, apath = tmp_path / "centroids.tsv", tmp_path / "assign.txt"
-        save_kmeans_model(model, cpath, apath)
-        loaded = load_kmeans_model(cpath, apath)
-        np.testing.assert_allclose(loaded.centroids, model.centroids)
-        np.testing.assert_array_equal(loaded.assignment, model.assignment)
-        assert loaded.cost_history == ()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(1, 5), st.integers(1, 4)),
-        data=st.data(),
-    )
-    def test_kmeans_files_round_trip_exactly(self, tmp_path_factory, shape, data):
-        # values are written with repr(float), so every finite or infinite float comes back
-        k, d = shape
-        centroids = np.array(data.draw(st.lists(
-            st.lists(st.floats(allow_nan=False), min_size=d, max_size=d),
-            min_size=k, max_size=k)))
-        assignment = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1,
-                                                 max_size=20)))
-        model = KMeansModel(centroids=centroids, assignment=assignment, cost_history=(1.0,))
-        root = tmp_path_factory.mktemp("kmeans")
-        save_kmeans_model(model, root / "centroids.tsv", root / "assign.txt")
-        loaded = load_kmeans_model(root / "centroids.tsv", root / "assign.txt")
-        assert loaded.centroids.shape == centroids.shape
-        assert loaded.centroids.tobytes() == centroids.tobytes()
-        np.testing.assert_array_equal(loaded.assignment, assignment)
-        assert loaded.cost_history == ()

@@ -201,6 +201,15 @@ class TestCodeTable:
             load_code_table(p, "pinyin")
         assert exc.value.lineno == 2
 
+    @pytest.mark.parametrize("code", ["a b", "xiao 4", " xiao4", "xiao4 ", "a\u2028b", "\x0c"])
+    def test_code_with_whitespace_is_malformed(self, tmp_path, code):
+        # a code is one token: "a b" would give a one-character token two codes
+        p = tmp_path / "t.tsv"
+        p.write_text(f"笑\txiao4\nx\t{code}\n", encoding="utf-8")
+        with pytest.raises(MalformedTableLine) as exc:
+            load_code_table(p, "pinyin")
+        assert exc.value.lineno == 2
+
     def test_wubi_code_shape(self):
         table = load_code_table(bundled_table_path("wubi"), "wubi")
         for codes in table.entries.values():

@@ -99,6 +99,35 @@ def brute_force_hull_area(points: np.ndarray) -> float:
     return best
 
 
+def reference_convex_hull(points) -> np.ndarray:
+    """Monotone chain over np.unique rows, with a cross-product helper on array rows."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[np.ndarray] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[np.ndarray] = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+# a coarse grid gives duplicates and collinear runs; the odd coordinates
+# make cross products that round
+_hull_coordinate = st.sampled_from([-2.0, -1.0, 0.0, 0.1, 0.3, 1.0, 1.5, 2.0, 1e-3, 7.0 / 3.0])
+_hull_points = st.lists(st.tuples(_hull_coordinate, _hull_coordinate), min_size=1, max_size=40)
+
+
 class TestHull:
     def test_unit_square(self):
         metrics = smooth_hull(SQUARE)
@@ -132,6 +161,18 @@ class TestHull:
             got = smooth_hull(pts).volume
             want = brute_force_hull_area(pts)
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(points=_hull_points, line=st.integers(0, 12))
+    @example(points=[(0.0, 0.0)] * 3, line=0)
+    @example(points=[(1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], line=0)
+    def test_vertices_match_reference(self, points, line):
+        # ``line`` more points on the x = y diagonal make a longer collinear run
+        pts = np.array(points + [(0.1 * i, 0.1 * i) for i in range(line)])
+        got = convex_hull(pts)
+        want = reference_convex_hull(pts)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSmoothing:

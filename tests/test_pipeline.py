@@ -437,6 +437,22 @@ class TestRunPipeline:
             PipelineConfig.from_dict({"train_path": "t", "output_dir": "o",
                                       "encoder": "cluster_uniform"})
 
+    @pytest.mark.parametrize("value", [True, False, 0, 0.0, -0.5, 1.5, 2, "0.5",
+                                       float("nan"), float("inf")])
+    def test_cluster_fraction_must_be_a_fraction(self, tmp_path, value):
+        with pytest.raises(ValueError, match="cluster_fraction"):
+            self._config(tmp_path, encoder="cluster_uniform", cluster_fraction=value)
+
+    @pytest.mark.parametrize("value", [0.25, 1e-9, 1, 1.0])
+    def test_fraction_in_range_is_accepted(self, tmp_path, value):
+        cfg = self._config(tmp_path, encoder="cluster_uniform", cluster_fraction=value)
+        assert cfg.cluster_fraction == value
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "7", None, -1])
+    def test_seed_must_be_an_integer_numpy_accepts(self, tmp_path, value):
+        with pytest.raises(ValueError, match="seed"):
+            self._config(tmp_path, seed=value)
+
     @pytest.mark.parametrize("encoder", ["cluster", "metaphone", "pinyin"])
     def test_cluster_fraction_needs_cluster_uniform(self, tmp_path, encoder):
         with pytest.raises(ValueError, match="cluster_fraction"):
