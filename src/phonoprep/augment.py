@@ -7,21 +7,28 @@ corpus's words, and of no other table word, are computed up front, one matrix
 product per block of words, which may round a similarity differently in the
 last place than a per-word product (tests pin the drawn streams).
 ``perturb_edit`` applies a fixed number of word-level edit operations. Both
-are deterministic per seed, with independent per-sentence substreams.
+are deterministic per seed: sentence ``i`` draws the stream of
+``np.random.default_rng([seed, i])``. The generator states of every sentence
+are computed for the whole corpus in one array pass, and one generator is
+re-seeded from them sentence by sentence.
 
 Weighted draws reproduce ``Generator.choice(n, p=weights)`` index for index
 and leave the generator in the same state: numpy's normalised CDF is built
-once (per word type for neighbors, per call for edit operations) and each
-draw bisects it with one ``rng.random()``. The weights are validated once,
-where they are built, instead of on every draw.
+once (per word type for neighbors, per ``PerturbationSpec`` for edit
+operations) and each draw bisects it with one ``rng.random()``. The
+weights are validated once, where they are built, instead of on every draw.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +49,15 @@ log = logging.getLogger(__name__)
 EDIT_OPS = ("deletion", "substitution", "insertion")
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Refuse all but an integer >= ``low``, and a bool, which Python counts as one.
+
+    numpy seeds its generators from integers >= 0 only.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Similarity-noise parameters: replace ``fraction`` of words per sentence."""
@@ -51,10 +67,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
+        fraction = self.fraction
+        if (isinstance(fraction, bool) or not isinstance(fraction, numbers.Real)
+                or not 0.0 < fraction <= 1.0):
+            raise ValueError(f"fraction must be a number in (0, 1], got {fraction!r}")
+        _check_int("top_n", self.top_n, 1)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -66,8 +84,8 @@ class PerturbationSpec:
     op_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
+        _check_int("k", self.k, 0)
+        _check_int("seed", self.seed, 0)
         if len(self.op_weights) != 3 or any(w < 0 for w in self.op_weights):
             raise ValueError("op_weights must be three non-negative weights")
         total = sum(self.op_weights)
@@ -76,6 +94,11 @@ class PerturbationSpec:
         object.__setattr__(
             self, "op_weights", tuple(w / total for w in self.op_weights)
         )
+
+    @cached_property
+    def _op_cdf(self) -> list[float]:
+        """The CDF each edit operation is drawn from, built once per spec."""
+        return _cdf(self.op_weights)
 
 
 class _NeighborSampler:
@@ -102,9 +125,15 @@ class _NeighborSampler:
             order = np.argsort(np.take_along_axis(sims, top, axis=1), axis=1)[:, ::-1]
             top = np.take_along_axis(top, order, axis=1)
             weights = np.maximum(np.take_along_axis(sims, top, axis=1), 0.0)
-            for wi, neighbors, w in zip(block, top, weights):
+            # ``_cdf(w / w.sum())`` of each row with positive weight, all rows at once
+            totals = weights.sum(axis=1)
+            live = totals > 0
+            cdfs = np.cumsum(weights[live] / totals[live, None], axis=1)
+            cdfs /= cdfs[:, -1:]
+            live_cdfs = iter(cdfs.tolist())
+            for wi, neighbors, alive in zip(block, top.tolist(), live.tolist()):
                 self._candidates[units[wi]] = (
-                    ([units[i] for i in neighbors], _cdf(w / w.sum())) if w.sum() > 0 else None)
+                    ([units[i] for i in neighbors], next(live_cdfs)) if alive else None)
 
     def candidates(self, word: str) -> tuple[list[str], list[float]] | None:
         """Top-n neighbors of ``word`` (excluding itself) with their sampling CDF."""
@@ -131,6 +160,105 @@ def _draw(cdf: list[float], rng: np.random.Generator) -> int:
     return bisect_right(cdf, rng.random())
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+
+
+def _sentence_states(seed: int, count: int) -> np.ndarray:
+    """PCG64 states of ``np.random.default_rng([seed, i])`` for every ``i < count``.
+
+    Returns a ``(4, count)`` uint64 array whose rows are the high and low
+    halves of each generator's 128-bit ``state`` and ``inc``. Each step is
+    numpy's, applied to all sentences at once: SeedSequence hashes the
+    32-bit words of ``seed`` (least significant first) and of ``i`` into a
+    pool of four words and draws eight words from it; PCG64 takes them as
+    the 128-bit seed ``s`` and stream ``q``, and sets ``inc = 2q + 1`` and
+    ``state = (s + inc) * MULT + inc``. uint32 and uint64 arrays wrap as the
+    C arithmetic does. ``seed`` must be an integer >= 0 and ``count`` at
+    most 2**32, so that each ``i`` is one word.
+    """
+    seed = int(seed)
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), count), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(count, dtype=np.uint32)
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    drawn = []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        drawn.append((value ^ (value >> 16)).astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (drawn[2 * k] | drawn[2 * k + 1] << 32 for k in range(4))
+
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    t_hi, t_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    # (t * MULT) mod 2**128: the full low product plus the cross terms' low halves
+    p_hi, p_lo = _mul64(t_lo, _PCG64_MULT_LO)
+    p_hi += t_hi * _PCG64_MULT_LO + t_lo * _PCG64_MULT_HI
+    return np.stack(_add128(p_hi, p_lo, inc_hi, inc_lo) + (inc_hi, inc_lo))
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """High and low uint64 halves of ``a + b`` mod 2**128."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul64(a, c: int):
+    """High and low uint64 halves of the 128-bit product of ``a`` and ``c < 2**64``."""
+    a0, a1, c0, c1 = a & _MASK32, a >> 32, c & _MASK32, c >> 32
+    p00, p01, p10, p11 = a0 * c0, a0 * c1, a1 * c0, a1 * c1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), (p00 & _MASK32) | mid << 32
+
+
+def _sentence_generators(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the state of ``default_rng([seed, i])``, ``i < count``.
+
+    Each yield re-seeds the same generator, so a sentence's draws must be
+    done before the next one is taken. The 32-bit buffer is emptied too,
+    as a fresh generator's is.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*_sentence_states(seed, count).tolist()):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _replacement_count(fraction: float, length: int) -> int:
     # round to nearest keeps the corpus-level replacement rate at ``fraction``
     # (a ceiling would bias short sentences upward)
@@ -149,19 +277,17 @@ def noise_augment(
     unchanged. Sentence count and per-sentence length are preserved.
     """
     lines = list(corpus)
-    sampler = _NeighborSampler(table, spec.top_n, {t for line in lines for t in line.split()})
+    token_lines = [line.split() for line in lines]
+    counts = Counter(chain.from_iterable(token_lines))
+    sampler = _NeighborSampler(table, spec.top_n, counts)
+    total_tokens = counts.total()
+    covered_tokens = sum(n for t, n in counts.items() if t in table.vectors)
     out: list[str] = []
-    total_tokens = 0
-    covered_tokens = 0
     replaced = 0
-    for sent_index, line in enumerate(lines):
-        tokens = line.split()
-        total_tokens += len(tokens)
-        covered_tokens += sum(1 for t in tokens if t in table.vectors)
+    for line, tokens, rng in zip(lines, token_lines, _sentence_generators(spec.seed, len(lines))):
         if not tokens:
             out.append(line)
             continue
-        rng = np.random.default_rng([spec.seed, sent_index])
         count = _replacement_count(spec.fraction, len(tokens))
         for pos in sorted(rng.choice(len(tokens), size=count, replace=False)):
             cand = sampler.candidates(tokens[pos])
@@ -200,11 +326,10 @@ def perturb_edit(
         raise ValueError("vocab must be non-empty")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    op_cdf = _cdf(spec.op_weights)
     tokens = list(sentence)
     exhausted = not tokens
     for _ in range(spec.k):
-        op = EDIT_OPS[_draw(op_cdf, rng)]
+        op = EDIT_OPS[_draw(spec._op_cdf, rng)]
         if exhausted:
             op = "insertion"
         if op == "deletion":
@@ -224,11 +349,9 @@ def perturb_corpus(
     spec: PerturbationSpec,
 ) -> list[str]:
     """Perturb every sentence with an index-derived substream of the seed."""
-    out = []
-    for sent_index, line in enumerate(corpus):
-        rng = np.random.default_rng([spec.seed, sent_index])
-        out.append(" ".join(perturb_edit(line.split(), vocab, spec, rng=rng)))
-    return out
+    lines = list(corpus)
+    return [" ".join(perturb_edit(line.split(), vocab, spec, rng=rng))
+            for line, rng in zip(lines, _sentence_generators(spec.seed, len(lines)))]
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:

@@ -66,17 +66,24 @@ CODEC_CHOICES = tuple(WORD_ENCODERS) + TABLE_ENCODERS + ("cluster",)
 
 
 def _parse_seed(value: str) -> int:
-    """'auto' draws a fresh seed and writes it to stderr; else an integer."""
+    """'auto' draws a fresh seed and writes it to stderr; else an integer >= 0.
+
+    A negative seed is a data error (exit 2), refused before any input is read.
+    """
     if value == "auto":
         seed = secrets.randbits(63)
         print(f"phonoprep: seed {seed}", file=sys.stderr)
         return seed
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"seed must be an integer or 'auto', got {value!r}"
         ) from None
+    if seed < 0:
+        # numpy seeds its generators from integers >= 0 only
+        raise PhonoprepError(f"--seed must be >= 0, got {seed}")
+    return seed
 
 
 def _input_lines(args) -> list[str]:

@@ -256,10 +256,13 @@ def kmeans_fit(
         raise ValueError("points must be a non-empty (n, d) array")
     if k < 1 or k > len(pts):
         raise TooFewPoints(f"need k in [1, {len(pts)}], got {k}")
+    for name, value in (("max_iter", max_iter), ("n_init", n_init)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
 
     best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
-    for _ in range(max(1, n_init)):
+    for _ in range(n_init):
         centroids, assignment, costs = _lloyd_once(pts, k, rng, max_iter)
         if best is None or costs[-1] < best[2][-1]:
             best = (centroids, assignment, costs)

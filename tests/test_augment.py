@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from phonoprep.augment import (
     _cdf,
     _draw,
     _NeighborSampler,
+    _sentence_generators,
+    _sentence_states,
     edit_distance,
     noise_augment,
     perturb_corpus,
@@ -69,6 +72,30 @@ def _dp_oracle(a, b):
             table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1,
                               table[i - 1][j - 1] + cost)
     return table[m][n]
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("fraction", True), ("fraction", "0.2"), ("fraction", None),
+        ("top_n", 2.5), ("top_n", True), ("top_n", "3"),
+        ("seed", -1), ("seed", True), ("seed", 1.5), ("seed", "3"),
+    ])
+    def test_noise_spec_refuses(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", True), ("k", "2"),
+        ("seed", -1), ("seed", False), ("seed", 2.0), ("seed", "1"),
+    ])
+    def test_perturbation_spec_refuses(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PerturbationSpec(**{"k": 1, field: value})
+
+    def test_numpy_numbers_are_accepted(self):
+        noise = NoiseSpec(fraction=np.float64(0.5), top_n=np.int64(3), seed=np.uint64(2**63))
+        assert noise.seed == 2**63
+        assert PerturbationSpec(k=np.int32(2), seed=np.int64(4)).k == 2
 
 
 class TestPerturbEdit:
@@ -173,6 +200,78 @@ class TestPerturbEditMatchesReference:
         assert perturb_edit(sentence, self.VOCAB, spec, rng=ours) == \
             reference_perturb_edit(sentence, self.VOCAB, spec, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestPerturbCorpus:
+    VOCAB = [f"w{i}" for i in range(7)]
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdef"), max_size=6).map(" ".join), max_size=12),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=2**70),
+    )
+    def test_each_sentence_draws_from_its_index_derived_generator(self, lines, k, seed):
+        spec = PerturbationSpec(k=k, seed=seed, op_weights=(0.5, 0.3, 0.2))
+        want = [" ".join(reference_perturb_edit(line.split(), self.VOCAB, spec,
+                                                np.random.default_rng([seed, i])))
+                for i, line in enumerate(lines)]
+        assert perturb_corpus(lines, self.VOCAB, spec) == want
+
+    def test_empty_vocab_is_refused_only_with_sentences(self):
+        assert perturb_corpus([], [], PerturbationSpec(k=1)) == []
+        with pytest.raises(ValueError, match="vocab"):
+            perturb_corpus([""], [], PerturbationSpec(k=0))
+
+
+def pcg64_state(states: np.ndarray, i: int) -> dict:
+    """``bit_generator.state`` of a PCG64 at column ``i`` of ``_sentence_states``."""
+    state_hi, state_lo, inc_hi, inc_lo = (int(word) for word in states[:, i])
+    return {"bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+# a seed of more than 32 bits hashes as several words
+_seeds = st.one_of(st.integers(min_value=0, max_value=2**200),
+                   st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200]))
+
+
+class TestSentenceStates:
+    @settings(max_examples=200, deadline=None)
+    @given(_seeds, st.integers(min_value=0, max_value=40))
+    def test_state_of_every_sentence(self, seed, count):
+        states = _sentence_states(seed, count)
+        assert states.shape == (4, count)
+        for i in range(count):
+            assert pcg64_state(states, i) == np.random.default_rng([seed, i]).bit_generator.state
+
+    @settings(max_examples=25, deadline=None)
+    @given(_seeds, st.integers(min_value=0, max_value=10**6))
+    def test_state_at_a_large_index(self, seed, i):
+        states = _sentence_states(seed, i + 1)
+        assert pcg64_state(states, i) == np.random.default_rng([seed, i]).bit_generator.state
+
+    def test_no_sentences(self):
+        assert _sentence_states(7, 0).shape == (4, 0)
+        assert list(_sentence_generators(7, 0)) == []
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(2**32 - 1), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed(self, seed):
+        states = _sentence_states(seed, 3)
+        for i in range(3):
+            assert pcg64_state(states, i) == np.random.default_rng([seed, i]).bit_generator.state
+
+    def test_generators_draw_the_index_derived_streams(self):
+        ours = [rng.random(3).tolist() for rng in _sentence_generators(2**40 + 9, 5)]
+        assert ours == [np.random.default_rng([2**40 + 9, i]).random(3).tolist()
+                        for i in range(5)]
+
+    def test_full_32_bit_buffer_does_not_leak_into_the_next_sentence(self):
+        # one float32 draw takes half of a 64-bit output and buffers the other half
+        ours = [rng.random(dtype=np.float32) for rng in _sentence_generators(3, 6)]
+        assert ours == [np.random.default_rng([3, i]).random(dtype=np.float32)
+                        for i in range(6)]
 
 
 class TestNoiseAugment:
@@ -295,6 +394,14 @@ class TestNeighborSampler:
         assert [sampler.candidates("a") for _ in range(3)] == [None, None, None]
         assert products == [1]
 
+    def test_rows_without_positive_weight_warn_nothing(self):
+        table = table_from({"a": [1.0, 0.0], "b": [-1.0, 0.0], "z": [0.0, 0.0], "c": [0.9, 0.1]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sampler = _NeighborSampler(table, 1, {"a", "b", "z", "c"})
+        assert sampler.candidates("b") is None and sampler.candidates("z") is None
+        assert sampler.candidates("a")[0] == ["c"]
+
     def test_candidates_are_cached(self, products):
         sampler = _NeighborSampler(
             table_from({"a": [1.0, 0.0], "b": [0.9, 0.1], "c": [0.0, 1.0]}), 2, {"a", "b", "c"}
@@ -321,16 +428,20 @@ class TestNeighborSampler:
         assert _NeighborSampler(table, 4, {"w1"}).candidates("w2") is None
         assert products == [5, 1]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=1, max_value=300),
         st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=40),
         st.integers(min_value=0, max_value=2**32),
         st.floats(min_value=0.05, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.3),
     )
-    def test_matches_per_word_product(self, units, dim, top_n, seed, share):
+    def test_matches_per_word_product(self, units, dim, top_n, seed, share, zeros):
         table = gaussian_table(units, dim, seed)
+        # a zero vector is similar to nothing, so its row has no positive weight
+        for i in np.flatnonzero(np.random.default_rng(seed + 2).random(units) < zeros):
+            table.vectors[f"w{i}"][:] = 0.0
         pick = np.random.default_rng(seed + 1).random(units) < share
         words = {f"w{i}" for i in np.flatnonzero(pick)} | {"oov"}
         sampler = _NeighborSampler(table, top_n, words)

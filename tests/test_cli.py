@@ -547,6 +547,46 @@ class TestAugmentCli:
         assert re.fullmatch(r".*\(seed \d+\)", out.strip())
 
 
+    @pytest.mark.parametrize("config, key", [
+        ({"top_n": 2.5}, "top_n"), ({"top-n": True}, "top_n"),
+        ({"fraction": True}, "fraction"), ({"fraction": [0.2]}, "fraction"),
+    ])
+    def test_noise_spec_values_from_config_are_refused(self, capsys, tmp_path, config, key):
+        src = tmp_path / "in.txt"
+        src.write_text("alpha beta gamma\n", encoding="utf-8")
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("alpha 1 0\nbeta 0.9 0.1\ngamma 0.8 0.2\n", encoding="utf-8")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(
+            ["augment", "noise", "--config", str(cfg), "--input", str(src), "--embeddings",
+             str(vectors), "--output", str(tmp_path / "noised.txt"), "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert key in err and "internal error" not in err
+        assert not (tmp_path / "noised.txt").exists()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "embed", "--dim", "2", "--corpus", "{corpus}"],
+        ["cluster", "--corpus", "/nonexistent/c.txt"],
+        ["augment", "perturb", "-k", "1", "--input", "/nonexistent/in.txt"],
+        ["augment", "noise", "--input", "/nonexistent/in.txt",
+         "--embeddings", "/nonexistent/v.txt"],
+    ])
+    def test_refused_before_any_input_is_read(self, capsys, tmp_path, argv):
+        corpus = tmp_path / "small.txt"
+        corpus.write_text("the cat sat\nthe dog sat\na cat and a dog\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        argv = [a.replace("{corpus}", str(corpus)) for a in argv]
+        code, stdout, err = run_cli(argv + ["--seed", "-1", "--output", str(out)], capsys)
+        assert code == 2
+        assert "seed" in err and "-1" in err
+        assert stdout == "" and not out.exists()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(

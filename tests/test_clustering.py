@@ -343,6 +343,15 @@ class TestKMeans:
         hist = model.cost_history
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
+    @pytest.mark.parametrize("max_iter, n_init, name", [
+        (0, 1, "max_iter"), (0, 2, "max_iter"), (-1, 1, "max_iter"),
+        (5, 0, "n_init"), (5, -3, "n_init"),
+    ])
+    def test_refuses_no_iteration_or_no_restart(self, max_iter, n_init, name):
+        pts = np.random.default_rng(0).random((10, 2))
+        with pytest.raises(ValueError, match=name):
+            kmeans_fit(pts, 3, 0, max_iter=max_iter, n_init=n_init)
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             kmeans_fit(self.SQUARE, k=5, seed=0)
