@@ -277,14 +277,14 @@ def noise_augment(
     unchanged. Sentence count and per-sentence length are preserved.
     """
     lines = list(corpus)
-    token_lines = [line.split() for line in lines]
-    counts = Counter(chain.from_iterable(token_lines))
+    counts = Counter(chain.from_iterable(map(str.split, lines)))
     sampler = _NeighborSampler(table, spec.top_n, counts)
     total_tokens = counts.total()
     covered_tokens = sum(n for t, n in counts.items() if t in table.vectors)
     out: list[str] = []
     replaced = 0
-    for line, tokens, rng in zip(lines, token_lines, _sentence_generators(spec.seed, len(lines))):
+    for line, rng in zip(lines, _sentence_generators(spec.seed, len(lines))):
+        tokens = line.split()
         if not tokens:
             out.append(line)
             continue

@@ -425,11 +425,57 @@ def _parsers(parser: argparse.ArgumentParser):
                 yield from _parsers(sub)
 
 
+def _command_parsers(parser: argparse.ArgumentParser, argv: list[str]):
+    """``parser`` and each subparser that a subcommand name in ``argv`` selects, top down."""
+    chain, words = [parser], iter(argv)
+    while sub := next((a for a in chain[-1]._actions
+                       if isinstance(a, argparse._SubParsersAction)), None):
+        name = next((w for w in words if w in sub.choices), None)
+        if name is None:
+            break
+        chain.append(sub.choices[name])
+    return chain
+
+
+# JSON kinds a config value may take, and how an error names them, by option type
+_CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 None: ((str,), "a string")}
+
+
+def _config_value(config_path: str, key: str, value, action: argparse.Action):
+    """``value`` checked and converted as ``action`` checks its flag's text.
+
+    A switch takes true or false; any other option refuses a bool, and a
+    number goes through the option's ``type`` as its text would. A string
+    for an option whose ``type`` is a parser of its own (``--seed``) is
+    left for argparse to convert, as it converts a flag. A repeatable
+    option takes a list of such values.
+    """
+    switch = isinstance(action, argparse._StoreConstAction)  # store_true, store_false
+    kinds, what = ((bool,), "true or false") if switch else _CONFIG_KINDS.get(
+        action.type, ((int, str), "an integer or a string"))
+    repeated = isinstance(action, argparse._AppendAction)
+    items = value if repeated else [value]
+    if repeated:
+        what = f"a list of values that are each {what}"
+    if not isinstance(items, list) or any(
+            isinstance(v, bool) is not switch or not isinstance(v, kinds) for v in items):
+        raise InvalidConfig(f"config {config_path}: {key} must be {what}, got {value!r}")
+    if action.type is not None:
+        items = [v if isinstance(v, str) else action.type(str(v)) for v in items]
+    if action.choices is not None and any(v not in action.choices for v in items):
+        raise InvalidConfig(f"config {config_path}: {key} must be one of "
+                            f"{', '.join(map(str, action.choices))}, got {value!r}")
+    return items if repeated else items[0]
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Load a flat JSON config named by --config and install it as defaults.
 
-    Defaults go onto every (sub)parser: argparse subparsers use their own
-    namespaces, so top-level defaults would not reach them.
+    Defaults go onto the parser and the subparsers of the command: argparse
+    subparsers use their own namespaces, so top-level defaults would not
+    reach them. A key must name an option of some subcommand, and its value
+    must pass the checks of the command's options with that name.
     """
     if "--config" not in argv:
         return argv
@@ -437,20 +483,23 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     if at + 1 >= len(argv):
         return argv  # let argparse report the missing value
     config_path = argv[at + 1]
+    argv = argv[:at] + argv[at + 2:]
     data = json.loads(Path(config_path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise PhonoprepError(f"config {config_path} must be a flat JSON object")
     defaults = {k.replace("-", "_"): v for k, v in data.items()}
     # one flat config serves every subcommand: a key is known if any option has it
-    parsers = list(_parsers(parser))
-    known = {action.dest for p in parsers
+    known = {action.dest for p in _parsers(parser)
              for action in p._actions if action.default is not argparse.SUPPRESS}
     unknown = sorted(set(defaults) - known)
     if unknown:
         raise InvalidConfig(f"config {config_path}: unknown key(s) {', '.join(unknown)}")
-    for p in parsers:
-        p.set_defaults(**defaults)
-    return argv[:at] + argv[at + 2:]
+    for p in _command_parsers(parser, argv):
+        own = {action.dest: _config_value(config_path, action.dest, defaults[action.dest],
+                                          action)
+               for action in p._actions if action.dest in defaults}
+        p.set_defaults(**own)
+    return argv
 
 
 def main(argv: list[str] | None = None) -> int:

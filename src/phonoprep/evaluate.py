@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import LineCountMismatch
+from .subword import _token_ids
 
 __all__ = ["BleuReport", "VocabReport", "bleu", "vocab_stats"]
 
@@ -74,56 +75,6 @@ class VocabReport:
             [k, u, t] for k, (u, t) in sorted(self.streams.items())]
 
 
-def _clipped_matches(
-    hyp_segments: list[list[str]],
-    ref_segments: list[list[str]],
-    ref_sentence: list[int],
-) -> tuple[list[int], list[int]]:
-    """Clipped n-gram matches and hypothesis n-gram totals for orders 1..4.
-
-    Hypothesis segment i belongs to sentence i; reference segment j to
-    sentence ``ref_sentence[j]``. Each n-gram gets a dense integer id,
-    re-densified at every order so that no key can overflow, and a
-    (sentence, n-gram) pair becomes one int64 key. A hypothesis key's
-    count is clipped by its largest count in any one reference.
-    """
-    segments = hyp_segments + ref_segments
-    flat = list(chain.from_iterable(segments))
-    index = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
-    tokens = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
-    lengths = [len(seg) for seg in segments]
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    n_hyp = len(hyp_segments)
-    sentence = np.concatenate([np.arange(n_hyp), ref_sentence]).astype(np.int64)
-
-    matches, totals = [], []
-    grams, width = tokens, len(index)
-    for n in range(1, MAX_ORDER + 1):
-        if n > 1:
-            # the n-gram starting at i is (its (n-1)-gram prefix, token i+n-1)
-            distinct, grams = np.unique(grams[:-1] * len(index) + tokens[n - 1:],
-                                        return_inverse=True)
-            width = len(distinct)
-        starts = segment[:max(0, len(segment) - n + 1)]
-        inside = starts == segment[n - 1:]
-        seg, gram = starts[inside], grams[inside]
-        is_hyp = seg < n_hyp
-        hyp_keys, hyp_counts = np.unique(sentence[seg[is_hyp]] * width + gram[is_hyp],
-                                         return_counts=True)
-        seg_keys, seg_counts = np.unique(seg[~is_hyp] * width + gram[~is_hyp],
-                                         return_counts=True)
-        ref_seg, ref_gram = np.divmod(seg_keys, width)
-        ref_keys, at_key = np.unique(sentence[ref_seg] * width + ref_gram,
-                                     return_inverse=True)
-        ref_counts = np.zeros(len(ref_keys), dtype=np.int64)
-        np.maximum.at(ref_counts, at_key, seg_counts)
-        _, at_hyp, at_ref = np.intersect1d(hyp_keys, ref_keys, assume_unique=True,
-                                           return_indices=True)
-        matches.append(int(np.minimum(hyp_counts[at_hyp], ref_counts[at_ref]).sum()))
-        totals.append(int(hyp_counts.sum()))
-    return matches, totals
-
-
 def bleu(
     hypotheses: Sequence[str],
     references: Sequence[str] | Sequence[Sequence[str]],
@@ -144,24 +95,54 @@ def bleu(
         raise LineCountMismatch(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
+    n_hyp = len(hypotheses)
+    ref_lines: list[str] = []
+    ref_sentence: list[int] = []  # the hypothesis each reference line belongs to
+    for i, refs in enumerate(references):
+        group = [refs] if isinstance(refs, str) else list(refs)
+        if not group:
+            raise ValueError(f"sentence {i} has no reference")
+        ref_lines += group
+        ref_sentence += [i] * len(group)
+    one_reference = len(ref_lines) == n_hyp
 
-    hyp_segments = [hyp.split() for hyp in hypotheses]
-    ref_segments: list[list[str]] = []
-    ref_sentence: list[int] = []
-    hyp_length = 0
-    ref_length = 0
-    for i, (hyp_tokens, refs) in enumerate(zip(hyp_segments, references)):
-        ref_group = [refs] if isinstance(refs, str) else list(refs)
-        ref_token_lists = [r.split() for r in ref_group]
-        ref_segments += ref_token_lists
-        ref_sentence += [i] * len(ref_token_lists)
+    # hypothesis tokens first, then reference tokens
+    vocab, tokens, lengths = _token_ids(chain(hypotheses, ref_lines))
+    width = len(vocab)
+    segment_sentence = np.concatenate([np.arange(n_hyp), ref_sentence]).astype(np.int64)
+    ref_sentence = segment_sentence[n_hyp:]
+    hyp_len, ref_len = lengths[:n_hyp], lengths[n_hyp:]
+    hyp_length = int(hyp_len.sum())
+    # closest reference length, the shorter one on a tie
+    closest = np.lexsort((ref_len, np.abs(ref_len - hyp_len[ref_sentence]), ref_sentence))
+    _, first = np.unique(ref_sentence[closest], return_index=True)
+    ref_length = int(ref_len[closest[first]].sum())
 
-        hyp_length += len(hyp_tokens)
-        diffs = sorted(
-            (abs(len(r) - len(hyp_tokens)), len(r)) for r in ref_token_lists
-        )
-        ref_length += diffs[0][1]
-    matches, totals = _clipped_matches(hyp_segments, ref_segments, ref_sentence)
+    # each token's segment, and the tokens after it in that segment
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    after = np.repeat(np.cumsum(lengths), lengths) - np.arange(1, len(tokens) + 1)
+    # start positions of the n-grams of this order, and their dense
+    # (sentence, n-gram) ids; order 1 keys each token by its sentence
+    starts = np.arange(len(tokens))
+    grams = segment_sentence[segment] * width + tokens
+    matches, totals = [], []
+    for n in range(1, MAX_ORDER + 1):
+        if n > 1:
+            inside = after[starts] >= n - 1
+            starts = starts[inside]
+            grams = grams[inside] * width + tokens[starts + n - 1]
+        distinct, grams = np.unique(grams, return_inverse=True)
+        h = int(np.searchsorted(starts, hyp_length))  # hypothesis n-grams come first
+        hyp_counts = np.bincount(grams[:h], minlength=len(distinct))
+        if one_reference:
+            ref_counts = np.bincount(grams[h:], minlength=len(distinct))
+        else:  # the largest count in any one reference of the sentence
+            seg_keys, seg_counts = np.unique(segment[starts[h:]] * len(distinct) + grams[h:],
+                                             return_counts=True)
+            ref_counts = np.zeros(len(distinct), dtype=np.int64)
+            np.maximum.at(ref_counts, seg_keys % len(distinct), seg_counts)
+        matches.append(int(np.minimum(hyp_counts, ref_counts).sum()))
+        totals.append(h)
 
     precisions = []
     for n in range(MAX_ORDER):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -31,7 +30,7 @@ from .errors import (
     MalformedFloat,
     ZeroDispersion,
 )
-from .subword import _iter_sentences, read_lines, write_lines
+from .subword import _token_ids, read_lines, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -216,27 +215,31 @@ def cooccurrence_counts(
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    sentences = list(_iter_sentences(corpus))
-    freq = Counter(tok for sent in sentences for tok in sent)
-    if not freq:
+    tokens, ids, lengths = _token_ids(corpus)
+    if not tokens:
         raise EmptyCorpus("corpus has no tokens")
-    vocab = sorted(freq, key=lambda w: (-freq[w], w))
-    index = {w: i for i, w in enumerate(vocab)}
-    lengths = [len(sent) for sent in sentences]
-    ids = np.fromiter((index[t] for sent in sentences for t in sent),
-                      dtype=np.int64, count=sum(lengths))
-    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
-    n = len(vocab)
-    # one int64 key per (row, col) occurrence; sorted keys are CSR order
+    n = len(tokens)
+    freq = np.bincount(ids, minlength=n).tolist()
+    order = sorted(range(n), key=lambda i: (-freq[i], tokens[i]))
+    vocab = [tokens[i] for i in order]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    ids = rank[ids]
+    # tokens after each position in its sentence: (p, p + dist) share one iff >= dist
+    after = np.repeat(np.cumsum(lengths), lengths) - np.arange(1, len(ids) + 1)
+    # one int64 key per (earlier, later) occurrence; sorted keys are CSR order
     keys = [np.empty(0, dtype=np.int64)]
     for dist in range(1, window + 1):
-        same = sentence_of[:-dist] == sentence_of[dist:]
-        left, right = ids[:-dist][same], ids[dist:][same]
-        keys += [left * n + right, right * n + left]
-    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
-    rows, cols = np.divmod(pairs, n)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return vocab, csr_matrix((counts.astype(float), cols, indptr), shape=(n, n))
+        same = after[:-dist] >= dist
+        keys.append(ids[:-dist][same] * n + ids[dist:][same])
+    keys = np.concatenate(keys)
+    pairs, counts = np.unique(keys, return_counts=True)
+    del keys
+    # row i's entries start at its first key >= i * n
+    indptr = np.searchsorted(pairs, np.arange(n + 1) * n)
+    ordered = csr_matrix((counts.astype(float), pairs % n, indptr), shape=(n, n))
+    # integer-valued floats: each sum is exact
+    return vocab, ordered + ordered.T
 
 
 def ppmi(matrix: csr_matrix) -> csr_matrix:
@@ -282,6 +285,7 @@ def train_embeddings(
         raise ValueError("d must be >= 2")
     vocab, counts = cooccurrence_counts(corpus, window=window)
     weights = ppmi(counts)
+    del counts  # not beside the solver's workspace
     n = len(vocab)
     if d > n:
         warnings.warn(

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import heapq
 import json
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus
 
@@ -104,6 +107,34 @@ def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
         tokens = line.split()
         if tokens:
             yield tokens
+
+
+class _FirstSeen(dict):
+    """Token -> id; a token not yet seen gets the next id."""
+
+    def __missing__(self, token: str) -> int:
+        id_ = self[token] = len(self)
+        return id_
+
+
+def _token_ids(corpus: str | Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every line's ``str.split()`` tokens as integer ids; a bare string is one line.
+
+    Returns the distinct tokens in order of first appearance (token ``i``
+    has id ``i``), the int64 ids of all tokens line after line, and each
+    line's token count, 0 for a blank line. Each line is split once and its
+    token strings are dropped before the next line is read.
+    """
+    if isinstance(corpus, str):
+        corpus = [corpus]
+    index = _FirstSeen()
+    ids, lengths = array("q"), array("q")
+    for line in corpus:
+        tokens = line.split()
+        ids.extend(map(index.__getitem__, tokens))
+        lengths.append(len(tokens))
+    return (list(index), np.frombuffer(ids, dtype=np.int64),
+            np.frombuffer(lengths, dtype=np.int64))
 
 
 def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: int) -> BpeModel:

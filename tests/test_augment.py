@@ -25,6 +25,7 @@ from phonoprep.augment import (
     perturb_edit,
 )
 from phonoprep.errors import EmptyEmbedding
+from phonoprep.evaluate import BleuReport, bleu
 from phonoprep.geometry import EmbeddingTable, train_embeddings
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
@@ -478,6 +479,11 @@ class TestDeskStreamsArePinned:
         assert self.digest(out) == (
             "97f473f0644a7d38082dae0351cc57eb802bf9e7fc50dfe7757e8b6854784f43"
         )
+        assert bleu(out, lines) == BleuReport(
+            bleu=54.59114849922228,
+            precisions=(0.8020762455288308, 0.6265871245663912, 0.48362614395868553,
+                        0.365411350840675),
+            brevity_penalty=1.0, hyp_length=160193, ref_length=160193)
 
     def test_perturb_stream(self, desk):
         lines, table = desk
@@ -485,3 +491,8 @@ class TestDeskStreamsArePinned:
         assert self.digest(out) == (
             "6776ff98d4352b8ec97107d96d0b1f3123a780cbd7ae1e562d5651ae0c4efefe"
         )
+        assert bleu(out, lines) == BleuReport(
+            bleu=65.79095854521556,
+            precisions=(0.8814676857887468, 0.7294059610551508, 0.5988414864971037,
+                        0.488873676032829),
+            brevity_penalty=0.9988382262394304, hyp_length=160007, ref_length=160193)

@@ -482,6 +482,109 @@ class TestBpeAndPipeline:
         assert not (tmp_path / "clusters.tsv").exists()
 
 
+class TestConfigValues:
+    """A ``--config`` value gets the checks its flag gets, before any input is read."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("the cat sat\nthe dog sat\na cat and a dog\n", encoding="utf-8")
+        return path
+
+    def run(self, capsys, tmp_path, config, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return run_cli([*argv, "--config", str(path)], capsys)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"window": 1.5}, "window"), ({"dim": 2.5}, "dim"), ({"dim": True}, "dim"),
+        ({"window": "3"}, "window"), ({"normalize": 1}, "normalize"),
+        ({"normalize": "yes"}, "normalize"), ({"seed": -1}, "seed"), ({"seed": 2.5}, "seed"),
+        ({"seed": False}, "seed"), ({"output": 7}, "output"),
+    ])
+    def test_bad_embed_value_is_refused_before_the_corpus_is_read(
+            self, capsys, tmp_path, config, key):
+        # checked even where a flag overrides it
+        missing = tmp_path / "missing.txt"
+        code, out, err = self.run(capsys, tmp_path, config,
+                                  ["geometry", "embed", "--corpus", str(missing), "--seed", "1",
+                                   "--output", str(tmp_path / "v.txt")])
+        assert code == 2
+        assert key in err and "internal error" not in err and "missing.txt" not in err
+        assert out == "" and not (tmp_path / "v.txt").exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"format": "xml"}, "format"), ({"format": "csv"}, "format"),
+        ({"smooth": "yes"}, "smooth"), ({"smooth": 0}, "smooth"),
+    ])
+    def test_bad_bleu_value_is_refused(self, capsys, tmp_path, corpus, config, key):
+        code, out, err = self.run(capsys, tmp_path, config,
+                                  ["eval", "bleu", "--hyp", str(corpus), "--ref", str(corpus)])
+        assert code == 2
+        assert key in err and "internal error" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("config, key", [
+        ({"index": 4}, "index"), ({"samples": True}, "samples"),
+        ({"threshold": "0.1"}, "threshold"), ({"beta": False}, "beta"),
+    ])
+    def test_bad_density_value_is_refused(self, capsys, tmp_path, config, key):
+        code, out, err = self.run(capsys, tmp_path, config,
+                                  ["geometry", "density", "--groups", "/nonexistent/g.tsv",
+                                   "--points", "/nonexistent/p.txt", "--seed", "1"])
+        assert code == 2
+        assert key in err and "nonexistent" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("inputs", ["x.txt", [3], [["x.txt"]]])
+    def test_repeated_option_takes_a_list_of_its_values(self, capsys, tmp_path, corpus, inputs):
+        code, out, err = self.run(capsys, tmp_path, {"inputs": inputs},
+                                  ["eval", "vocab", "--input", str(corpus)])
+        assert code == 2
+        assert "inputs" in err and "internal error" not in err
+        assert out == ""
+        code, out, _ = self.run(capsys, tmp_path, {"inputs": [str(corpus)]},
+                                ["eval", "vocab", "--input", str(tmp_path / "config.json")])
+        assert code == 0
+        assert out.splitlines()[1:] == ["c.txt,6,11", "config.json,2,2"]
+
+    def test_good_values_act_as_their_flags(self, capsys, tmp_path, corpus):
+        flags = ["geometry", "embed", "--corpus", str(corpus), "--output"]
+        code, out, _ = run_cli([*flags, str(tmp_path / "a.txt"), "--seed", "4", "--dim", "2",
+                                "--window", "2", "--normalize"], capsys)
+        assert code == 0
+        code, out_config, _ = self.run(capsys, tmp_path,
+                                       {"dim": 2, "window": 2, "normalize": True},
+                                       [*flags, str(tmp_path / "b.txt"), "--seed", "4"])
+        assert code == 0
+        assert out_config == out.replace("a.txt", "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_one_flat_config_serves_every_subcommand(self, capsys, tmp_path, corpus):
+        config = {"format": "json", "smooth": True, "fraction": 1, "dim": 2}
+        code, out, _ = self.run(capsys, tmp_path, config,
+                                ["eval", "bleu", "--hyp", str(corpus), "--ref", str(corpus)])
+        assert code == 0
+        assert json.loads(out)["schema"] == "phonoprep/bleu-report/1"
+        code, out, err = self.run(capsys, tmp_path, config,
+                                  ["cluster", "--corpus", str(corpus), "--seed", "auto",
+                                   "--output", str(tmp_path / "m.tsv")])
+        assert code == 0
+        assert len(re.findall(r"^phonoprep: seed \d+$", err, flags=re.M)) == 1
+        assert "# source: uniform" in (tmp_path / "m.tsv").read_text(encoding="utf-8")
+
+    def test_csv_format_is_refused_only_where_it_has_no_choice(self, capsys, tmp_path):
+        groups = tmp_path / "g.tsv"
+        groups.write_text("a\t0\nb\t0\nc\t1\nd\t1\n", encoding="utf-8")
+        points = tmp_path / "p.txt"
+        points.write_text("a 0 0\nb 1 0\nc 0 1\nd 1 1\n", encoding="utf-8")
+        code, out, _ = self.run(capsys, tmp_path, {"format": "csv"},
+                                ["geometry", "gamma", "--groups", str(groups),
+                                 "--points", str(points)])
+        assert code == 0
+        assert out.startswith("gamma")
+
+
 class TestAugmentCli:
     def test_perturb_round_trip(self, capsys, tmp_path):
         src = tmp_path / "in.txt"

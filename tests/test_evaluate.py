@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -101,6 +102,22 @@ class TestBleuMatchesReference:
         assert bleu(hyps, refs) == reference_bleu(hyps, refs)
 
 
+class TestBleuMemory:
+    def test_desk_call_stays_under_35_mb(self):
+        # token ids and per-order n-gram ids, no per-sentence token lists:
+        # about 29 MB here, where a scorer holding every token string took 66 MB
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
+        hyps = [" ".join(line.split()[1:]) for line in lines]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bleu(hyps, lines)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 35 * 2**20
+
+
 class TestBleu:
     def test_identity_is_100(self):
         report = bleu(CORPUS, CORPUS)
@@ -156,6 +173,10 @@ class TestBleu:
     def test_line_count_mismatch(self):
         with pytest.raises(LineCountMismatch):
             bleu(["a"], ["a", "b"])
+
+    def test_sentence_without_reference_is_refused(self):
+        with pytest.raises(ValueError, match="sentence 1 has no reference"):
+            bleu(["a", "b"], [["a"], []])
 
     def test_multi_reference_clipping(self):
         hyp = ["the cat the cat sat down here"]

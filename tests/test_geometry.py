@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -493,6 +494,21 @@ class TestCooccurrenceCounts:
         assert vocab == want_vocab
         assert matrix.nnz == 601302
         assert_same_csr(matrix, want)
+
+
+class TestCooccurrenceMemory:
+    def test_desk_counts_stay_under_40_mb(self):
+        # one key per ordered occurrence: about 25 MB here, where counting
+        # both directions from per-sentence token lists took 60 MB
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cooccurrence_counts(lines, window=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 # any token str.split() can produce, with number-like and '#'-prefixed ones made common

@@ -6,6 +6,7 @@ import hashlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from phonoprep.pipeline import encode_corpus, make_token_encoder
 from phonoprep.subword import (
     BpeModel,
     _iter_sentences,
+    _token_ids,
     bpe_apply,
     bpe_decode,
     bpe_learn,
@@ -71,6 +73,30 @@ def test_iter_sentences_bare_string_and_blank_lines():
     # a bare string is one line, whatever it holds
     assert list(_iter_sentences("a  b\nc")) == [["a", "b", "c"]]
     assert list(_iter_sentences(["a b", "", " \t ", "c"])) == [["a", "b"], ["c"]]
+
+
+class TestTokenIds:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.text(max_size=20) | st.sampled_from(["", " \t ", "a a", "b\x85c"]),
+                          max_size=8))
+    @example(lines=[])
+    @example(lines=["x y", "", "y\u2028x z"])
+    def test_gives_each_lines_tokens_back(self, lines):
+        tokens, ids, lengths = _token_ids(lines)
+        assert ids.dtype == lengths.dtype == np.int64
+        assert len(lengths) == len(lines)
+        ends = np.cumsum(lengths)
+        for line, start, end in zip(lines, ends - lengths, ends):
+            assert [tokens[i] for i in ids[start:end]] == line.split()
+        # ids are given in order of first appearance
+        assert tokens == list(dict.fromkeys(t for line in lines for t in line.split()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(max_size=30))
+    def test_bare_string_is_one_line(self, text):
+        tokens, ids, lengths = _token_ids(text)
+        assert lengths.tolist() == [len(text.split())]
+        assert [tokens[i] for i in ids] == text.split()
 
 
 class TestLearn:
