@@ -1,9 +1,9 @@
 """Command-line interface: every capability as a scriptable subcommand.
 
 Exit codes: 0 success, 1 usage error, 2 data/contract error, 3 internal
-error. Randomized subcommands require an explicit ``--seed`` (or
-``--seed auto``, which draws one and records it in the output). A flat
-JSON ``--config`` file supplies defaults; explicit flags override it.
+error. Randomized subcommands require a seed, from ``--seed`` or from
+the config's ``seed`` (``auto`` draws one and records it in the output). A
+flat JSON ``--config`` file supplies defaults; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -273,6 +273,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_seed(p) -> None:
+    """``--seed``; ``main`` refuses a command that gets no seed from it or from ``--config``."""
+    p.add_argument("--seed", type=_parse_seed, default=None, help="an integer >= 0, or 'auto'")
+
+
 def _add_format(p, default="text", choices=("text", "json", "csv")) -> None:
     p.add_argument("--format", choices=choices, default=default)
     p.add_argument("--output", help="write to file instead of stdout")
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=tuple(WORD_ENCODERS), default="metaphone")
     p.add_argument("--fraction", type=float, default=None,
                    help="uniform clustering at this fraction of the vocabulary")
-    p.add_argument("--seed", type=_parse_seed, required=True)
+    _add_seed(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_cluster)
 
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--encoder", choices=ENCODERS)
     q.add_argument("--combine-mode", dest="combine_mode", choices=COMBINE_MODES)
     q.add_argument("--separator")
-    q.add_argument("--seed", type=_parse_seed, required=True)
+    _add_seed(q)
     q.add_argument("--bpe-operations-words", dest="bpe_operations_words", type=int)
     q.add_argument("--bpe-operations-codes", dest="bpe_operations_codes", type=int)
     q.add_argument("--dev-path", dest="dev_path")
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--corpus", required=True)
     q.add_argument("--dim", type=int, default=100)
     q.add_argument("--window", type=int, default=5)
-    q.add_argument("--seed", type=_parse_seed, required=True)
+    _add_seed(q)
     q.add_argument("--normalize", action="store_true",
                    help="rescale vectors to unit length")
     q.add_argument("--output", required=True)
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("cdf", "coverage", "density"):
             _add_hull(q)
         if name in ("coverage", "density"):
-            q.add_argument("--seed", type=_parse_seed, required=True)
+            _add_seed(q)
         if name == "density":
             q.add_argument("--index", type=int, choices=(1, 2, 3), default=3)
             q.add_argument("--samples", type=int, default=10_000)
@@ -387,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", required=True)
     q.add_argument("--fraction", type=float, default=0.2)
     q.add_argument("--top-n", dest="top_n", type=int, default=10)
-    q.add_argument("--seed", type=_parse_seed, required=True)
+    _add_seed(q)
     q.add_argument("--manifest", help="write seed/spec/stats JSON here")
     q.set_defaults(func=cmd_augment_noise)
     q = aug_sub.add_parser("perturb")
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", required=True)
     q.add_argument("-k", "--k", type=int, required=True,
                    help="edit operations per sentence")
-    q.add_argument("--seed", type=_parse_seed, required=True)
+    _add_seed(q)
     q.set_defaults(func=cmd_augment_perturb)
 
     p = sub.add_parser("eval", help="scoring and statistics")
@@ -446,10 +451,10 @@ def _config_value(config_path: str, key: str, value, action: argparse.Action):
     """``value`` checked and converted as ``action`` checks its flag's text.
 
     A switch takes true or false; any other option refuses a bool, and a
-    number goes through the option's ``type`` as its text would. A string
-    for an option whose ``type`` is a parser of its own (``--seed``) is
-    left for argparse to convert, as it converts a flag. A repeatable
-    option takes a list of such values.
+    number, or a string for an option whose ``type`` is a parser of its own
+    (``--seed``), goes through the option's ``type`` as its text would. An
+    ``auto`` seed is left for argparse, which draws it only if no flag
+    overrides it. A repeatable option takes a list of such values.
     """
     switch = isinstance(action, argparse._StoreConstAction)  # store_true, store_false
     kinds, what = ((bool,), "true or false") if switch else _CONFIG_KINDS.get(
@@ -462,7 +467,10 @@ def _config_value(config_path: str, key: str, value, action: argparse.Action):
             isinstance(v, bool) is not switch or not isinstance(v, kinds) for v in items):
         raise InvalidConfig(f"config {config_path}: {key} must be {what}, got {value!r}")
     if action.type is not None:
-        items = [v if isinstance(v, str) else action.type(str(v)) for v in items]
+        try:
+            items = [v if v == "auto" else action.type(str(v)) for v in items]
+        except argparse.ArgumentTypeError as exc:  # argparse catches it only for a flag
+            raise InvalidConfig(f"config {config_path}: {exc}") from None
     if action.choices is not None and any(v not in action.choices for v in items):
         raise InvalidConfig(f"config {config_path}: {key} must be one of "
                             f"{', '.join(map(str, action.choices))}, got {value!r}")
@@ -508,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # neither the flag nor the config gave one
+            _command_parsers(parser, argv)[-1].error(
+                "the following arguments are required: --seed")
     except SystemExit as exc:
         return int(exc.code or 0)
     except (PhonoprepError, OSError, json.JSONDecodeError) as exc:

@@ -53,15 +53,9 @@ class BleuReport:
 
 @dataclass(frozen=True)
 class VocabReport:
-    """unique/total token counts per named stream."""
+    """Each named stream's ``(unique, total)`` token counts."""
 
     streams: dict[str, tuple[int, int]]
-
-    def unique(self, stream: str = "corpus") -> int:
-        return self.streams[stream][0]
-
-    def total(self, stream: str = "corpus") -> int:
-        return self.streams[stream][1]
 
     def to_dict(self) -> dict:
         return {

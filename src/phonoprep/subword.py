@@ -3,13 +3,15 @@
 Learning initializes every word as its character sequence, then greedily
 merges the most frequent adjacent symbol pair; a pair must occur at least
 twice, and ties go to the lexicographically smallest pair, so learning is
-fully deterministic. Pair counts are kept incrementally (a merge re-counts
-only the words it rewrites) and the next pair comes off a lazy max-heap
-keyed by ``(-count, pair)``, whose stale entries are dropped when popped, as
-in subword-nmt and fastBPE. Overlapping occurrences all count: ``aaa`` holds
-``(a, a)`` twice. Pairs are counted within a word and never across two, so
-no end-of-word symbol is needed; the text ``</w>`` inside a token is
-ordinary text.
+fully deterministic. Pair counts are kept incrementally, as in subword-nmt
+and fastBPE: a merge updates only the pairs beside its one site in a word
+holding its left symbol once, and re-counts a word holding it more often.
+The next pair comes off a lazy max-heap keyed by ``(-count, pair)``: a pair
+is pushed when its count rises, and an entry popped above its pair's live
+count is pushed back at that count. Overlapping occurrences all count:
+``aaa`` holds ``(a, a)`` twice. Pairs are counted within a word and never
+across two, so no end-of-word symbol is needed; the text ``</w>`` inside a
+token is ordinary text.
 
 Applied output uses a continuation suffix on every non-final piece of a
 word (the ``@@`` convention), so ``bpe_decode`` inverts ``bpe_apply``
@@ -173,7 +175,8 @@ def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: i
 
     # (-count, pair) pops the most frequent pair, ties to the smallest pair;
     # only counts >= 2 are pushed, as a pair must occur twice to be merged.
-    # An entry is stale once its count differs from the live count.
+    # A pair is pushed when its count rises, so every live pair keeps an
+    # entry at or above its count; an entry above it is re-queued when popped.
     def rebuild() -> list[tuple[int, tuple[str, str]]]:
         heap = [(-c, pair) for pair, c in pair_counts.items() if c >= 2]
         heapq.heapify(heap)
@@ -183,40 +186,64 @@ def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: i
     merges: list[tuple[str, str]] = []
     while len(merges) < num_operations and heap:
         neg_count, best = heapq.heappop(heap)
-        if pair_counts.get(best) != -neg_count:
+        count = pair_counts.get(best, 0)
+        if count != -neg_count:
+            if count >= 2:
+                heapq.heappush(heap, (-count, best))
             continue
         merges.append(best)
         left, right = best
         joined = left + right
-        deltas: dict[tuple[str, str], int] = {}
+        deltas: defaultdict[tuple[str, str], int] = defaultdict(int)
         # merging leaves no (left, right) behind, so the index entry is spent
         for wi in pair_words.pop(best):
             seq = seqs[wi]
-            merged: list[str] = []
-            j, n = 0, len(seq)
-            while j < n:
-                if j + 1 < n and seq[j] == left and seq[j + 1] == right:
-                    merged.append(joined)
-                    j += 2
-                else:
-                    merged.append(seq[j])
-                    j += 1
-            if len(merged) == n:  # stale index entry
-                continue
+            sites = seq.count(left)  # a word without left is a stale index entry
             f = freqs[wi]
-            for pair in zip(seq, seq[1:]):
-                deltas[pair] = deltas.get(pair, 0) - f
-            for pair in zip(merged, merged[1:]):
-                deltas[pair] = deltas.get(pair, 0) + f
-                pair_words[pair].add(wi)
-            seqs[wi] = merged
+            if sites == 1:
+                # one site: only the pairs beside it change; a new pair is built
+                # once, so its count and its index entry share one key tuple
+                j = seq.index(left)
+                if seq[j + 1:j + 2] != [right]:  # stale index entry
+                    continue
+                deltas[best] -= f
+                if j:
+                    deltas[seq[j - 1], left] -= f
+                    pair = seq[j - 1], joined
+                    deltas[pair] += f
+                    pair_words[pair].add(wi)
+                if j + 2 < len(seq):
+                    deltas[right, seq[j + 2]] -= f
+                    pair = joined, seq[j + 2]
+                    deltas[pair] += f
+                    pair_words[pair].add(wi)
+                seq[j:j + 2] = (joined,)
+            elif sites:
+                # two or more: recount the whole word
+                merged: list[str] = []
+                j, n = 0, len(seq)
+                while j < n:
+                    if j + 1 < n and seq[j] == left and seq[j + 1] == right:
+                        merged.append(joined)
+                        j += 2
+                    else:
+                        merged.append(seq[j])
+                        j += 1
+                if len(merged) == n:  # stale index entry
+                    continue
+                for pair in zip(seq, seq[1:]):
+                    deltas[pair] -= f
+                for pair in zip(merged, merged[1:]):
+                    deltas[pair] += f
+                    pair_words[pair].add(wi)
+                seqs[wi] = merged
         for pair, delta in deltas.items():
             if delta == 0:
                 continue
             count = pair_counts.get(pair, 0) + delta
             if count > 0:
                 pair_counts[pair] = count
-                if count >= 2:
+                if delta > 0 and count >= 2:
                     heapq.heappush(heap, (-count, pair))
             else:
                 del pair_counts[pair]

@@ -573,6 +573,53 @@ class TestConfigValues:
         assert len(re.findall(r"^phonoprep: seed \d+$", err, flags=re.M)) == 1
         assert "# source: uniform" in (tmp_path / "m.tsv").read_text(encoding="utf-8")
 
+    def test_config_seed_acts_as_the_flag(self, capsys, tmp_path, corpus):
+        code, _, _ = self.run(capsys, tmp_path, {"seed": 3},
+                              ["cluster", "--corpus", str(corpus),
+                               "--output", str(tmp_path / "a.tsv")])
+        assert code == 0
+        code, _, _ = run_cli(["cluster", "--corpus", str(corpus), "--seed", "3",
+                              "--output", str(tmp_path / "b.tsv")], capsys)
+        assert code == 0
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "2.5"])
+    def test_config_seed_string_is_checked_where_a_flag_overrides_it(
+            self, capsys, tmp_path, seed):
+        code, out, err = self.run(capsys, tmp_path, {"seed": seed},
+                                  ["cluster", "--corpus", str(tmp_path / "missing.txt"),
+                                   "--seed", "2", "--output", str(tmp_path / "m.tsv")])
+        assert code == 2
+        assert "seed" in err and seed in err
+        assert "internal error" not in err and "missing.txt" not in err
+        assert out == "" and not (tmp_path / "m.tsv").exists()
+
+    def test_config_auto_seed_is_drawn_only_if_used(self, capsys, tmp_path, corpus):
+        argv = ["cluster", "--corpus", str(corpus), "--output", str(tmp_path / "m.tsv")]
+        code, _, err = self.run(capsys, tmp_path, {"seed": "auto"}, [*argv, "--seed", "2"])
+        assert code == 0
+        assert "phonoprep: seed" not in err
+        assert "# seed: 2" in (tmp_path / "m.tsv").read_text(encoding="utf-8")
+        code, _, err = self.run(capsys, tmp_path, {"seed": "auto"}, argv)
+        assert code == 0
+        (seed,) = re.findall(r"^phonoprep: seed (\d+)$", err, flags=re.M)
+        assert f"# seed: {seed}" in (tmp_path / "m.tsv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--corpus", "c.txt", "--output", "m.tsv"],
+        ["pipeline", "run"],
+        ["geometry", "embed", "--corpus", "c.txt", "--output", "v.txt"],
+        ["geometry", "coverage", "--groups", "g.tsv", "--points", "p.txt"],
+        ["geometry", "density", "--groups", "g.tsv", "--points", "p.txt"],
+        ["augment", "noise", "--input", "i.txt", "--embeddings", "e.txt", "--output", "o.txt"],
+        ["augment", "perturb", "--input", "i.txt", "--output", "o.txt", "-k", "1"],
+    ])
+    def test_seed_is_required_from_the_flag_or_the_config(self, capsys, tmp_path, argv):
+        code, out, err = self.run(capsys, tmp_path, {"dim": 2}, argv)
+        assert code == 1
+        assert "error: the following arguments are required: --seed" in err
+        assert out == ""
+
     def test_csv_format_is_refused_only_where_it_has_no_choice(self, capsys, tmp_path):
         groups = tmp_path / "g.tsv"
         groups.write_text("a\t0\nb\t0\nc\t1\nd\t1\n", encoding="utf-8")

@@ -203,8 +203,7 @@ class TestBleu:
 class TestVocabStats:
     def test_basic_counts(self):
         report = vocab_stats(["a b a"])
-        assert report.unique() == 2
-        assert report.total() == 3
+        assert report.streams == {"corpus": (2, 3)}
 
     def test_empty_corpus(self):
         report = vocab_stats([])
@@ -238,5 +237,7 @@ class TestVocabStats:
         words = CORPUS
         codes = [" ".join(soundex_encode(w) for w in line.split()) for line in words]
         report = vocab_stats({"words": words, "codes": codes})
-        assert report.unique("codes") <= report.unique("words")
-        assert report.total("codes") == report.total("words")
+        (codes_unique, codes_total), (words_unique, words_total) = (
+            report.streams["codes"], report.streams["words"])
+        assert codes_unique <= words_unique
+        assert codes_total == words_total

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -28,9 +29,14 @@ from phonoprep.subword import (
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
 
-def reference_bpe_learn(lines: list[str], num_operations: int) -> tuple[tuple[str, str], ...]:
-    """Naive learner: recount every pair and scan all of them on every merge."""
-    word_freqs = Counter(tok for line in lines for tok in line.split())
+def reference_bpe_learn(corpus: list[str] | Mapping[str, int],
+                        num_operations: int) -> tuple[tuple[str, str], ...]:
+    """Naive learner: recount every pair and scan all of them on every merge.
+
+    ``corpus`` is the lines or a mapping of each token to its count.
+    """
+    word_freqs = (corpus if isinstance(corpus, Mapping)
+                  else Counter(tok for line in corpus for tok in line.split()))
     seqs = {w: list(w) for w in word_freqs}
     merges: list[tuple[str, str]] = []
     while len(merges) < num_operations:
@@ -66,6 +72,13 @@ _small_corpus = st.sampled_from(["ab", "abc", "abcd", "x</w>"]).flatmap(
         min_size=1,
         max_size=6,
     )
+)
+
+# the same alphabets, each token given a count of 1 to 50
+_small_counts = st.sampled_from(["ab", "abc", "abcd", "x</w>"]).flatmap(
+    lambda alphabet: st.dictionaries(st.text(alphabet=alphabet, min_size=1, max_size=7),
+                                     st.integers(min_value=1, max_value=50),
+                                     min_size=1, max_size=8)
 )
 
 
@@ -159,6 +172,20 @@ class TestLearn:
     def test_matches_reference_learner(self, lines, ops):
         # ops well past the merge supply of these corpora exercises the early stop
         assert bpe_learn(lines, ops).merges == reference_bpe_learn(lines, ops)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_counts, st.integers(min_value=0, max_value=40))
+    @example({"abcd": 2}, 3)  # one site at the start, its next pair shifts; heap rebuilt mid-run
+    @example({"cabd": 2}, 1)  # one site in the middle
+    @example({"cdab": 2}, 1)  # one site at the end
+    @example({"abca": 2}, 1)  # left occurs twice but has one site: the word is re-counted
+    @example({"aaaa": 2}, 5)  # an overlapping run: (a, a) twice, then (aa, aa)
+    # merging (a, b) drops (b, c) from 8 to 3 below its heap entry; popped at 8,
+    # it is queued again at 3 and merged after (ab, c)
+    @example({"abc": 5, "ab": 4, "bc": 3}, 3)
+    @example({"ba": 1, "babaa": 3, "abbb": 5}, 40)  # rebuilt after five pops, then three more
+    def test_weighted_counts_match_reference_learner(self, counts, ops):
+        assert bpe_learn(counts, ops).merges == reference_bpe_learn(counts, ops)
 
     @settings(max_examples=300, deadline=None)
     @given(_small_corpus, st.integers(min_value=0, max_value=40), st.data())
