@@ -22,7 +22,6 @@ weights are validated once, where they are built, instead of on every draw.
 from __future__ import annotations
 
 import logging
-import numbers
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -32,8 +31,8 @@ from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyEmbedding
-from .geometry import EmbeddingTable
+from .errors import EmptyEmbedding, check_fraction, check_int
+from .geometry import EmbeddingTable, _unit_rows
 
 __all__ = [
     "NoiseSpec",
@@ -49,15 +48,6 @@ log = logging.getLogger(__name__)
 EDIT_OPS = ("deletion", "substitution", "insertion")
 
 
-def _check_int(name: str, value, low: int) -> None:
-    """Refuse all but an integer >= ``low``, and a bool, which Python counts as one.
-
-    numpy seeds its generators from integers >= 0 only.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Similarity-noise parameters: replace ``fraction`` of words per sentence."""
@@ -67,12 +57,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        fraction = self.fraction
-        if (isinstance(fraction, bool) or not isinstance(fraction, numbers.Real)
-                or not 0.0 < fraction <= 1.0):
-            raise ValueError(f"fraction must be a number in (0, 1], got {fraction!r}")
-        _check_int("top_n", self.top_n, 1)
-        _check_int("seed", self.seed, 0)
+        check_fraction("fraction", self.fraction)
+        check_int("top_n", self.top_n, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -84,8 +71,8 @@ class PerturbationSpec:
     op_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
-        _check_int("k", self.k, 0)
-        _check_int("seed", self.seed, 0)
+        check_int("k", self.k, 0)
+        check_int("seed", self.seed, 0)
         if len(self.op_weights) != 3 or any(w < 0 for w in self.op_weights):
             raise ValueError("op_weights must be three non-negative weights")
         total = sum(self.op_weights)
@@ -111,9 +98,7 @@ class _NeighborSampler:
         if not table.vectors:
             raise EmptyEmbedding("embedding table has no vectors")
         units, matrix = table.matrix()
-        norms = np.linalg.norm(matrix, axis=1)
-        norms[norms == 0] = 1.0
-        normed = matrix / norms[:, None]
+        normed = _unit_rows(matrix)
         rows = [i for i, u in enumerate(units) if u in words]
         n = max(min(top_n, len(units) - 1), 1)
         self._candidates: dict[str, tuple[list[str], list[float]] | None] = {}

@@ -23,7 +23,7 @@ from . import __version__
 from .augment import NoiseSpec, PerturbationSpec, noise_augment, perturb_corpus
 from .clustering import load_cluster_model, save_cluster_model
 from .encoders import GRANULARITIES
-from .errors import InvalidConfig, PhonoprepError
+from .errors import InvalidConfig, PhonoprepError, check_int
 from .evaluate import bleu, vocab_stats
 from .geometry import (
     CurveReport,
@@ -80,10 +80,10 @@ def _parse_seed(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"seed must be an integer or 'auto', got {value!r}"
         ) from None
-    if seed < 0:
-        # numpy seeds its generators from integers >= 0 only
-        raise PhonoprepError(f"--seed must be >= 0, got {seed}")
-    return seed
+    try:
+        return check_int("seed", seed, 0)
+    except ValueError as exc:  # argparse would make a ValueError a usage error (exit 1)
+        raise PhonoprepError(str(exc)) from None
 
 
 def _input_lines(args) -> list[str]:
@@ -469,7 +469,8 @@ def _config_value(config_path: str, key: str, value, action: argparse.Action):
     if action.type is not None:
         try:
             items = [v if v == "auto" else action.type(str(v)) for v in items]
-        except argparse.ArgumentTypeError as exc:  # argparse catches it only for a flag
+        except (argparse.ArgumentTypeError, PhonoprepError) as exc:
+            # argparse catches these only for a flag; here the message names the config
             raise InvalidConfig(f"config {config_path}: {exc}") from None
     if action.choices is not None and any(v not in action.choices for v in items):
         raise InvalidConfig(f"config {config_path}: {key} must be one of "

@@ -18,7 +18,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .encoders import encode_or_passthrough
-from .errors import EmptyUnitList, InvalidFraction, SizeMismatch, TooFewPoints
+from .errors import (
+    EmptyUnitList,
+    InvalidFraction,
+    SizeMismatch,
+    TooFewPoints,
+    check_fraction,
+    check_int,
+)
 from .subword import read_lines, write_lines
 
 __all__ = [
@@ -78,10 +85,6 @@ class KMeansModel:
     assignment: np.ndarray  # (n,) cluster index per point
     cost_history: tuple[float, ...]  # within-cluster cost after each assignment
 
-    @property
-    def k(self) -> int:
-        return len(self.centroids)
-
 
 def _check_units(units: Sequence[str]) -> None:
     if not units:
@@ -100,6 +103,7 @@ def derive_size_distribution(
 
 
 def _partition(units: Sequence[str], sizes: Sequence[int], seed: int, source: str) -> ClusterModel:
+    check_int("seed", seed, 0)
     ordered = sorted(units)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
@@ -125,8 +129,7 @@ def random_cluster(units: Sequence[str], dist: SizeDistribution, seed: int) -> C
 def random_cluster_uniform(units: Sequence[str], fraction: float, seed: int) -> ClusterModel:
     """Partition into ``round(fraction * |units|)`` near-equal clusters."""
     _check_units(units)
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidFraction(f"fraction {fraction} outside (0, 1]")
+    check_fraction("fraction", fraction)
     n = len(units)
     k = int(np.floor(fraction * n + 0.5))
     if k < 1:
@@ -256,9 +259,9 @@ def kmeans_fit(
         raise ValueError("points must be a non-empty (n, d) array")
     if k < 1 or k > len(pts):
         raise TooFewPoints(f"need k in [1, {len(pts)}], got {k}")
-    for name, value in (("max_iter", max_iter), ("n_init", n_init)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_int("max_iter", max_iter, 1)
+    check_int("n_init", n_init, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     best: tuple[np.ndarray, np.ndarray, list[float]] | None = None

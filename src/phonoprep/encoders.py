@@ -90,11 +90,9 @@ def soundex_encode(token: str) -> str:
     return "".join(code)
 
 
-def nysiis_encode(token: str, max_length: int | None = None) -> str:
-    """NYSIIS code (1970 rules), uncapped by default.
-
-    ``max_length=6`` gives the traditional strict variant.
-    """
+def nysiis_encode(token: str) -> str:
+    """NYSIIS code (1970 rules), uncapped; its first six characters are the
+    traditional strict variant."""
     word = _clean(token)
 
     if word.startswith("MAC"):
@@ -162,9 +160,6 @@ def nysiis_encode(token: str, max_length: int | None = None) -> str:
             result = result[:-1]
         if not result:
             result = "".join(key)
-
-    if max_length is not None:
-        result = result[:max_length]
     return result
 
 
@@ -180,12 +175,9 @@ def _mt_region(word: str, i: int, what: str) -> bool:
     return word[i:i + len(what)] == what
 
 
-def metaphone_encode(token: str, max_length: int | None = None) -> str:
-    """Original Metaphone code ('0' stands for the TH sound).
-
-    No length cap by default; pass ``max_length=4`` for the traditional
-    truncated form.
-    """
+def metaphone_encode(token: str) -> str:
+    """Original Metaphone code ('0' stands for the TH sound), uncapped; its
+    first four characters are the traditional truncated form."""
     word = _clean(token)
     if len(word) == 1:
         return word
@@ -212,8 +204,6 @@ def metaphone_encode(token: str, max_length: int | None = None) -> str:
     code: list[str] = []
     i = 0
     while i < len(word):
-        if max_length is not None and len(code) >= max_length:
-            break
         ch = word[i]
         if ch != "C" and i > 0 and word[i - 1] == ch:
             i += 1
@@ -302,11 +292,7 @@ def metaphone_encode(token: str, max_length: int | None = None) -> str:
         elif ch == "Z":
             code.append("S")
         i += 1
-
-    result = "".join(code)
-    if max_length is not None:
-        result = result[:max_length]
-    return result
+    return "".join(code)
 
 
 def encode_or_passthrough(token: str, codec: Callable[[str], str]) -> tuple[str, bool]:

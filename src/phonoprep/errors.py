@@ -1,10 +1,12 @@
-"""Exception types raised by the public API.
+"""Exception types raised by the public API, and the checks of its seeds and counts.
 
 Everything derives from PhonoprepError so callers (and the CLI) can
 distinguish data/contract problems from genuine bugs.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class PhonoprepError(Exception):
@@ -41,8 +43,8 @@ class SizeMismatch(PhonoprepError):
     """Cluster-size distribution does not cover the unit count."""
 
 
-class InvalidFraction(PhonoprepError):
-    """Cluster fraction outside (0, 1] or yielding zero clusters."""
+class InvalidFraction(PhonoprepError, ValueError):
+    """Fraction outside (0, 1], or a cluster fraction yielding zero clusters."""
 
 
 class TooFewPoints(PhonoprepError):
@@ -124,3 +126,19 @@ class PipelineStageError(PhonoprepError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+
+
+# --- argument checks ---
+
+def check_int(name: str, value, low: int) -> int:
+    """``value`` as a plain int if it is an integer >= ``low`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_fraction(name: str, value) -> float:
+    """``value`` as a plain float if it is a number in (0, 1]; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= 1:
+        raise InvalidFraction(f"{name} must be a number in (0, 1], got {value!r}")
+    return float(value)

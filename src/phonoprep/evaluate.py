@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import LineCountMismatch
-from .subword import _token_ids
+from .subword import _tokens_after, _token_ids
 
 __all__ = ["BleuReport", "VocabReport", "bleu", "vocab_stats"]
 
@@ -114,7 +114,7 @@ def bleu(
 
     # each token's segment, and the tokens after it in that segment
     segment = np.repeat(np.arange(len(lengths)), lengths)
-    after = np.repeat(np.cumsum(lengths), lengths) - np.arange(1, len(tokens) + 1)
+    after = _tokens_after(lengths)
     # start positions of the n-grams of this order, and their dense
     # (sentence, n-gram) ids; order 1 keys each token by its sentence
     starts = np.arange(len(tokens))

@@ -29,8 +29,9 @@ from .errors import (
     InsufficientGroups,
     MalformedFloat,
     ZeroDispersion,
+    check_int,
 )
-from .subword import _token_ids, read_lines, write_lines
+from .subword import _tokens_after, _token_ids, read_lines, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -73,8 +74,8 @@ class EmbeddingTable:
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"non-finite components for {unit!r}")
 
-    def matrix(self, units: Sequence[str] | None = None) -> tuple[list[str], np.ndarray]:
-        units = sorted(self.vectors) if units is None else list(units)
+    def matrix(self) -> tuple[list[str], np.ndarray]:
+        units = sorted(self.vectors)
         return units, np.array([self.vectors[u] for u in units])
 
 
@@ -213,8 +214,7 @@ def cooccurrence_counts(
     sentence counts once in each direction. The vocabulary is sorted by
     falling frequency, then by token; the matrix is in canonical CSR form.
     """
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    check_int("window", window, 0)
     tokens, ids, lengths = _token_ids(corpus)
     if not tokens:
         raise EmptyCorpus("corpus has no tokens")
@@ -225,8 +225,8 @@ def cooccurrence_counts(
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     ids = rank[ids]
-    # tokens after each position in its sentence: (p, p + dist) share one iff >= dist
-    after = np.repeat(np.cumsum(lengths), lengths) - np.arange(1, len(ids) + 1)
+    # (p, p + dist) share a sentence iff p has >= dist tokens after it
+    after = _tokens_after(lengths)
     # one int64 key per (earlier, later) occurrence; sorted keys are CSR order
     keys = [np.empty(0, dtype=np.int64)]
     for dist in range(1, window + 1):
@@ -266,6 +266,13 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` with every row divided by its norm; a zero row stays zero."""
+    norms = np.linalg.norm(matrix, axis=1)
+    norms[norms == 0] = 1.0
+    return matrix / norms[:, None]
+
+
 def train_embeddings(
     corpus: str | Iterable[str],
     d: int = 100,
@@ -281,8 +288,8 @@ def train_embeddings(
     vocabulary is smaller than ``d`` the dimension is reduced with a
     warning.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_int("d", d, 2)
+    check_int("seed", seed, 0)
     vocab, counts = cooccurrence_counts(corpus, window=window)
     weights = ppmi(counts)
     del counts  # not beside the solver's workspace
@@ -307,9 +314,7 @@ def train_embeddings(
     u = _fix_signs(u)
     emb = u * np.sqrt(s)
     if normalize:
-        norms = np.linalg.norm(emb, axis=1)
-        norms[norms == 0] = 1.0
-        emb = emb / norms[:, None]
+        emb = _unit_rows(emb)
     return EmbeddingTable(
         dimension=d,
         vectors={w: emb[i].copy() for i, w in enumerate(vocab)},
@@ -445,6 +450,7 @@ def coverage_curve(
     params: HullParams | None = None,
 ) -> list[tuple[int, float]]:
     """Cumulative smoothed-hull volume as groups are added in seeded order."""
+    check_int("order_seed", order_seed, 0)
     if not groups:
         raise ValueError("need at least one group")
     rng = np.random.default_rng(order_seed)
@@ -523,6 +529,7 @@ def density_measure(
     Sampling stops at ``m`` samples or when the running mean (at the
     deepest index) moves less than ``threshold`` between batches.
     """
+    check_int("seed", seed, 0)
     if neighbor_index not in (1, 2, 3):
         raise ValueError("neighbor_index must be 1, 2, or 3")
     if m < 1:

@@ -42,7 +42,13 @@ from .encoders import (
     soundex_encode,
     table_encode,
 )
-from .errors import InvalidConfig, PipelineStageError, SeparatorCollision
+from .errors import (
+    InvalidConfig,
+    PipelineStageError,
+    SeparatorCollision,
+    check_fraction,
+    check_int,
+)
 from .evaluate import vocab_stats
 from .subword import (
     CONTINUATION,
@@ -108,15 +114,12 @@ class PipelineConfig:
         for name in ("dev_path", "test_path", "table_path"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
-        # numpy seeds its generators from integers >= 0 only
+        # stored as plain numbers, which the manifest's JSON echo can write
         for name in ("seed", "bpe_operations_words", "bpe_operations_codes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        fraction = self.cluster_fraction
-        if fraction is not None and (not isinstance(fraction, (int, float))
-                                     or isinstance(fraction, bool) or not 0 < fraction <= 1):
-            raise ValueError(f"cluster_fraction must be a number in (0, 1], got {fraction!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 0))
+        if self.cluster_fraction is not None:
+            object.__setattr__(self, "cluster_fraction",
+                               check_fraction("cluster_fraction", self.cluster_fraction))
         # concat lines are split back at the separator token, which BPE never touches
         sep = self.separator
         if not isinstance(sep, str) or sep.split() != [sep] or sep.endswith(CONTINUATION):

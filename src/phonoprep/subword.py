@@ -23,15 +23,14 @@ from __future__ import annotations
 import heapq
 import json
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus
+from .errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus, check_int
 
 __all__ = [
     "BpeModel",
@@ -101,16 +100,6 @@ def write_json(path: str | Path, data: dict) -> None:
     write_lines(path, [json.dumps(data, indent=2, sort_keys=True)])
 
 
-def _iter_sentences(corpus: str | Iterable[str]) -> Iterable[list[str]]:
-    """The tokens of each non-blank line; a bare string is one line."""
-    if isinstance(corpus, str):
-        corpus = [corpus]
-    for line in corpus:
-        tokens = line.split()
-        if tokens:
-            yield tokens
-
-
 class _FirstSeen(dict):
     """Token -> id; a token not yet seen gets the next id."""
 
@@ -139,6 +128,11 @@ def _token_ids(corpus: str | Iterable[str]) -> tuple[list[str], np.ndarray, np.n
             np.frombuffer(lengths, dtype=np.int64))
 
 
+def _tokens_after(lengths: np.ndarray) -> np.ndarray:
+    """How many tokens follow each token in its line, from ``_token_ids``' line lengths."""
+    return np.repeat(np.cumsum(lengths), lengths) - np.arange(1, lengths.sum() + 1)
+
+
 def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: int) -> BpeModel:
     """Learn up to ``num_operations`` merges from a corpus of sentences.
 
@@ -148,14 +142,14 @@ def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: i
     both forms of one corpus learn the same merges. Stops early once no
     adjacent pair occurs more than once.
     """
-    if num_operations < 0:
-        raise ValueError("num_operations must be >= 0")
+    check_int("num_operations", num_operations, 0)
     if isinstance(corpus, Mapping):
         word_freqs = corpus
         if any(f < 1 for f in word_freqs.values()):
             raise ValueError("every token count must be >= 1")
     else:
-        word_freqs = Counter(chain.from_iterable(_iter_sentences(corpus)))
+        tokens, ids, _ = _token_ids(corpus)
+        word_freqs = dict(zip(tokens, np.bincount(ids, minlength=len(tokens)).tolist()))
     if not word_freqs:
         raise EmptyCorpus("corpus has no tokens")
 

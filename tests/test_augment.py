@@ -356,8 +356,8 @@ def products(monkeypatch) -> list[int]:
 
     matrix = EmbeddingTable.matrix
 
-    def counting_matrix(table, units=None):
-        units, m = matrix(table, units)
+    def counting_matrix(table):
+        units, m = matrix(table)
         return units, m.view(CountingMatrix)
 
     monkeypatch.setattr(EmbeddingTable, "matrix", counting_matrix)

@@ -590,7 +590,7 @@ class TestConfigValues:
                                   ["cluster", "--corpus", str(tmp_path / "missing.txt"),
                                    "--seed", "2", "--output", str(tmp_path / "m.tsv")])
         assert code == 2
-        assert "seed" in err and seed in err
+        assert f"config {tmp_path / 'config.json'}: seed " in err and seed in err
         assert "internal error" not in err and "missing.txt" not in err
         assert out == "" and not (tmp_path / "m.tsv").exists()
 

@@ -127,7 +127,7 @@ class TestRandomClusterUniform:
 
     def test_invalid_fraction(self):
         units = [f"w{i}" for i in range(10)]
-        for fraction in (0.0, -0.5, 1.5):
+        for fraction in (0.0, -0.5, 1.5, True):
             with pytest.raises(InvalidFraction):
                 random_cluster_uniform(units, fraction=fraction, seed=0)
         with pytest.raises(InvalidFraction):

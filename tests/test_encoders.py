@@ -94,12 +94,11 @@ class TestNysiis:
         assert len(rows) >= 50
         for word, expected, expected6 in rows:
             assert nysiis_encode(word) == expected, word
-            assert nysiis_encode(word, max_length=6) == expected6, word
+            assert nysiis_encode(word)[:6] == expected6, word
 
     def test_truncation_flag(self):
         long = nysiis_encode("WESTERLUND")
         assert long == "WASTARLAD"
-        assert nysiis_encode("WESTERLUND", max_length=6) == long[:6]
 
     def test_trailing_ee_becomes_y(self):
         assert nysiis_encode("KNEE") == "NY"
@@ -123,7 +122,7 @@ class TestMetaphone:
 
     def test_no_length_cap_by_default(self):
         assert len(metaphone_encode("discombobulated")) > 4
-        assert len(metaphone_encode("discombobulated", max_length=4)) == 4
+        assert metaphone_encode("discombobulated")[:4] == "TSKM"
 
 
 @pytest.mark.parametrize("encode", [soundex_encode, nysiis_encode, metaphone_encode])

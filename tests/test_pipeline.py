@@ -8,6 +8,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,6 +262,13 @@ class TestRunPipeline:
         h1 = _dir_hashes(run_pipeline(cfg))
         h2 = _dir_hashes(run_pipeline(cfg))
         assert h1 == h2
+
+    def test_numpy_integers_are_stored_as_plain_ints(self, tmp_path):
+        cfg = self._config(tmp_path, seed=np.int64(13), bpe_operations_words=np.int32(8))
+        assert type(cfg.seed) is int and type(cfg.bpe_operations_words) is int
+        assert cfg == self._config(tmp_path)
+        numpy_run = _dir_hashes(run_pipeline(cfg))  # the manifest's JSON echo writes them
+        assert numpy_run == _dir_hashes(run_pipeline(self._config(tmp_path)))
 
     def test_manifest_checksums_match_files(self, tmp_path):
         out = run_pipeline(self._config(tmp_path))

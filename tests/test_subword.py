@@ -16,7 +16,6 @@ from phonoprep.errors import ContinuationMarkerToken, DanglingContinuation, Empt
 from phonoprep.pipeline import encode_corpus, make_token_encoder
 from phonoprep.subword import (
     BpeModel,
-    _iter_sentences,
     _token_ids,
     bpe_apply,
     bpe_decode,
@@ -82,10 +81,14 @@ _small_counts = st.sampled_from(["ab", "abc", "abcd", "x</w>"]).flatmap(
 )
 
 
-def test_iter_sentences_bare_string_and_blank_lines():
-    # a bare string is one line, whatever it holds
-    assert list(_iter_sentences("a  b\nc")) == [["a", "b", "c"]]
-    assert list(_iter_sentences(["a b", "", " \t ", "c"])) == [["a", "b"], ["c"]]
+def test_bpe_learn_reads_a_bare_string_as_one_line_and_skips_blank_lines():
+    # read line by line, "ab ab\nab" would be six one-letter tokens and learn nothing
+    expected = bpe_learn({"ab": 3, "c": 1}, 5).merges
+    assert expected == (("a", "b"),)
+    assert bpe_learn("ab ab\nab c", 5).merges == expected
+    assert bpe_learn(["ab ab", "", " \t ", "ab c"], 5).merges == expected
+    with pytest.raises(EmptyCorpus):
+        bpe_learn(["", " \t "], 5)
 
 
 class TestTokenIds:
