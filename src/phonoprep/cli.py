@@ -16,6 +16,7 @@ import json
 import secrets
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -45,19 +46,20 @@ from .pipeline import (
     TABLE_ENCODERS,
     PipelineConfig,
     WORD_ENCODERS,
+    bpe_pieces,
     cluster_corpus,
-    encode_corpus,
     make_token_encoder,
     run_pipeline,
 )
 from .subword import (
-    bpe_apply,
+    TypeMap,
     bpe_decode,
     bpe_learn,
+    iter_lines,
     load_bpe_model,
+    map_tokens,
     read_lines,
     save_bpe_model,
-    split_lines,
     write_json,
     write_lines,
 )
@@ -86,15 +88,8 @@ def _parse_seed(value: str) -> int:
         raise PhonoprepError(str(exc)) from None
 
 
-def _input_lines(args) -> list[str]:
-    """Lines of ``--input``, else of stdin, read as bytes so no newline is translated."""
-    if args.input:
-        return read_lines(args.input)
-    return split_lines(sys.stdin.buffer.read().decode("utf-8"))
-
-
-def _emit(args, lines: list[str]) -> None:
-    """Write ``lines`` to ``--output``, else to stdout."""
+def _emit(args, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``--output``, else to stdout, as they come."""
     if args.output:
         write_lines(args.output, lines)
     else:
@@ -142,7 +137,9 @@ def cmd_encode(args) -> int:
         args.codec, args.table, args.granularity or "per_character",
         cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
     )
-    _emit(args, encode_corpus(_input_lines(args), encoder).code_lines)
+    codes = TypeMap(lambda tok: " ".join(encoder(tok)[0]))
+    lines = iter_lines(args.input or sys.stdin.buffer)
+    _emit(args, (map_tokens(codes, line.split()) for line in lines))
     return 0
 
 
@@ -164,8 +161,9 @@ def cmd_bpe_learn(args) -> int:
 
 def cmd_bpe_apply(args) -> int:
     model = load_bpe_model(args.model)
-    segment = bpe_decode if args.reverse else bpe_apply
-    _emit(args, [" ".join(segment(line.split(), model)) for line in _input_lines(args)])
+    pieces, lines = bpe_pieces(model), iter_lines(args.input or sys.stdin.buffer)
+    _emit(args, (" ".join(bpe_decode(line.split(), model)) if args.reverse
+                 else map_tokens(pieces, line.split()) for line in lines))
     return 0
 
 

@@ -257,7 +257,8 @@ def kmeans_fit(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise ValueError("points must be a non-empty (n, d) array")
-    if k < 1 or k > len(pts):
+    k = check_int("k", k, 1)
+    if k > len(pts):
         raise TooFewPoints(f"need k in [1, {len(pts)}], got {k}")
     check_int("max_iter", max_iter, 1)
     check_int("n_init", n_init, 1)

@@ -532,8 +532,7 @@ def density_measure(
     check_int("seed", seed, 0)
     if neighbor_index not in (1, 2, 3):
         raise ValueError("neighbor_index must be 1, 2, or 3")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = check_int("m", m, 1)
     if len(groups) < 5:
         raise InsufficientGroups(f"need >= 5 groups, got {len(groups)}")
     rng = np.random.default_rng(seed)

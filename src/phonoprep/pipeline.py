@@ -17,10 +17,11 @@ import os
 import secrets
 import shutil
 from collections import Counter
-from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from contextlib import ExitStack, contextmanager
+from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import __version__
 from .clustering import (
@@ -53,12 +54,14 @@ from .evaluate import vocab_stats
 from .subword import (
     CONTINUATION,
     BpeModel,
+    TypeMap,
     bpe_apply,
     bpe_learn,
-    read_lines,
+    iter_lines,
+    line_writer,
+    map_tokens,
     save_bpe_model,
     write_json,
-    write_lines,
 )
 
 __all__ = [
@@ -71,6 +74,7 @@ __all__ = [
     "TABLE_ENCODERS",
     "make_token_encoder",
     "cluster_corpus",
+    "bpe_pieces",
     "encode_corpus",
     "combine",
     "run_pipeline",
@@ -159,19 +163,20 @@ class PipelineConfig:
 
 @dataclass
 class EncodedCorpus:
-    """Aligned word and code streams (equal sentence counts)."""
+    """A split's token counts in the word and code streams, and each type's code string
+    (``codes``: its codes joined by spaces). No line is held: ``code_lines`` reads
+    ``lines``, any that ``encode_corpus`` counted, again."""
 
-    word_lines: list[str]
-    code_lines: list[str]
-    token_parity: bool  # per-line token counts equal across streams
-    passthrough_tokens: int = 0
-    # token -> occurrences in each stream, as encode_corpus counts them
-    word_counts: Counter[str] = field(default_factory=Counter)
-    code_counts: Counter[str] = field(default_factory=Counter)
+    word_counts: Counter[str]
+    code_counts: Counter[str]
+    codes: dict[str, str]
+    token_parity: bool  # every token has one code, so the streams align token by token
+    passthrough_tokens: int
+    lines: Iterable[str] = ()
 
-    def __post_init__(self):
-        if len(self.word_lines) != len(self.code_lines):
-            raise ValueError("streams must have equal sentence counts")
+    @property
+    def code_lines(self) -> Iterator[str]:
+        return (map_tokens(self.codes, line.split()) for line in self.lines)
 
 
 Encoding = tuple[tuple[str, ...], bool]  # (codes, token passed through as-is)
@@ -245,25 +250,24 @@ def cluster_corpus(
     return random_cluster(units, dist, seed)
 
 
-def encode_corpus(corpus: Iterable[str], encoder: TokenEncoder) -> EncodedCorpus:
-    """Token-aligned code stream for a sentence stream, with the token counts of both.
+def bpe_pieces(model: BpeModel) -> TypeMap:
+    """Text -> the BPE pieces of its tokens, joined by spaces; keys are tokens or code strings."""
+    return TypeMap(lambda text: " ".join(bpe_apply(text.split(), model)))
 
-    Tokens the codec rejects pass through unchanged (counted per token);
-    per-character encoders may expand the token count, relaxing alignment
-    to the sentence level: parity holds when every token has one code.
-    The tokens are counted in one pass, and each token type is encoded
-    once; a type's codes gain its count, and its code string stands for it
-    in every code line. ``encoder`` comes from ``make_token_encoder``,
-    which memoizes per token type, so the codec also runs once per type
-    across calls sharing the encoder.
+
+def encode_corpus(corpus: Iterable[str] | Mapping[str, int],
+                  encoder: TokenEncoder) -> EncodedCorpus:
+    """A split's code counts, code strings, passthrough count and parity.
+
+    ``corpus`` is the split's lines or, as ``bpe_learn`` takes them, its
+    token counts. Each token type is encoded once, and its codes gain its
+    count; a token the codec rejects passes through (counted per token).
+    Parity holds when every token has one code. ``encoder`` comes from
+    ``make_token_encoder``, whose per-type memo spans the calls sharing it.
     """
-    word_lines: list[str] = []
-    word_counts: Counter[str] = Counter()
-    for line in corpus:
-        tokens = line.split()
-        word_counts.update(tokens)
-        word_lines.append(" ".join(tokens))
-
+    counted = isinstance(corpus, Mapping)
+    lines = () if counted else corpus
+    word_counts = Counter(corpus if counted else chain.from_iterable(map(str.split, lines)))
     code_of: dict[str, str] = {}
     code_counts: Counter[str] = Counter()
     passthrough = 0
@@ -277,59 +281,56 @@ def encode_corpus(corpus: Iterable[str], encoder: TokenEncoder) -> EncodedCorpus
         code_of[tok] = joined = " ".join(codes)
         for code in joined.split():
             code_counts[code] += n
-    return EncodedCorpus(
-        word_lines=word_lines,
-        code_lines=[" ".join(map(code_of.__getitem__, line.split())) for line in word_lines],
-        token_parity=parity,
-        passthrough_tokens=passthrough,
-        word_counts=word_counts,
-        code_counts=code_counts,
-    )
+    return EncodedCorpus(word_counts, code_counts, code_of, parity, passthrough, lines)
 
 
-def _check_separator(lines: Sequence[str], separator: str, stream: str) -> None:
-    for i, line in enumerate(lines, start=1):
-        # a token equal to the separator is also a substring of its line
-        if separator in line and separator in line.split():
-            raise SeparatorCollision(
-                f"separator {separator!r} occurs in {stream} line {i}"
-            )
-
-
-COMBINE_MODES = ("codes_only", "concat", "multi_source")
+# combined input files of each mode, by suffix
+_COMBINED = {"codes_only": ("input-codes",), "concat": ("concat",),
+            "multi_source": ("src-words", "src-codes")}
+COMBINE_MODES = tuple(_COMBINED)
 
 
 def combine(
+    lines: Iterable[str],
     encoded: EncodedCorpus,
+    pieces: tuple[Mapping[str, str], Mapping[str, str]],
     mode: str,
     separator: str,
     out_dir: str | Path,
     prefix: str = "corpus",
 ) -> list[Path]:
-    """Write the combined input files; returns the written paths."""
+    """Write the split's ``.words`` and ``.codes`` files and the combined input files
+    of ``mode`` from its lines, one at a time; returns the paths. ``encoded`` is
+    the split's count, and ``pieces`` map each token and each code string to its
+    BPE pieces (``bpe_pieces`` of the word and of the code model)."""
+    if mode not in _COMBINED:
+        raise ValueError(f"unknown combine mode {mode!r}")
+    word_pieces, code_pieces = pieces
+    # concat lines are split back at the separator, which must be no piece of
+    # either stream: the pieces are checked per type, and only on a collision
+    # are the lines read, to name the first holding it (words before codes)
+    for stream, table, keys in (("word stream", word_pieces, encoded.codes.keys()),
+                                ("code stream", code_pieces, encoded.codes.values())
+                                ) if mode == "concat" else ():
+        hits = {tok for tok, key in zip(encoded.codes, keys) if separator in table[key].split()}
+        if hits:
+            first = next(i for i, line in enumerate(lines, start=1)
+                         if not hits.isdisjoint(line.split()))
+            raise SeparatorCollision(f"separator {separator!r} occurs in {stream} line {first}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if mode == "codes_only":
-        path = out_dir / f"{prefix}.input-codes"
-        write_lines(path, encoded.code_lines)
-        return [path]
-    if mode == "concat":
-        _check_separator(encoded.word_lines, separator, "word stream")
-        _check_separator(encoded.code_lines, separator, "code stream")
-        lines = [
-            f"{w} {separator} {c}".strip()
-            for w, c in zip(encoded.word_lines, encoded.code_lines)
-        ]
-        path = out_dir / f"{prefix}.concat"
-        write_lines(path, lines)
-        return [path]
-    if mode == "multi_source":
-        words = out_dir / f"{prefix}.src-words"
-        codes = out_dir / f"{prefix}.src-codes"
-        write_lines(words, encoded.word_lines)
-        write_lines(codes, encoded.code_lines)
-        return [words, codes]
-    raise ValueError(f"unknown combine mode {mode!r}")
+    paths = [out_dir / f"{prefix}.{suffix}" for suffix in ("words", "codes", *_COMBINED[mode])]
+    with ExitStack() as stack:
+        writers = [stack.enter_context(line_writer(path)) for path in paths]
+        for line in lines:
+            tokens = line.split()
+            code_keys = list(map(encoded.codes.__getitem__, tokens))
+            words, codes = map_tokens(word_pieces, tokens), map_tokens(code_pieces, code_keys)
+            combined = ((codes,) if mode == "codes_only" else (words, codes)
+                        if mode == "multi_source" else (f"{words} {separator} {codes}".strip(),))
+            for write, text in zip(writers, (" ".join(tokens), " ".join(code_keys), *combined)):
+                write(text)
+    return paths
 
 
 def run_pipeline(config: PipelineConfig) -> Path:
@@ -378,6 +379,11 @@ def _replace_dir(new: Path, out: Path) -> None:
     shutil.rmtree(old)
 
 
+def _sha256(path: Path) -> str:
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
+
+
 @contextmanager
 def _stage(name: str):
     """Re-raise a failure inside the block as a ``PipelineStageError`` of stage ``name``."""
@@ -389,30 +395,25 @@ def _stage(name: str):
         raise PipelineStageError(name, str(exc)) from exc
 
 
-def _segment_lines(lines: list[str], types: Iterable[str], model: BpeModel) -> list[str]:
-    """``bpe_apply`` of every line, segmenting each of the lines' token ``types`` once."""
-    pieces = {tok: " ".join(bpe_apply([tok], model)) for tok in types}
-    return [" ".join(map(pieces.__getitem__, line.split())) for line in lines]
-
-
 def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     for sub in ("inputs", "models", "streams", "reports"):
         (out / sub).mkdir()
 
-    sources = {"train": config.train_path, "dev": config.dev_path,
-               "test": config.test_path}
-    splits: dict[str, list[str]] = {}
+    # each split is read twice, a line at a time: here to count, by ``combine`` to write
+    sources = {"train": config.train_path, "dev": config.dev_path, "test": config.test_path}
+    sources = {name: src for name, src in sources.items() if name == "train" or src}
+    counts: dict[str, Counter[str]] = {}
     with _stage("read-inputs"):
         for name, src in sources.items():
-            if name == "train" or src:
-                splits[name] = read_lines(src)
-                shutil.copyfile(src, out / "inputs" / f"{name}.txt")
+            counts[name] = Counter(chain.from_iterable(map(str.split, iter_lines(src))))
+            shutil.copyfile(src, out / "inputs" / f"{name}.txt")
 
     # models are learned on the training split only
     cluster_model = None
     with _stage("build-encoder"):
         if config.encoder in CLUSTER_ENCODERS:
-            cluster_model = cluster_corpus(splits["train"], config.seed,
+            # the distinct tokens are the units: each one a line of one token
+            cluster_model = cluster_corpus(counts["train"], config.seed,
                                            fraction=config.cluster_fraction,
                                            baseline=config.cluster_baseline)
             save_cluster_model(cluster_model, out / "models" / "clusters.tsv")
@@ -420,8 +421,8 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
                                      config.granularity, cluster_model)
 
     with _stage("encode"):
-        encoded = {name: encode_corpus(lines, encoder) for name, lines in splits.items()}
-    del encoder  # frees the per-type memo before BPE learning
+        encoded = {name: encode_corpus(c, encoder) for name, c in counts.items()}
+    del encoder, counts  # frees the memo, and the counts encode_corpus copied, before BPE learning
 
     train = encoded["train"]
     with _stage("bpe-learn"):
@@ -430,18 +431,16 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
         save_bpe_model(word_bpe, out / "models" / "words.bpe")
         save_bpe_model(code_bpe, out / "models" / "codes.bpe")
 
+    # token -> BPE pieces and code string -> BPE pieces, shared by the splits
+    pieces = word_pieces, code_pieces = bpe_pieces(word_bpe), bpe_pieces(code_bpe)
     for name, enc in encoded.items():
         with _stage("bpe-apply"):
-            write_lines(out / "streams" / f"{name}.words", enc.word_lines)
-            write_lines(out / "streams" / f"{name}.codes", enc.code_lines)
-            processed = EncodedCorpus(
-                word_lines=_segment_lines(enc.word_lines, enc.word_counts, word_bpe),
-                code_lines=_segment_lines(enc.code_lines, enc.code_counts, code_bpe),
-                token_parity=False,
-            )
+            # each new type is segmented here, so a token ending in the marker fails here
+            word_pieces.fill(enc.codes)
+            code_pieces.fill(enc.codes.values())
         with _stage("combine"):
-            combine(processed, config.combine_mode, config.separator,
-                    out / "streams", prefix=name)
+            combine(iter_lines(sources[name]), enc, pieces, config.combine_mode,
+                    config.separator, out / "streams", prefix=name)
 
     with _stage("reports"):
         write_json(out / "reports" / "vocab.json", vocab_stats({
@@ -460,8 +459,7 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
         },
         # ``out`` is this run's fresh build directory: it holds exactly its artifacts
         "files": {
-            str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.rglob("*")) if p.is_file()
+            str(p.relative_to(out)): _sha256(p) for p in sorted(out.rglob("*")) if p.is_file()
         },
     }
     write_json(out / "manifest.json", manifest)

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
+import secrets
 from array import array
 from collections import defaultdict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -39,6 +42,10 @@ __all__ = [
     "bpe_decode",
     "save_bpe_model",
     "load_bpe_model",
+    "TypeMap",
+    "iter_lines",
+    "line_writer",
+    "map_tokens",
     "read_lines",
     "split_lines",
     "write_lines",
@@ -83,16 +90,41 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
+def iter_lines(source: str | Path | BinaryIO) -> Iterator[str]:
+    """The ``split_lines`` of a UTF-8 file or binary stream, read one line at a time.
+
+    A binary read splits only at ``b"\\n"``, which no other UTF-8 character holds."""
+    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as f:
+        for raw in f:
+            if raw.endswith(b"\n"):  # else the last line, which keeps a final "\r"
+                raw = raw[:-2] if raw.endswith(b"\r\n") else raw[:-1]
+            yield raw.decode("utf-8")
+
+
 def read_lines(path: str | Path) -> list[str]:
     """The ``split_lines`` of a UTF-8 file, read without newline translation."""
-    return split_lines(Path(path).read_bytes().decode("utf-8"))
+    return list(iter_lines(path))
+
+
+@contextmanager
+def line_writer(path: str | Path) -> Iterator[Callable[[str], None]]:
+    """A function writing a line and a ``"\\n"`` after it as UTF-8, as ``iter_lines`` reads it.
+
+    The lines go to a sibling temp file, renamed to ``path`` once the block succeeds."""
+    tmp = Path(f"{path}.tmp-{secrets.token_hex(6)}")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            yield lambda line: f.write(line + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line and a ``"\\n"`` after it as UTF-8, as ``read_lines`` reads it."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    """Write each line through ``line_writer``; an error while ``lines`` runs leaves no file."""
+    with line_writer(path) as write:
         for line in lines:
-            f.write(line + "\n")
+            write(line)
 
 
 def write_json(path: str | Path, data: dict) -> None:
@@ -100,12 +132,24 @@ def write_json(path: str | Path, data: dict) -> None:
     write_lines(path, [json.dumps(data, indent=2, sort_keys=True)])
 
 
-class _FirstSeen(dict):
-    """Token -> id; a token not yet seen gets the next id."""
+class TypeMap(dict):
+    """Token -> ``fn(token)``, computed on the token's first lookup and kept."""
 
-    def __missing__(self, token: str) -> int:
-        id_ = self[token] = len(self)
-        return id_
+    def __init__(self, fn: Callable[[str], object]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, token: str):
+        return self.setdefault(token, self.fn(token))
+
+    def fill(self, tokens: Iterable[str]) -> None:
+        """Compute the value of each of ``tokens`` not yet held."""
+        self.update((tok, self.fn(tok)) for tok in tokens if tok not in self)
+
+
+def map_tokens(table: Mapping[str, str], tokens: Iterable[str]) -> str:
+    """Each of a line's ``tokens`` replaced by its text in ``table``, joined by spaces."""
+    return " ".join(map(table.__getitem__, tokens))
 
 
 def _token_ids(corpus: str | Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -118,7 +162,7 @@ def _token_ids(corpus: str | Iterable[str]) -> tuple[list[str], np.ndarray, np.n
     """
     if isinstance(corpus, str):
         corpus = [corpus]
-    index = _FirstSeen()
+    index = TypeMap(lambda token: len(index))  # a token not yet seen gets the next id
     ids, lengths = array("q"), array("q")
     for line in corpus:
         tokens = line.split()

@@ -405,6 +405,34 @@ class TestBpeAndPipeline:
         assert "ab@@" in err
         assert not (tmp_path / "out.txt").exists()
 
+    def test_failed_bpe_apply_keeps_the_old_output_and_leaves_no_temp_file(self, capsys,
+                                                                           tmp_path):
+        merges = tmp_path / "m.txt"
+        merges.write_text("#version: 0.2\na b\n", encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("ab cd\n" * 50 + "cd ab@@", encoding="utf-8")  # the last line fails
+        out = tmp_path / "out.txt"
+        argv = ["bpe", "apply", "--model", str(merges), "--input", str(src),
+                "--output", str(out)]
+        assert run_cli(argv, capsys)[0] == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "m.txt"]
+        out.write_bytes(b"earlier output\n")
+        assert run_cli(argv, capsys)[0] == 2
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "m.txt", "out.txt"]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["bpe", "apply", "--model", "m.txt"], b"ab c@@ d\n\nab\n"),
+        (["encode", "--codec", "soundex"], b"A100 C300\n\nA100\n"),
+    ])
+    def test_output_may_be_the_input_file(self, capsys, tmp_path, monkeypatch, argv, want):
+        monkeypatch.chdir(tmp_path)
+        Path("m.txt").write_text("#version: 0.2\na b\n", encoding="utf-8")
+        Path("f.txt").write_bytes(b"ab cd\r\n\nab")
+        assert run_cli([*argv, "--input", "f.txt", "--output", "f.txt"], capsys)[0] == 0
+        assert Path("f.txt").read_bytes() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "m.txt"]
+
     def test_pipeline_run_with_config_file(self, capsys, tmp_path):
         train = tmp_path / "train.txt"
         train.write_text("body but bad\nspeak space suppose\n", encoding="utf-8")

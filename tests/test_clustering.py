@@ -356,6 +356,11 @@ class TestKMeans:
         with pytest.raises(TooFewPoints):
             kmeans_fit(self.SQUARE, k=5, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0, 2.5, "2"])
+    def test_refuses_a_k_that_is_no_count(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            kmeans_fit(self.SQUARE, k=k, seed=0)
+
     def test_duplicate_points_ok(self):
         pts = [(1.0, 1.0)] * 6
         model = kmeans_fit(pts, k=3, seed=0)

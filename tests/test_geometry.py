@@ -317,11 +317,11 @@ class TestDensity:
         dense = density_measure(pts, dense_groups, neighbor_index=1, m=4000, seed=2)
         assert dense.mean_density[1] < sparse.mean_density[1]
 
-    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("m", [0, -1, True, 2.0, 2.5])
     def test_rejects_an_empty_sample_budget(self, m):
         rng = np.random.default_rng(1)
         groups = self._groups(rng)
-        with pytest.raises(ValueError, match="m must be >= 1"):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
             density_measure(np.vstack(groups), groups, m=m, seed=0)
 
     def test_budget_respected(self):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -24,14 +26,13 @@ from phonoprep.errors import (
 )
 from phonoprep.pipeline import (
     WORD_ENCODERS,
-    EncodedCorpus,
     PipelineConfig,
     combine,
     encode_corpus,
     make_token_encoder,
     run_pipeline,
 )
-from phonoprep.subword import bpe_apply, bpe_decode, load_bpe_model, read_lines
+from phonoprep.subword import TypeMap, bpe_apply, bpe_decode, load_bpe_model, read_lines
 
 TRAIN = [
     "body but bad",
@@ -45,36 +46,36 @@ TRAIN = [
 class TestEncodeCorpus:
     def test_table1_soundex_line(self):
         enc = encode_corpus(["body but bad"], make_token_encoder("soundex"))
-        assert enc.code_lines == ["B300 B300 B300"]
+        assert list(enc.code_lines) == ["B300 B300 B300"]
 
     def test_digit_passthrough(self):
         enc = encode_corpus(["1 2 3"], make_token_encoder("soundex"))
-        assert enc.code_lines == ["1 2 3"]
+        assert list(enc.code_lines) == ["1 2 3"]
         assert enc.passthrough_tokens == 3
 
     def test_mixed_line(self):
         enc = encode_corpus(["speak 42"], make_token_encoder("soundex"))
-        assert enc.code_lines == ["S120 42"]
+        assert list(enc.code_lines) == ["S120 42"]
 
     def test_word_level_token_parity(self):
         enc = encode_corpus(TRAIN, make_token_encoder("metaphone"))
         assert enc.token_parity
-        for w, c in zip(enc.word_lines, enc.code_lines):
+        for w, c in zip(TRAIN, enc.code_lines, strict=True):
             assert len(w.split()) == len(c.split())
 
     def test_letters_granularity_breaks_parity(self):
         enc = encode_corpus(["市"], make_token_encoder("pinyin", granularity="letters"))
-        assert enc.code_lines == ["s h i 4"]
+        assert list(enc.code_lines) == ["s h i 4"]
         assert not enc.token_parity
 
     def test_sentence_count_preserved(self):
         enc = encode_corpus(TRAIN, make_token_encoder("nysiis"))
-        assert len(enc.code_lines) == len(TRAIN)
+        assert len(list(enc.code_lines)) == len(TRAIN)
 
     def test_empty_code_passes_the_token_through(self):
         # metaphone has no sound for "wh": an empty code would vanish from its line
         enc = encode_corpus(["the wh cat"], make_token_encoder("metaphone"))
-        assert enc.code_lines == ["0 wh KT"]
+        assert list(enc.code_lines) == ["0 wh KT"]
         assert enc.passthrough_tokens == 1
         assert enc.token_parity
 
@@ -83,10 +84,21 @@ class TestEncodeCorpus:
         assert enc.word_counts == Counter({"speak": 2, "42": 2, ",": 1, "the": 1})
         assert enc.code_counts == Counter({"S120": 2, "42": 2, ",": 1, "T000": 1})
 
+    def test_counts_give_what_their_lines_give(self):
+        lines = ["  speak 42 ,", "", "speak\tthe 42", "the wh cat"]
+        from_lines = encode_corpus(lines, make_token_encoder("metaphone"))
+        from_counts = encode_corpus(from_lines.word_counts, make_token_encoder("metaphone"))
+        assert from_counts == dataclasses.replace(from_lines, lines=())
+        assert list(from_counts.code_lines) == []
 
-def _reference_encode(corpus, encode_token) -> EncodedCorpus:
-    """The per-token encode loop: ``encode_token`` runs on every token, no memo."""
-    word_lines, code_lines, passthrough, parity = [], [], 0, True
+
+def _reference_encode(corpus, encode_token):
+    """The per-token encode loop: ``encode_token`` runs on every token, no memo.
+
+    Returns the code lines, the word and code token counts, parity and the
+    passthrough count.
+    """
+    code_lines, word_counts, code_counts, passthrough, parity = [], Counter(), Counter(), 0, True
     for line in corpus:
         tokens = line.split()
         codes = []
@@ -95,9 +107,10 @@ def _reference_encode(corpus, encode_token) -> EncodedCorpus:
             passthrough += passed
             codes.extend(out)
         parity = parity and len(codes) == len(tokens)
-        word_lines.append(" ".join(tokens))
         code_lines.append(" ".join(codes))
-    return EncodedCorpus(word_lines, code_lines, parity, passthrough)
+        word_counts.update(tokens)
+        code_counts.update(" ".join(codes).split())
+    return code_lines, word_counts, code_counts, parity, passthrough
 
 
 def _reference_word_codec(codec):
@@ -137,11 +150,8 @@ class TestTypeMemo:
         encoder = make()  # one encoder, shared by both splits as in run_pipeline
         for corpus in (train, dev):
             got = encode_corpus(corpus, encoder)
-            want = _reference_encode(corpus, reference)
-            assert got.word_lines == want.word_lines
-            assert got.code_lines == want.code_lines
-            assert got.token_parity == want.token_parity
-            assert got.passthrough_tokens == want.passthrough_tokens
+            assert (list(got.code_lines), got.word_counts, got.code_counts, got.token_parity,
+                    got.passthrough_tokens) == _reference_encode(corpus, reference)
 
     def test_memo_hands_out_tuples(self):
         encoder = make_token_encoder("metaphone")
@@ -178,42 +188,48 @@ class TestTypeMemo:
         assert manifest["passthrough_tokens"] == {"train": 4, "dev": 3, "test": 4}
 
 
+def _combine(tmp_path, codes: dict[str, str], mode="concat", lines=None):
+    """``combine`` of ``lines`` (default: ``codes``' keys, one a line) under an
+    encoder giving ``codes``, with BPE that leaves every token whole."""
+    lines = list(codes) if lines is None else lines
+    encoded = encode_corpus(lines, lambda tok: (tuple(codes[tok].split()), False))
+    whole = TypeMap(lambda text: text)
+    return combine(lines, encoded, (whole, whole), mode, "<sep>", tmp_path)
+
+
 class TestCombine:
     def test_concat_line_shape(self, tmp_path):
-        enc = EncodedCorpus(word_lines=["a b"], code_lines=["X Y"], token_parity=True)
-        (path,) = combine(enc, "concat", "<sep>", tmp_path)
-        assert path.read_text(encoding="utf-8") == "a b <sep> X Y\n"
+        words, codes, concat = _combine(tmp_path, {"a": "X", "b": "Y"}, lines=["a b"])
+        assert concat.read_text(encoding="utf-8") == "a b <sep> X Y\n"
+        assert (words.name, codes.name) == ("corpus.words", "corpus.codes")
+        assert codes.read_text(encoding="utf-8") == "X Y\n"
 
     def test_multi_source_parallel_files(self, tmp_path):
-        enc = EncodedCorpus(
-            word_lines=["a b", "c"], code_lines=["X Y", "Z"], token_parity=True
-        )
-        words, codes = combine(enc, "multi_source", "<sep>", tmp_path)
+        *_, words, codes = _combine(tmp_path, {"a": "X", "b": "Y", "c": "Z"},
+                                    mode="multi_source", lines=["a b", "c"])
         assert len(words.read_text(encoding="utf-8").splitlines()) == 2
         assert len(codes.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_empty_code_line_keeps_separator(self, tmp_path):
-        enc = EncodedCorpus(word_lines=[""], code_lines=[""], token_parity=True)
-        (path,) = combine(enc, "concat", "<sep>", tmp_path)
+        *_, path = _combine(tmp_path, {}, lines=[""])
         assert path.read_text(encoding="utf-8") == "<sep>\n"
 
     def test_separator_collision(self, tmp_path):
-        enc = EncodedCorpus(
-            word_lines=["a <sep> b"], code_lines=["X Y Z"], token_parity=True
-        )
         with pytest.raises(SeparatorCollision):
-            combine(enc, "concat", "<sep>", tmp_path)
+            _combine(tmp_path, {"a": "X", "<sep>": "Y", "b": "Z"}, lines=["a <sep> b"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_separator_inside_a_token_is_no_collision(self, tmp_path):
-        enc = EncodedCorpus(word_lines=["a<sep>b"], code_lines=["X<sep>"], token_parity=True)
-        (path,) = combine(enc, "concat", "<sep>", tmp_path)
+        *_, path = _combine(tmp_path, {"a<sep>b": "X<sep>"})
         assert path.read_text(encoding="utf-8") == "a<sep>b <sep> X<sep>\n"
 
     def test_separator_collision_names_stream_and_first_line(self, tmp_path):
-        enc = EncodedCorpus(word_lines=["a", "b", "c"], code_lines=["X<sep>", "Y <sep>", "<sep>"],
-                            token_parity=True)
         with pytest.raises(SeparatorCollision, match="code stream line 2$"):
-            combine(enc, "concat", "<sep>", tmp_path)
+            _combine(tmp_path, {"a": "X<sep>", "b": "Y <sep>", "c": "<sep>"})
+
+    def test_word_stream_is_named_before_an_earlier_code_line(self, tmp_path):
+        with pytest.raises(SeparatorCollision, match="word stream line 3$"):
+            _combine(tmp_path, {"a": "X", "b": "<sep>", "<sep>": "Z"})
 
 
 def _write_corpus(path: Path, lines) -> Path:
@@ -425,6 +441,14 @@ class TestRunPipeline:
         "combine": {"train_path": "x.txt", "separator": "x"},
     }
 
+    def test_separator_that_is_only_a_bpe_piece_collides(self, tmp_path):
+        # no word is "b", but with no merges "ab" is written as "a@@ b"
+        train = _write_corpus(tmp_path / "ab.txt", ["cd", "ab cd", "ab"])
+        with pytest.raises(PipelineStageError, match="word stream line 2$") as exc:
+            run_pipeline(self._config(tmp_path, train_path=str(train), separator="b",
+                                      bpe_operations_words=0))
+        assert exc.value.stage == "combine"
+
     @pytest.mark.parametrize("stage", sorted(STAGE_FAILURES))
     def test_failure_reports_stage_and_leaves_no_output(self, tmp_path, stage):
         (tmp_path / "latin1.txt").write_bytes(b"caf\xe9 bar\n")
@@ -620,3 +644,26 @@ class TestLineBoundaries:
         for stream in ("train.concat", "train.words", "train.codes"):
             lf = (tmp_path / "lf" / "streams" / stream).read_bytes()
             assert (tmp_path / "crlf" / "streams" / stream).read_bytes() == lf
+
+
+class TestStreamedMemory:
+    def test_peak_does_not_grow_with_the_line_count(self, tmp_path):
+        # the pipeline-desk config on the first 2,000 desk lines, once and four
+        # times over: the same types, four times the lines
+        desk = Path(__file__).parent.parent / "data" / "desk_en.txt"
+        head = b"".join(desk.read_bytes().splitlines(keepends=True)[:2000])
+        peaks = {}
+        for copies in (1, 4):
+            train = tmp_path / f"train-{copies}.txt"
+            train.write_bytes(head * copies)
+            config = PipelineConfig(
+                train_path=str(train), output_dir=str(tmp_path / f"out-{copies}"),
+                encoder="metaphone", combine_mode="concat", seed=7,
+                bpe_operations_words=2000, bpe_operations_codes=1000)
+            tracemalloc.start()
+            try:
+                run_pipeline(config)
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 1.3 * peaks[1], peaks

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 from collections import Counter
 from pathlib import Path
 from typing import Mapping
@@ -20,9 +21,12 @@ from phonoprep.subword import (
     bpe_apply,
     bpe_decode,
     bpe_learn,
+    iter_lines,
     load_bpe_model,
+    read_lines,
     save_bpe_model,
     split_lines,
+    write_lines,
 )
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
@@ -341,3 +345,41 @@ class TestMergeFile:
 ])
 def test_split_lines_breaks_only_at_newline(text, lines):
     assert split_lines(text) == lines
+
+
+# every character str.splitlines() (or a text-mode read of a lone "\r") takes for
+# a line break, besides "\n", and a character of three UTF-8 bytes
+LINE_BREAK_LOOKALIKES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+READER_TEXTS = st.text(alphabet="ab \t\r\n" + LINE_BREAK_LOOKALIKES + "笑")
+
+
+@settings(max_examples=200, deadline=None)
+@given(READER_TEXTS)
+@example("a\nb")  # no final "\n"
+@example("a\nb\r")  # a lone "\r" just before the end: split_lines keeps it
+@example("\r")
+@example("x\r\r\n\r")
+def test_streaming_reader_matches_split_lines(tmp_path_factory, text):
+    data = text.encode("utf-8")
+    path = tmp_path_factory.mktemp("reader") / "in.txt"
+    path.write_bytes(data)
+    assert list(iter_lines(io.BytesIO(data))) == split_lines(text)
+    assert list(iter_lines(path)) == split_lines(text)
+    assert read_lines(path) == split_lines(text)
+
+
+def test_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def lines():
+        yield "new"
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        write_lines(path, lines())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_bytes() == b"old\n"
+    write_lines(path, ["new"])
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_bytes() == b"new\n"
