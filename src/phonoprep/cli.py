@@ -137,7 +137,7 @@ def cmd_encode(args) -> int:
         args.codec, args.table, args.granularity or "per_character",
         cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
     )
-    codes = TypeMap(lambda tok: " ".join(encoder(tok)[0]))
+    codes = TypeMap(lambda tok: encoder(tok)[0])
     lines = iter_lines(args.input or sys.stdin.buffer)
     _emit(args, (map_tokens(codes, line.split()) for line in lines))
     return 0

@@ -294,19 +294,25 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
 
     A row is any line with a tab that does not start with ``"# "``; since
     units never contain whitespace, units starting with ``#`` stay rows.
-    Other lines starting with ``#`` are comments.
+    Other lines starting with ``#`` are comments. A cluster id is one
+    ``str.split()`` token (a row has one tab) and the seed an integer >= 0;
+    anything else is a ``ValueError`` naming ``path:lineno``.
     """
     seed = 0
     source = "baseline-derived"
     assignment: dict[str, str] = {}
-    for line in read_lines(path):
+    for lineno, line in enumerate(read_lines(path), 1):
+        where = f"{path}:{lineno}"
         if line.startswith("# seed:"):
-            seed = int(line.split(":", 1)[1])
+            text = line.split(":", 1)[1].strip()
+            seed = check_int(f"{where}: seed", int(text) if text.isdecimal() else text, 0)
         elif line.startswith("# source:"):
             source = line.split(":", 1)[1].strip()
         elif "\t" in line and not line.startswith("# "):
-            unit, cid = line.split("\t")
+            unit, _, cid = line.partition("\t")
+            if cid.split() != [cid]:  # a token must keep one code in its line
+                raise ValueError(f"{where}: cluster id must be one token, got {cid!r}")
             assignment[unit] = cid
         elif line and not line.startswith("#"):
-            raise ValueError(f"{path}: expected unit<TAB>cluster-id, got {line!r}")
+            raise ValueError(f"{where}: expected unit<TAB>cluster-id, got {line!r}")
     return ClusterModel(assignment=assignment, seed=seed, source=source)

@@ -103,10 +103,9 @@ class HullParams:
     radius: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        for name, value in (("beta", self.beta), ("radius", self.radius)):
+            if not 0 < value < np.inf:  # NaN compares false
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def required_neighbors(self, n_points: int) -> float:
         return self.beta if self.beta >= 1 else self.beta * n_points

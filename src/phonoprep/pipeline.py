@@ -21,7 +21,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import __version__
 from .clustering import (
@@ -164,22 +164,16 @@ class PipelineConfig:
 @dataclass
 class EncodedCorpus:
     """A split's token counts in the word and code streams, and each type's code string
-    (``codes``: its codes joined by spaces). No line is held: ``code_lines`` reads
-    ``lines``, any that ``encode_corpus`` counted, again."""
+    (``codes``: its codes joined by spaces)."""
 
     word_counts: Counter[str]
     code_counts: Counter[str]
     codes: dict[str, str]
     token_parity: bool  # every token has one code, so the streams align token by token
     passthrough_tokens: int
-    lines: Iterable[str] = ()
-
-    @property
-    def code_lines(self) -> Iterator[str]:
-        return (map_tokens(self.codes, line.split()) for line in self.lines)
 
 
-Encoding = tuple[tuple[str, ...], bool]  # (codes, token passed through as-is)
+Encoding = tuple[str, bool]  # (code string, token passed through as-is)
 TokenEncoder = Callable[[str], Encoding]
 
 
@@ -191,44 +185,25 @@ def make_token_encoder(
 ) -> TokenEncoder:
     """Build the token encoder named in a pipeline config.
 
-    The encoder maps a token to ``(codes, passthrough)``, where the flag
-    marks tokens the codec rejected and passed through as-is. Codes are a
-    pure function of the token, so the encoder memoizes them per token type
-    in a dict of its own: the codec runs once per distinct token over the
-    encoder's lifetime, and the memo goes with the encoder.
+    The encoder maps a token to ``(code string, passthrough)``: its codes
+    joined by spaces, and a flag marking tokens the codec rejected and
+    passed through as-is. It keeps nothing; callers hold one ``TypeMap``
+    over it, so the codec runs once per distinct token.
 
     Table encoders read the code table at ``table_path``, or the one shipped
     with the package when it is None or empty; other encoders ignore it.
     """
     if name in WORD_ENCODERS:
         codec = WORD_ENCODERS[name]
-
-        def encode(tok: str) -> Encoding:
-            code, passed = encode_or_passthrough(tok, codec)
-            return (code,), passed
-    elif name in TABLE_ENCODERS:
+        return lambda tok: encode_or_passthrough(tok, codec)
+    if name in TABLE_ENCODERS:
         table = load_code_table(table_path or bundled_table_path(name), name)
-
-        def encode(tok: str) -> Encoding:
-            return tuple(table_encode(tok, table, granularity)), False
-    elif name in CLUSTER_ENCODERS:
+        return lambda tok: (" ".join(table_encode(tok, table, granularity)), False)
+    if name in CLUSTER_ENCODERS:
         if cluster_model is None:
             raise ValueError("cluster encoder needs a ClusterModel")
-
-        def encode(tok: str) -> Encoding:
-            return tuple(encode_with_clusters([tok], cluster_model)), False
-    else:
-        raise ValueError(f"unknown encoder {name!r}")
-
-    memo: dict[str, Encoding] = {}
-
-    def encode_token(tok: str) -> Encoding:
-        hit = memo.get(tok)
-        if hit is None:
-            hit = memo[tok] = encode(tok)
-        return hit
-
-    return encode_token
+        return lambda tok: (encode_with_clusters([tok], cluster_model)[0], False)
+    raise ValueError(f"unknown encoder {name!r}")
 
 
 def cluster_corpus(
@@ -255,33 +230,30 @@ def bpe_pieces(model: BpeModel) -> TypeMap:
     return TypeMap(lambda text: " ".join(bpe_apply(text.split(), model)))
 
 
-def encode_corpus(corpus: Iterable[str] | Mapping[str, int],
-                  encoder: TokenEncoder) -> EncodedCorpus:
+def encode_corpus(counts: Mapping[str, int], encoder: TokenEncoder) -> EncodedCorpus:
     """A split's code counts, code strings, passthrough count and parity.
 
-    ``corpus`` is the split's lines or, as ``bpe_learn`` takes them, its
-    token counts. Each token type is encoded once, and its codes gain its
-    count; a token the codec rejects passes through (counted per token).
-    Parity holds when every token has one code. ``encoder`` comes from
-    ``make_token_encoder``, whose per-type memo spans the calls sharing it.
+    ``counts`` holds each token's count in the split, as ``bpe_learn`` takes
+    them. Each token type is encoded once, and its codes gain its count; a
+    token the codec rejects passes through (counted per token). Parity holds
+    when every token has one code.
     """
-    counted = isinstance(corpus, Mapping)
-    lines = () if counted else corpus
-    word_counts = Counter(corpus if counted else chain.from_iterable(map(str.split, lines)))
+    word_counts = Counter(counts)
     code_of: dict[str, str] = {}
     code_counts: Counter[str] = Counter()
     passthrough = 0
     parity = True
     for tok, n in word_counts.items():
-        codes, passed = encoder(tok)
+        joined, passed = encoder(tok)
+        code_of[tok] = joined
         if passed:
             passthrough += n
+        codes = joined.split()
         if len(codes) != 1:
             parity = False
-        code_of[tok] = joined = " ".join(codes)
-        for code in joined.split():
+        for code in codes:
             code_counts[code] += n
-    return EncodedCorpus(word_counts, code_counts, code_of, parity, passthrough, lines)
+    return EncodedCorpus(word_counts, code_counts, code_of, parity, passthrough)
 
 
 # combined input files of each mode, by suffix
@@ -417,12 +389,13 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
                                            fraction=config.cluster_fraction,
                                            baseline=config.cluster_baseline)
             save_cluster_model(cluster_model, out / "models" / "clusters.tsv")
-        encoder = make_token_encoder(config.encoder, config.table_path,
-                                     config.granularity, cluster_model)
+        # one memo for the run: the codec runs once per distinct token of all splits
+        memo = TypeMap(make_token_encoder(config.encoder, config.table_path,
+                                          config.granularity, cluster_model))
 
     with _stage("encode"):
-        encoded = {name: encode_corpus(c, encoder) for name, c in counts.items()}
-    del encoder, counts  # frees the memo, and the counts encode_corpus copied, before BPE learning
+        encoded = {name: encode_corpus(c, memo.__getitem__) for name, c in counts.items()}
+    del memo, counts  # frees the memo, and the counts encode_corpus copied, before BPE learning
 
     train = encoded["train"]
     with _stage("bpe-learn"):

@@ -61,7 +61,6 @@ class BpeModel:
     """Ordered merge operations, applied in rank order."""
 
     merges: tuple[tuple[str, str], ...]
-    num_operations: int
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
     # token -> applied pieces, filled by bpe_apply
     _segments: dict = field(default_factory=dict, repr=False, compare=False)
@@ -70,8 +69,6 @@ class BpeModel:
         ranks = {pair: i for i, pair in enumerate(self.merges)}
         if len(ranks) != len(self.merges):
             raise ValueError("duplicate merge pairs")
-        if len(self.merges) > self.num_operations:
-            raise ValueError("more merges than operations")
         object.__setattr__(self, "_ranks", ranks)
 
 
@@ -288,7 +285,7 @@ def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: i
         if len(heap) > 2 * len(pair_counts):
             heap = rebuild()
 
-    return BpeModel(merges=tuple(merges), num_operations=num_operations)
+    return BpeModel(merges=tuple(merges))
 
 
 def _segment(word: str, model: BpeModel) -> list[str]:
@@ -363,4 +360,4 @@ def load_bpe_model(path: str | Path) -> BpeModel:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'left right', got {line!r}")
         merges.append((parts[0], parts[1]))
-    return BpeModel(merges=tuple(merges), num_operations=len(merges))
+    return BpeModel(merges=tuple(merges))

@@ -165,6 +165,16 @@ class TestEncode:
         assert flags[0] in err
         assert out == ""
 
+    @pytest.mark.parametrize("row", ["a\t", "a\tG 1", "a\tG1\tG2", "# seed: abc"])
+    def test_malformed_cluster_model_is_data_error(self, capsys, tmp_path, row):
+        model, src = tmp_path / "m.tsv", tmp_path / "in.txt"
+        model.write_text(f"b\tG1\n{row}\n", encoding="utf-8")
+        src.write_text("a b\n", encoding="utf-8")
+        code, out, err = run_cli(["encode", "--codec", "cluster", "--model", str(model),
+                                  "--input", str(src)], capsys)
+        assert (code, out) == (2, "")
+        assert f"{model}:2: " in err
+
     def test_desk_corpus_metaphone_output_is_pinned(self, capsys, tmp_path):
         # SHA-256 of the output of the per-token loop on the desk corpus
         out_path = tmp_path / "codes.txt"
@@ -1053,6 +1063,17 @@ REPORT_PINS = {
 
 
 class TestReportBytes:
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "nan", "--radius", "1"], ["--beta", "2", "--radius", "nan"],
+        ["--beta", "inf", "--radius", "1"], ["--beta", "2", "--radius=-inf"],
+    ])
+    def test_hull_params_must_be_finite(self, capsys, tmp_path, flags):
+        paths = _write_report_inputs(tmp_path)
+        argv = ["geometry", "cdf", *_GEOMETRY, *flags]
+        code, out, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert "must be finite and positive" in err
+
     @pytest.mark.parametrize("case", sorted(REPORT_PINS))
     def test_report_stdout_is_pinned(self, capsys, tmp_path, case):
         argv, digest = REPORT_PINS[case]

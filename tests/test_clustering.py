@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -424,3 +425,16 @@ class TestModelFile:
         path = tmp_path_factory.mktemp("clusters") / "clusters.tsv"
         save_cluster_model(model, path)
         assert load_cluster_model(path) == model
+
+    @pytest.mark.parametrize("row,message", [
+        ("a\t", "cluster id must be one token, got ''"),  # "a" would drop out of its line
+        ("a\tG 1", "cluster id must be one token"),  # one token would become two
+        ("a\tG1\tG2", "cluster id must be one token"),
+        ("# seed: abc", "seed must be an integer >= 0, got 'abc'"),
+        ("# seed: -1", "seed must be an integer >= 0"),
+    ])
+    def test_malformed_row_is_refused_by_line(self, tmp_path, row, message):
+        path = tmp_path / "clusters.tsv"
+        path.write_text(f"# source: uniform-k\nb\tG2\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}"):
+            load_cluster_model(path)

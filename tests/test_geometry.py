@@ -199,6 +199,13 @@ class TestSmoothing:
         with pytest.raises(AllPointsRemoved):
             smooth_hull(pts, HullParams(beta=2, radius=1.0))
 
+    @pytest.mark.parametrize("field", ["beta", "radius"])
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_params_must_be_finite_and_positive(self, field, value):
+        params = {"beta": 1, "radius": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            HullParams(**params)
+
 
 class TestCoverage:
     def test_single_group(self):

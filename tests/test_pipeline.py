@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+import random
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonoprep import pipeline
+from phonoprep import pipeline, subword
 from phonoprep.clustering import encode_with_clusters, random_cluster_uniform
 from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
 from phonoprep.errors import (
@@ -32,7 +32,14 @@ from phonoprep.pipeline import (
     make_token_encoder,
     run_pipeline,
 )
-from phonoprep.subword import TypeMap, bpe_apply, bpe_decode, load_bpe_model, read_lines
+from phonoprep.subword import (
+    TypeMap,
+    bpe_apply,
+    bpe_decode,
+    load_bpe_model,
+    map_tokens,
+    read_lines,
+)
 
 TRAIN = [
     "body but bad",
@@ -43,53 +50,61 @@ TRAIN = [
 ]
 
 
+def _encode(lines, encoder):
+    """``encode_corpus`` of the token counts of ``lines``, and the code lines
+    its code strings give, as ``combine`` writes them."""
+    enc = encode_corpus(Counter(tok for line in lines for tok in line.split()), encoder)
+    return enc, [map_tokens(enc.codes, line.split()) for line in lines]
+
+
 class TestEncodeCorpus:
     def test_table1_soundex_line(self):
-        enc = encode_corpus(["body but bad"], make_token_encoder("soundex"))
-        assert list(enc.code_lines) == ["B300 B300 B300"]
+        _, code_lines = _encode(["body but bad"], make_token_encoder("soundex"))
+        assert code_lines == ["B300 B300 B300"]
 
     def test_digit_passthrough(self):
-        enc = encode_corpus(["1 2 3"], make_token_encoder("soundex"))
-        assert list(enc.code_lines) == ["1 2 3"]
+        enc, code_lines = _encode(["1 2 3"], make_token_encoder("soundex"))
+        assert code_lines == ["1 2 3"]
         assert enc.passthrough_tokens == 3
 
     def test_mixed_line(self):
-        enc = encode_corpus(["speak 42"], make_token_encoder("soundex"))
-        assert list(enc.code_lines) == ["S120 42"]
+        _, code_lines = _encode(["speak 42"], make_token_encoder("soundex"))
+        assert code_lines == ["S120 42"]
 
     def test_word_level_token_parity(self):
-        enc = encode_corpus(TRAIN, make_token_encoder("metaphone"))
+        enc, code_lines = _encode(TRAIN, make_token_encoder("metaphone"))
         assert enc.token_parity
-        for w, c in zip(TRAIN, enc.code_lines, strict=True):
+        for w, c in zip(TRAIN, code_lines, strict=True):
             assert len(w.split()) == len(c.split())
 
     def test_letters_granularity_breaks_parity(self):
-        enc = encode_corpus(["市"], make_token_encoder("pinyin", granularity="letters"))
-        assert list(enc.code_lines) == ["s h i 4"]
+        enc, code_lines = _encode(["市"], make_token_encoder("pinyin", granularity="letters"))
+        assert code_lines == ["s h i 4"]
         assert not enc.token_parity
 
     def test_sentence_count_preserved(self):
-        enc = encode_corpus(TRAIN, make_token_encoder("nysiis"))
-        assert len(list(enc.code_lines)) == len(TRAIN)
+        _, code_lines = _encode(TRAIN, make_token_encoder("nysiis"))
+        assert len(code_lines) == len(TRAIN)
 
     def test_empty_code_passes_the_token_through(self):
         # metaphone has no sound for "wh": an empty code would vanish from its line
-        enc = encode_corpus(["the wh cat"], make_token_encoder("metaphone"))
-        assert list(enc.code_lines) == ["0 wh KT"]
+        enc, code_lines = _encode(["the wh cat"], make_token_encoder("metaphone"))
+        assert code_lines == ["0 wh KT"]
         assert enc.passthrough_tokens == 1
         assert enc.token_parity
 
     def test_counts_are_the_tokens_of_the_lines(self):
-        enc = encode_corpus(["  speak 42 ,", "", "speak\tthe 42"], make_token_encoder("soundex"))
+        enc, _ = _encode(["  speak 42 ,", "", "speak\tthe 42"], make_token_encoder("soundex"))
         assert enc.word_counts == Counter({"speak": 2, "42": 2, ",": 1, "the": 1})
         assert enc.code_counts == Counter({"S120": 2, "42": 2, ",": 1, "T000": 1})
 
     def test_counts_give_what_their_lines_give(self):
+        # one code string per type gives the lines that encoding every token gives
         lines = ["  speak 42 ,", "", "speak\tthe 42", "the wh cat"]
-        from_lines = encode_corpus(lines, make_token_encoder("metaphone"))
-        from_counts = encode_corpus(from_lines.word_counts, make_token_encoder("metaphone"))
-        assert from_counts == dataclasses.replace(from_lines, lines=())
-        assert list(from_counts.code_lines) == []
+        encoder = make_token_encoder("metaphone")
+        _, code_lines = _encode(lines, encoder)
+        assert code_lines == [" ".join(encoder(tok)[0] for tok in line.split())
+                              for line in lines]
 
 
 def _reference_encode(corpus, encode_token):
@@ -147,18 +162,17 @@ class TestTypeMemo:
     @given(train=st.lists(LINES, max_size=10), dev=st.lists(LINES, max_size=6))
     def test_matches_per_token_reference(self, name, train, dev):
         make, reference = REFERENCE_ENCODERS[name]
-        encoder = make()  # one encoder, shared by both splits as in run_pipeline
+        memo = TypeMap(make())  # one memo, shared by both splits as in run_pipeline
         for corpus in (train, dev):
-            got = encode_corpus(corpus, encoder)
-            assert (list(got.code_lines), got.word_counts, got.code_counts, got.token_parity,
+            got, code_lines = _encode(corpus, memo.__getitem__)
+            assert (code_lines, got.word_counts, got.code_counts, got.token_parity,
                     got.passthrough_tokens) == _reference_encode(corpus, reference)
 
     def test_memo_hands_out_tuples(self):
-        encoder = make_token_encoder("metaphone")
-        codes, passed = encoder("speak")
-        assert isinstance(codes, tuple) and not passed
-        assert encoder("speak") is encoder("speak")
-        assert encoder("42") == (("42",), True)
+        memo = TypeMap(make_token_encoder("metaphone"))
+        assert memo["speak"] == ("SPK", False)
+        assert memo["speak"] is memo["speak"]
+        assert memo["42"] == ("42", True)
 
     def test_codec_runs_once_per_type_across_splits(self, tmp_path, monkeypatch):
         calls: Counter = Counter()
@@ -192,7 +206,7 @@ def _combine(tmp_path, codes: dict[str, str], mode="concat", lines=None):
     """``combine`` of ``lines`` (default: ``codes``' keys, one a line) under an
     encoder giving ``codes``, with BPE that leaves every token whole."""
     lines = list(codes) if lines is None else lines
-    encoded = encode_corpus(lines, lambda tok: (tuple(codes[tok].split()), False))
+    encoded, _ = _encode(lines, lambda tok: (codes[tok], False))
     whole = TypeMap(lambda text: text)
     return combine(lines, encoded, (whole, whole), mode, "<sep>", tmp_path)
 
@@ -581,6 +595,39 @@ class TestPerTypeSegmentation:
         "pinyin-letters": {"encoder": "pinyin", "granularity": "letters"},
         "cluster": {"encoder": "cluster"},
     }
+
+    def test_each_type_is_segmented_once_per_run(self, tmp_path, monkeypatch):
+        # pinyin code strings share code tokens ("xiao4" and "xiao4 shi4"): each
+        # token type and code string is looked up in BPE once per run, and the
+        # code model segments each code token once
+        segments, applies = Counter(), Counter()
+        segment, apply = subword._segment, pipeline.bpe_apply
+
+        def counting_segment(word, model):
+            segments[word] += 1
+            return segment(word, model)
+
+        def counting_apply(tokens, model):
+            applies[" ".join(tokens)] += 1
+            return apply(tokens, model)
+
+        monkeypatch.setattr(subword, "_segment", counting_segment)
+        monkeypatch.setattr(pipeline, "bpe_apply", counting_apply)
+        rng = random.Random(0)
+        splits = {name: [" ".join("".join(rng.choices("笑校是时我你他们ab", k=rng.randint(1, 3)))
+                                  for _ in range(5)) for _ in range(n)]
+                  for name, n in (("train", 12), ("dev", 6), ("test", 6))}
+        paths = {f"{name}_path": str(_write_corpus(tmp_path / f"{name}.txt", lines))
+                 for name, lines in splits.items()}
+        run_pipeline(PipelineConfig(**paths, output_dir=str(tmp_path / "out"), encoder="pinyin",
+                                    bpe_operations_words=20, bpe_operations_codes=20))
+        words = {tok for lines in splits.values() for line in lines for tok in line.split()}
+        encoder = make_token_encoder("pinyin")
+        code_strings = {encoder(tok)[0] for tok in words}
+        codes = {code for text in code_strings for code in text.split()}
+        assert sum(len(text.split()) for text in code_strings) > len(codes)
+        assert sum(applies.values()) == len(words) + len(code_strings)
+        assert sum(segments.values()) == len(words) + len(codes)
 
     @pytest.mark.parametrize("name", sorted(ENCODERS))
     @settings(max_examples=30, deadline=None)

@@ -23,6 +23,7 @@ from phonoprep.subword import (
     bpe_learn,
     iter_lines,
     load_bpe_model,
+    map_tokens,
     read_lines,
     save_bpe_model,
     split_lines,
@@ -216,7 +217,9 @@ class TestLearn:
         # the pipeline-desk merge-file goldens of perfbench/golden.json; they pin
         # counts, tie-breaks and the early stop (the codes stop at 468 merges)
         lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
-        codes = encode_corpus(lines, make_token_encoder("metaphone")).code_lines
+        counts = Counter(tok for line in lines for tok in line.split())
+        enc = encode_corpus(counts, make_token_encoder("metaphone"))
+        codes = [map_tokens(enc.codes, line.split()) for line in lines]
         pinned = {
             "words": (lines, 2000,
                       "220f63c70143585fa472e6a20e9e2e7cfa9abfeaab94cf78fd89fc2510941b61"),
@@ -231,16 +234,16 @@ class TestLearn:
 
 class TestApply:
     def test_merge_replay(self):
-        model = BpeModel(merges=(("a", "a"), ("aa", "aa")), num_operations=2)
+        model = BpeModel(merges=(("a", "a"), ("aa", "aa")))
         assert bpe_apply(["aaaa"], model) == ["aaaa"]
 
     def test_partial_merge(self):
-        model = BpeModel(merges=(("a", "a"),), num_operations=1)
+        model = BpeModel(merges=(("a", "a"),))
         assert bpe_apply(["aaa"], model) == ["aa@@", "a"]
 
     def test_learned_order_respected(self):
         # apply must replay merges by rank, not greedily by position
-        model = BpeModel(merges=(("b", "c"), ("a", "b")), num_operations=2)
+        model = BpeModel(merges=(("b", "c"), ("a", "b")))
         assert bpe_apply(["abc"], model) == ["a@@", "bc"]
 
     def test_rejects_token_ending_with_marker(self):
@@ -259,8 +262,8 @@ class TestApply:
         assert bpe_apply(["abab"], fine) == ["a@@", "b@@", "a@@", "b"]
         assert bpe_apply(["abab", "abab"], coarse) == ["abab", "abab"]
         # the cache is not part of the model's value
-        assert coarse == BpeModel(merges=coarse.merges, num_operations=3)
-        assert hash(coarse) == hash(BpeModel(merges=coarse.merges, num_operations=3))
+        assert coarse == BpeModel(merges=coarse.merges)
+        assert hash(coarse) == hash(BpeModel(merges=coarse.merges))
 
     def test_monotone_segment_count(self):
         corpus = ["banana bandana banner"] * 4
@@ -281,11 +284,11 @@ class TestDecode:
             assert bpe_decode(bpe_apply(tokens, model), model) == tokens
 
     def test_continuation_semantics(self):
-        model = BpeModel(merges=(), num_operations=0)
+        model = BpeModel(merges=())
         assert bpe_decode(["th@@", "is"], model) == ["this"]
 
     def test_dangling_continuation(self):
-        model = BpeModel(merges=(), num_operations=0)
+        model = BpeModel(merges=())
         with pytest.raises(DanglingContinuation):
             bpe_decode(["th@@"], model)
 
@@ -315,6 +318,13 @@ class TestMergeFile:
         path = tmp_path_factory.mktemp("merges") / "merges.txt"
         save_bpe_model(model, path)
         assert load_bpe_model(path).merges == model.merges
+
+    def test_early_stopping_model_survives_its_file(self, tmp_path):
+        model = bpe_learn(["ab ab cd"], 50)
+        assert len(model.merges) == 1  # no pair occurs twice after "ab"
+        path = tmp_path / "merges.txt"
+        save_bpe_model(model, path)
+        assert load_bpe_model(path) == model
 
     def test_header_and_layout(self, tmp_path):
         model = bpe_learn("aa aa", 1)
