@@ -8,9 +8,9 @@ product per block of words, which may round a similarity differently in the
 last place than a per-word product (tests pin the drawn streams).
 ``perturb_edit`` applies a fixed number of word-level edit operations. Both
 are deterministic per seed: sentence ``i`` draws the stream of
-``np.random.default_rng([seed, i])``. The generator states of every sentence
-are computed for the whole corpus in one array pass, and one generator is
-re-seeded from them sentence by sentence.
+``np.random.default_rng([seed, i])``. The SeedSequence words of every
+sentence are hashed for the whole corpus in one array pass, and each
+sentence gets a fresh PCG64 seeded from its row of them.
 
 Weighted draws reproduce ``Generator.choice(n, p=weights)`` index for index
 and leave the generator in the same state: numpy's normalised CDF is built
@@ -145,27 +145,25 @@ def _draw(cdf: list[float], rng: np.random.Generator) -> int:
     return bisect_right(cdf, rng.random())
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+# numpy's SeedSequence hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 
 
-def _sentence_states(seed: int, count: int) -> np.ndarray:
-    """PCG64 states of ``np.random.default_rng([seed, i])`` for every ``i < count``.
+def _seed_words(seed: int, count: int) -> np.ndarray:
+    """PCG64 seed words of ``np.random.default_rng([seed, i])`` for every ``i < count``.
 
-    Returns a ``(4, count)`` uint64 array whose rows are the high and low
-    halves of each generator's 128-bit ``state`` and ``inc``. Each step is
-    numpy's, applied to all sentences at once: SeedSequence hashes the
-    32-bit words of ``seed`` (least significant first) and of ``i`` into a
-    pool of four words and draws eight words from it; PCG64 takes them as
-    the 128-bit seed ``s`` and stream ``q``, and sets ``inc = 2q + 1`` and
-    ``state = (s + inc) * MULT + inc``. uint32 and uint64 arrays wrap as the
-    C arithmetic does. ``seed`` must be an integer >= 0 and ``count`` at
-    most 2**32, so that each ``i`` is one word.
+    Returns a ``(count, 4)`` uint64 array whose row ``i`` equals
+    ``np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)``. The
+    hash is numpy's, applied to all sentences at once: SeedSequence hashes
+    the 32-bit words of ``seed`` (least significant first) and of ``i`` into
+    a pool of four words and draws eight words from it, which pair into
+    four uint64 words as numpy pairs them. uint32 arrays wrap as the C
+    arithmetic does. ``seed`` must be an integer >= 0 and ``count`` at most
+    2**32, so that each ``i`` is one word.
     """
     seed = int(seed)
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -201,47 +199,26 @@ def _sentence_states(seed: int, count: int) -> np.ndarray:
         value = pool[k % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
-        drawn.append((value ^ (value >> 16)).astype(np.uint64))
-    s_hi, s_lo, q_hi, q_lo = (drawn[2 * k] | drawn[2 * k + 1] << 32 for k in range(4))
-
-    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-    t_hi, t_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
-    # (t * MULT) mod 2**128: the full low product plus the cross terms' low halves
-    p_hi, p_lo = _mul64(t_lo, _PCG64_MULT_LO)
-    p_hi += t_hi * _PCG64_MULT_LO + t_lo * _PCG64_MULT_HI
-    return np.stack(_add128(p_hi, p_lo, inc_hi, inc_lo) + (inc_hi, inc_lo))
+        drawn.append(value ^ (value >> 16))
+    return np.stack(drawn, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """High and low uint64 halves of ``a + b`` mod 2**128."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One precomputed row of ``_seed_words``, handed to ``PCG64`` as its seed."""
 
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-def _mul64(a, c: int):
-    """High and low uint64 halves of the 128-bit product of ``a`` and ``c < 2**64``."""
-    a0, a1, c0, c1 = a & _MASK32, a >> 32, c & _MASK32, c >> 32
-    p00, p01, p10, p11 = a0 * c0, a0 * c1, a1 * c0, a1 * c1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), (p00 & _MASK32) | mid << 32
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words hold exactly 4 uint64 words")
+        return self.words
 
 
 def _sentence_generators(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to the state of ``default_rng([seed, i])``, ``i < count``.
-
-    Each yield re-seeds the same generator, so a sentence's draws must be
-    done before the next one is taken. The 32-bit buffer is emptied too,
-    as a fresh generator's is.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state_hi, state_lo, inc_hi, inc_lo in zip(*_sentence_states(seed, count).tolist()):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    """A fresh generator in the state of ``default_rng([seed, i])`` for every ``i < count``."""
+    for words in _seed_words(seed, count):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _replacement_count(fraction: float, length: int) -> int:

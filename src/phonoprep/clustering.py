@@ -294,9 +294,10 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
 
     A row is any line with a tab that does not start with ``"# "``; since
     units never contain whitespace, units starting with ``#`` stay rows.
-    Other lines starting with ``#`` are comments. A cluster id is one
-    ``str.split()`` token (a row has one tab) and the seed an integer >= 0;
-    anything else is a ``ValueError`` naming ``path:lineno``.
+    Other lines starting with ``#`` are comments. A unit and a cluster id
+    are each one ``str.split()`` token (a row has one tab), a unit is listed
+    once and the seed is an integer >= 0; anything else is a ``ValueError``
+    naming ``path:lineno``.
     """
     seed = 0
     source = "baseline-derived"
@@ -310,8 +311,11 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
             source = line.split(":", 1)[1].strip()
         elif "\t" in line and not line.startswith("# "):
             unit, _, cid = line.partition("\t")
-            if cid.split() != [cid]:  # a token must keep one code in its line
-                raise ValueError(f"{where}: cluster id must be one token, got {cid!r}")
+            for name, value in (("unit", unit), ("cluster id", cid)):
+                if value.split() != [value]:  # a token can match it, and keeps one code
+                    raise ValueError(f"{where}: {name} must be one token, got {value!r}")
+            if unit in assignment:
+                raise ValueError(f"{where}: unit {unit!r} is listed twice")
             assignment[unit] = cid
         elif line and not line.startswith("#"):
             raise ValueError(f"{where}: expected unit<TAB>cluster-id, got {line!r}")

@@ -85,7 +85,8 @@ class MalformedFloat(PhonoprepError):
 
 
 class DegenerateData(PhonoprepError):
-    """All points identical; no principal directions exist."""
+    """Data without the structure to analyse: identical points, a degenerate
+    hull, or a co-occurrence matrix with no positive PPMI entry."""
 
 
 class AllPointsRemoved(PhonoprepError):

@@ -285,13 +285,18 @@ def train_embeddings(
     this construction track token frequency, which distorts geometric
     analyses; cosine-based uses are unaffected either way). If the
     vocabulary is smaller than ``d`` the dimension is reduced with a
-    warning.
+    warning. A corpus whose PPMI matrix has no positive entry (no pair
+    within ``window``, or every pair at or below chance) raises
+    ``DegenerateData``.
     """
     check_int("d", d, 2)
     check_int("seed", seed, 0)
     vocab, counts = cooccurrence_counts(corpus, window=window)
     weights = ppmi(counts)
     del counts  # not beside the solver's workspace
+    if not (weights.data > 0).any():  # ``ppmi`` stores explicit zeros
+        raise DegenerateData(
+            f"no word pair within window {window} co-occurs above chance; nothing to embed")
     n = len(vocab)
     if d > n:
         warnings.warn(

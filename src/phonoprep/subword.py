@@ -359,5 +359,8 @@ def load_bpe_model(path: str | Path) -> BpeModel:
         parts = line.split(" ")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'left right', got {line!r}")
+        if any(part.split() != [part] for part in parts):  # else no token can use it
+            raise ValueError(f"{path}:{lineno}: merge symbols must be one token each, "
+                             f"got {line!r}")
         merges.append((parts[0], parts[1]))
     return BpeModel(merges=tuple(merges))

@@ -17,8 +17,9 @@ from phonoprep.augment import (
     _cdf,
     _draw,
     _NeighborSampler,
+    _SeedWords,
+    _seed_words,
     _sentence_generators,
-    _sentence_states,
     edit_distance,
     noise_augment,
     perturb_corpus,
@@ -225,43 +226,57 @@ class TestPerturbCorpus:
             perturb_corpus([""], [], PerturbationSpec(k=0))
 
 
-def pcg64_state(states: np.ndarray, i: int) -> dict:
-    """``bit_generator.state`` of a PCG64 at column ``i`` of ``_sentence_states``."""
-    state_hi, state_lo, inc_hi, inc_lo = (int(word) for word in states[:, i])
-    return {"bit_generator": "PCG64",
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0, "uinteger": 0}
+def assert_rows_are_numpy_seeds(seed, count: int, indices) -> None:
+    """Rows ``indices`` of ``_seed_words(seed, count)`` are ``SeedSequence([seed, i])``'s
+    words, and a PCG64 seeded from a row is in ``default_rng([seed, i])``'s state."""
+    words = _seed_words(seed, count)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for i in indices:
+        want = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+        assert words[i].tolist() == want.tolist()
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(words[i])))
+        assert rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
 
 
-# a seed of more than 32 bits hashes as several words
+# a seed of more than 32 bits hashes as several words; numpy integers hash as ints
 _seeds = st.one_of(st.integers(min_value=0, max_value=2**200),
-                   st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200]))
+                   st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200]),
+                   st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+                   st.integers(min_value=0, max_value=2**63 - 1).map(np.int64))
 
 
 class TestSentenceStates:
     @settings(max_examples=200, deadline=None)
     @given(_seeds, st.integers(min_value=0, max_value=40))
     def test_state_of_every_sentence(self, seed, count):
-        states = _sentence_states(seed, count)
-        assert states.shape == (4, count)
-        for i in range(count):
-            assert pcg64_state(states, i) == np.random.default_rng([seed, i]).bit_generator.state
+        assert_rows_are_numpy_seeds(seed, count, range(count))
+        generators = list(_sentence_generators(seed, count))
+        assert [rng.bit_generator.state for rng in generators] == \
+            [np.random.default_rng([seed, i]).bit_generator.state for i in range(count)]
 
     @settings(max_examples=25, deadline=None)
     @given(_seeds, st.integers(min_value=0, max_value=10**6))
     def test_state_at_a_large_index(self, seed, i):
-        states = _sentence_states(seed, i + 1)
-        assert pcg64_state(states, i) == np.random.default_rng([seed, i]).bit_generator.state
+        assert_rows_are_numpy_seeds(seed, i + 1, [i])
 
     def test_no_sentences(self):
-        assert _sentence_states(7, 0).shape == (4, 0)
+        assert _seed_words(7, 0).shape == (0, 4)
         assert list(_sentence_generators(7, 0)) == []
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(2**32 - 1), np.uint64(2**64 - 1)])
     def test_numpy_integer_seed(self, seed):
-        states = _sentence_states(seed, 3)
-        for i in range(3):
-            assert pcg64_state(states, i) == np.random.default_rng([seed, i]).bit_generator.state
+        assert_rows_are_numpy_seeds(seed, 3, range(3))
+
+    @pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (4, np.uint32), (2, np.uint64)])
+    def test_seed_words_refuse_any_other_request(self, n_words, dtype):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            _SeedWords(_seed_words(1, 1)[0]).generate_state(n_words, dtype)
+
+    def test_generators_stay_distinct_after_the_list_is_built(self):
+        generators = list(_sentence_generators(3, 5))
+        assert len({id(rng) for rng in generators}) == 5
+        assert [rng.random(2).tolist() for rng in generators] == \
+            [np.random.default_rng([3, i]).random(2).tolist() for i in range(5)]
 
     def test_generators_draw_the_index_derived_streams(self):
         ours = [rng.random(3).tolist() for rng in _sentence_generators(2**40 + 9, 5)]

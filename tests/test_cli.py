@@ -165,7 +165,8 @@ class TestEncode:
         assert flags[0] in err
         assert out == ""
 
-    @pytest.mark.parametrize("row", ["a\t", "a\tG 1", "a\tG1\tG2", "# seed: abc"])
+    @pytest.mark.parametrize("row", ["a\t", "a\tG 1", "a\tG1\tG2", "# seed: abc",
+                                     "\tG2", "a b\tG2", "b\tG2"])
     def test_malformed_cluster_model_is_data_error(self, capsys, tmp_path, row):
         model, src = tmp_path / "m.tsv", tmp_path / "in.txt"
         model.write_text(f"b\tG1\n{row}\n", encoding="utf-8")
@@ -329,6 +330,21 @@ class TestGeometry:
         run_cli(["geometry", "embed", "--corpus", str(corpus), "--dim", "2",
                  "--seed", seed, "--output", str(again)], capsys)
         assert again.read_bytes() == (tmp_path / "v.txt").read_bytes()
+
+    @pytest.mark.parametrize("lines, window", [("the cat sat\na dog ran\n", "0"),
+                                                ("a\nb\nc\n", "5")])
+    def test_embed_without_positive_ppmi_is_a_data_error(self, capsys, tmp_path, lines, window):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(lines, encoding="utf-8")
+        vectors = tmp_path / "v.txt"
+        code, out, err = run_cli(
+            ["geometry", "embed", "--corpus", str(corpus), "--dim", "2", "--window", window,
+             "--seed", "1", "--output", str(vectors)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "above chance" in err
+        assert not vectors.exists()
 
     def test_cdf_and_coverage_csv(self, capsys, tmp_path):
         groups, points = self._write_hand_example(tmp_path)

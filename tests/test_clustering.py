@@ -432,6 +432,10 @@ class TestModelFile:
         ("a\tG1\tG2", "cluster id must be one token"),
         ("# seed: abc", "seed must be an integer >= 0, got 'abc'"),
         ("# seed: -1", "seed must be an integer >= 0"),
+        ("\tG1", "unit must be one token, got ''"),
+        ("a b\tG1", "unit must be one token, got 'a b'"),
+        ("a\x1cb\tG1", "unit must be one token"),  # str.split() whitespace
+        ("b\tG3", "unit 'b' is listed twice"),
     ])
     def test_malformed_row_is_refused_by_line(self, tmp_path, row, message):
         path = tmp_path / "clusters.tsv"

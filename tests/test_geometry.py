@@ -460,6 +460,16 @@ class TestEmbeddings:
             table = train_embeddings(["a b a b"], d=50, window=2, seed=0)
         assert table.dimension == 2
 
+    @pytest.mark.parametrize("corpus, window", [
+        (["the cat sat", "a dog ran"], 0),           # no pair within the window
+        (["a", "b", "c"], 5),                        # one token per line
+        (["a a", "a a a"], 5),                       # one type: PMI 0, stored as an explicit zero
+    ])
+    def test_no_positive_ppmi_is_refused(self, corpus, window):
+        assert not (ppmi(cooccurrence_counts(corpus, window=window)[1]).toarray() > 0).any()
+        with pytest.raises(DegenerateData, match="above chance"):
+            train_embeddings(corpus, d=2, window=window, seed=0)
+
 
 _token = st.sampled_from(["a", "b", "c", "dd", "e9", "Ω"])
 _corpus = st.lists(

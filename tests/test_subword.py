@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 from collections import Counter
 from pathlib import Path
 from typing import Mapping
@@ -325,6 +326,13 @@ class TestMergeFile:
         path = tmp_path / "merges.txt"
         save_bpe_model(model, path)
         assert load_bpe_model(path) == model
+
+    @pytest.mark.parametrize("row", [" b", "a ", "a\tx c", "a b\x1c"])
+    def test_merge_symbol_that_is_not_one_token_is_refused_by_line(self, tmp_path, row):
+        path = tmp_path / "merges.txt"
+        path.write_text(f"#version: 0.2\na b\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: merge symbols')}"):
+            load_bpe_model(path)
 
     def test_header_and_layout(self, tmp_path):
         model = bpe_learn("aa aa", 1)
