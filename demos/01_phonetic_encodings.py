@@ -36,7 +36,7 @@ for name, encode in [("soundex", soundex_encode), ("metaphone", metaphone_encode
     print(f"  {name}: {len(words)} words -> {len(codes)} codes")
 
 print("\n=== Pinyin: one syllable covers several characters ===")
-pinyin = load_code_table(bundled_table_path("pinyin"), "pinyin")
+pinyin = load_code_table(bundled_table_path("pinyin"))
 for char in "笑校孝效氏事市视":
     print(f"  {char} -> {table_encode(char, pinyin)[0]}")
 
@@ -44,6 +44,6 @@ print("\n=== Pinyin in letters splits the code into characters ===")
 print(f"  市 -> {table_encode('市', pinyin, granularity='letters')}")
 
 print("\n=== Wubi decomposes characters by structure, not sound ===")
-wubi = load_code_table(bundled_table_path("wubi"), "wubi")
+wubi = load_code_table(bundled_table_path("wubi"))
 for char in "我你好笑":
     print(f"  {char} -> {table_encode(char, wubi)[0]}")

@@ -14,9 +14,8 @@ sentence gets a fresh PCG64 seeded from its row of them.
 
 Weighted draws reproduce ``Generator.choice(n, p=weights)`` index for index
 and leave the generator in the same state: numpy's normalised CDF is built
-once (per word type for neighbors, per ``PerturbationSpec`` for edit
-operations) and each draw bisects it with one ``rng.random()``. The
-weights are validated once, where they are built, instead of on every draw.
+once (per word type for neighbors; ``_OP_CDF`` for the three uniform edit
+operations) and each draw bisects it with one ``rng.random()``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import logging
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -46,6 +44,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 EDIT_OPS = ("deletion", "substitution", "insertion")
+_OP_CDF = [1 / 3, 2 / 3, 1.0]  # the CDF of ``Generator.choice(3, p=[1 / 3] * 3)``
 
 
 @dataclass(frozen=True)
@@ -68,24 +67,10 @@ class PerturbationSpec:
 
     k: int
     seed: int = 0
-    op_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
         check_int("k", self.k, 0)
         check_int("seed", self.seed, 0)
-        if len(self.op_weights) != 3 or any(w < 0 for w in self.op_weights):
-            raise ValueError("op_weights must be three non-negative weights")
-        total = sum(self.op_weights)
-        if total <= 0:
-            raise ValueError("op_weights must not all be zero")
-        object.__setattr__(
-            self, "op_weights", tuple(w / total for w in self.op_weights)
-        )
-
-    @cached_property
-    def _op_cdf(self) -> list[float]:
-        """The CDF each edit operation is drawn from, built once per spec."""
-        return _cdf(self.op_weights)
 
 
 class _NeighborSampler:
@@ -110,7 +95,7 @@ class _NeighborSampler:
             order = np.argsort(np.take_along_axis(sims, top, axis=1), axis=1)[:, ::-1]
             top = np.take_along_axis(top, order, axis=1)
             weights = np.maximum(np.take_along_axis(sims, top, axis=1), 0.0)
-            # ``_cdf(w / w.sum())`` of each row with positive weight, all rows at once
+            # numpy's ``choice`` CDF of each row with positive weight, all rows at once
             totals = weights.sum(axis=1)
             live = totals > 0
             cdfs = np.cumsum(weights[live] / totals[live, None], axis=1)
@@ -123,17 +108,6 @@ class _NeighborSampler:
     def candidates(self, word: str) -> tuple[list[str], list[float]] | None:
         """Top-n neighbors of ``word`` (excluding itself) with their sampling CDF."""
         return self._candidates.get(word)
-
-
-def _cdf(p) -> list[float]:
-    """The CDF ``Generator.choice(p=p)`` searches: ``p.cumsum()`` over its last value.
-
-    ``p`` must be finite and non-negative with a positive sum; callers check
-    that where the weights are built.
-    """
-    cdf = np.asarray(p, dtype=np.float64).cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
 
 
 def _draw(cdf: list[float], rng: np.random.Generator) -> int:
@@ -291,7 +265,7 @@ def perturb_edit(
     tokens = list(sentence)
     exhausted = not tokens
     for _ in range(spec.k):
-        op = EDIT_OPS[_draw(spec._op_cdf, rng)]
+        op = EDIT_OPS[_draw(_OP_CDF, rng)]
         if exhausted:
             op = "insertion"
         if op == "deletion":

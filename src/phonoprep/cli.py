@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import secrets
 import sys
 from pathlib import Path
@@ -266,6 +267,13 @@ def cmd_eval_vocab(args) -> int:
 # --- parser assembly ---
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument starting with "-" for a value where its private
+        # ``_negative_number_matcher`` matches: widen it from -1 and -.5 to float()'s grammar
+        self._negative_number_matcher = re.compile(
+            r"-((\d(_?\d)*(\.(\d(_?\d)*)?)?|\.\d(_?\d)*)(e[-+]?\d(_?\d)*)?|inf(inity)?|nan)$", re.I)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")

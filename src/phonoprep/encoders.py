@@ -314,22 +314,19 @@ class CodeTable:
     """Immutable character -> ordered code list lookup (Pinyin or Wubi)."""
 
     entries: dict[str, tuple[str, ...]]
-    kind: str
 
     def default_code(self, char: str) -> str | None:
         codes = self.entries.get(char)
         return codes[0] if codes else None
 
 
-def load_code_table(path: str | Path, kind: str) -> CodeTable:
+def load_code_table(path: str | Path) -> CodeTable:
     """Read a TSV code table: ``character<TAB>code`` per line, ``#`` comments.
 
     A code must be one ``str.split()`` token: non-empty, with no whitespace.
     Duplicate characters keep all codes in file order; the first listed
     code is the default.
     """
-    if kind not in TABLE_KINDS:
-        raise ValueError(f"unknown table kind {kind!r}")
     path = Path(path)
     entries: dict[str, list[str]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -342,10 +339,7 @@ def load_code_table(path: str | Path, kind: str) -> CodeTable:
         entries.setdefault(parts[0], []).append(parts[1])
     if not entries:
         raise EmptyTable(f"no entries in {path}")
-    return CodeTable(
-        entries={k: tuple(v) for k, v in entries.items()},
-        kind=kind,
-    )
+    return CodeTable(entries={k: tuple(v) for k, v in entries.items()})
 
 
 def bundled_table_path(kind: str) -> Path:

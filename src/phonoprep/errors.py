@@ -24,9 +24,7 @@ class MalformedTableLine(PhonoprepError):
 
     def __init__(self, path: str, lineno: int, line: str):
         super().__init__(f"{path}:{lineno}: malformed table line: {line!r}")
-        self.path = path
         self.lineno = lineno
-        self.line = line
 
 
 class EmptyTable(PhonoprepError):
@@ -68,16 +66,11 @@ class ContinuationMarkerToken(PhonoprepError):
 # --- geometry ---
 
 class DimensionMismatch(PhonoprepError):
-    """Embedding line has the wrong number of components."""
+    """Embedding line has the wrong number of components; carries the 1-based line number."""
 
     def __init__(self, path: str, lineno: int, expected: int, got: int):
-        super().__init__(
-            f"{path}:{lineno}: expected {expected} components, got {got}"
-        )
-        self.path = path
+        super().__init__(f"{path}:{lineno}: expected {expected} components, got {got}")
         self.lineno = lineno
-        self.expected = expected
-        self.got = got
 
 
 class MalformedFloat(PhonoprepError):

@@ -166,19 +166,13 @@ def bleu(
     )
 
 
-def vocab_stats(
-    corpus: Iterable[str] | Mapping[str, Iterable[str] | Mapping[str, int]],
-) -> VocabReport:
-    """Exact unique/total token counts, per stream when given a mapping.
+def vocab_stats(named: Mapping[str, Iterable[str] | Mapping[str, int]]) -> VocabReport:
+    """Exact unique/total token counts of each named stream.
 
     A stream is its lines, or its token counts: a mapping of each token to
     how often it occurs, whose keys are the unique tokens and whose values
     sum to the total.
     """
-    if isinstance(corpus, Mapping):
-        named = corpus
-    else:
-        named = {"corpus": corpus}
     streams = {}
     for name, stream in named.items():
         if not isinstance(stream, Mapping):

@@ -86,9 +86,6 @@ class Projection2D:
     mean: np.ndarray  # (d,)
     components: np.ndarray  # (2, d)
 
-    def transform(self, vec: np.ndarray) -> np.ndarray:
-        return (np.asarray(vec) - self.mean) @ self.components.T
-
 
 @dataclass(frozen=True)
 class HullParams:
@@ -372,9 +369,8 @@ def pca_project(table: EmbeddingTable) -> tuple[Projection2D, dict[str, np.ndarr
         raise DegenerateData("all embedding vectors identical")
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = _fix_signs(vt[:2].T).T
-    projection = Projection2D(mean=mean, components=components)
-    projected = {u: projection.transform(table.vectors[u]) for u in units}
-    return projection, projected
+    projected = {u: (table.vectors[u] - mean) @ components.T for u in units}
+    return Projection2D(mean=mean, components=components), projected
 
 
 # --- hull machinery ---
@@ -424,8 +420,8 @@ def smooth_hull(points: Sequence[Sequence[float]] | np.ndarray,
     number of *other* points. ``params=None`` disables removal entirely.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("need at least one point")
+    if pts.size == 0 or pts.shape[1] != 2:  # a hull is drawn in the plane
+        raise ValueError(f"need one or more 2-D points, got an array of shape {pts.shape}")
     removed = 0
     if params is not None:
         required = params.required_neighbors(len(pts))

@@ -197,7 +197,7 @@ def make_token_encoder(
         codec = WORD_ENCODERS[name]
         return lambda tok: encode_or_passthrough(tok, codec)
     if name in TABLE_ENCODERS:
-        table = load_code_table(table_path or bundled_table_path(name), name)
+        table = load_code_table(table_path or bundled_table_path(name))
         return lambda tok: (" ".join(table_encode(tok, table, granularity)), False)
     if name in CLUSTER_ENCODERS:
         if cluster_model is None:

@@ -47,7 +47,6 @@ __all__ = [
     "line_writer",
     "map_tokens",
     "read_lines",
-    "split_lines",
     "write_lines",
     "write_json",
 ]
@@ -72,25 +71,15 @@ class BpeModel:
         object.__setattr__(self, "_ranks", ranks)
 
 
-def split_lines(text: str) -> list[str]:
-    """The lines of ``text``: only ``"\\n"`` ends a line, and one ``"\\r"`` before it goes.
-
-    Unlike ``str.splitlines()``, characters such as U+0085, U+2028 or a lone
-    ``"\\r"`` stay inside their line, so every reader counts lines the way
-    the writers (one ``"\\n"`` per line) do. The text after the last
-    ``"\\n"`` is a line only if it is not empty.
-    """
-    *lines, last = text.split("\n")
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    if last:
-        lines.append(last)
-    return lines
-
-
 def iter_lines(source: str | Path | BinaryIO) -> Iterator[str]:
-    """The ``split_lines`` of a UTF-8 file or binary stream, read one line at a time.
+    """The lines of a UTF-8 file or binary stream, read one line at a time.
 
-    A binary read splits only at ``b"\\n"``, which no other UTF-8 character holds."""
+    Only ``"\\n"`` ends a line, and one ``"\\r"`` before it goes. Unlike
+    ``str.splitlines()``, characters such as U+0085, U+2028 or a lone ``"\\r"``
+    stay inside their line, so every reader counts lines the way the writers
+    (one ``"\\n"`` per line) do. The text after the last ``"\\n"`` is a line
+    only if it is not empty. A binary read splits only at ``b"\\n"``, which no
+    other UTF-8 character holds."""
     with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as f:
         for raw in f:
             if raw.endswith(b"\n"):  # else the last line, which keeps a final "\r"
@@ -99,7 +88,7 @@ def iter_lines(source: str | Path | BinaryIO) -> Iterator[str]:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The ``split_lines`` of a UTF-8 file, read without newline translation."""
+    """The ``iter_lines`` of a UTF-8 file, as a list."""
     return list(iter_lines(path))
 
 

@@ -93,7 +93,7 @@ class TestCriterion1Codecs:
             assert soundex_encode(word) == "S120"
         for word in ("car", "care", "chair", "cherry", "choir", "cry", "crow", "core"):
             assert soundex_encode(word) == "C600"
-        pinyin = load_code_table(bundled_table_path("pinyin"), "pinyin")
+        pinyin = load_code_table(bundled_table_path("pinyin"))
         for char in "笑校孝效":
             assert table_encode(char, pinyin) == ["xiao4"], char
         for char in "氏事市视":

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonoprep import augment
 from phonoprep.augment import (
     NoiseSpec,
     PerturbationSpec,
-    _cdf,
+    _OP_CDF,
     _draw,
     _NeighborSampler,
     _SeedWords,
@@ -100,6 +101,19 @@ class TestSpecChecks:
         assert PerturbationSpec(k=np.int32(2), seed=np.int64(4)).k == 2
 
 
+def numpy_cdf(p) -> list[float]:
+    """The CDF ``Generator.choice(p=p)`` searches: ``p.cumsum()`` over its last value."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+@pytest.fixture
+def only_deletions(monkeypatch):
+    """Every edit operation drawn is a deletion (the CDF puts all weight on index 0)."""
+    monkeypatch.setattr(augment, "_OP_CDF", [1.0, 1.0, 1.0])
+
+
 class TestPerturbEdit:
     VOCAB = [f"w{i}" for i in range(30)]
 
@@ -107,9 +121,9 @@ class TestPerturbEdit:
         s = ["a", "b", "c"]
         assert perturb_edit(s, self.VOCAB, PerturbationSpec(k=0, seed=1)) == s
 
-    def test_single_deletion(self):
+    def test_single_deletion(self, only_deletions):
         s = ["a", "b", "c", "d"]
-        spec = PerturbationSpec(k=1, seed=4, op_weights=(1, 0, 0))
+        spec = PerturbationSpec(k=1, seed=4)
         out = perturb_edit(s, self.VOCAB, spec)
         assert len(out) == 3
         assert edit_distance(s, out) == 1
@@ -119,8 +133,8 @@ class TestPerturbEdit:
         spec = PerturbationSpec(k=3, seed=11)
         assert perturb_edit(s, self.VOCAB, spec) == perturb_edit(s, self.VOCAB, spec)
 
-    def test_exhausted_sentence_turns_into_insertions(self):
-        spec = PerturbationSpec(k=4, seed=2, op_weights=(1, 0, 0))
+    def test_exhausted_sentence_turns_into_insertions(self, only_deletions):
+        spec = PerturbationSpec(k=4, seed=2)
         out = perturb_edit(["only", "two"], self.VOCAB, spec)
         # two deletions empty the sentence; the remaining ops insert
         assert len(out) == 2
@@ -160,9 +174,22 @@ class TestPerturbEdit:
 def test_cdf_draw_matches_generator_choice(weights, seed):
     p = np.array(weights) / sum(weights)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    cdf = _cdf(p)
+    cdf = numpy_cdf(p)
     for _ in range(4):
         assert _draw(cdf, ours) == theirs.choice(len(p), p=p)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_op_cdf_is_the_uniform_choice_cdf():
+    assert _OP_CDF == numpy_cdf([1 / 3] * 3)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_op_draw_matches_uniform_generator_choice(seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(8):
+        assert _draw(_OP_CDF, ours) == theirs.choice(3, p=[1 / 3] * 3)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -171,7 +198,7 @@ def reference_perturb_edit(sentence, vocab, spec, rng):
     tokens = list(sentence)
     exhausted = not tokens
     for _ in range(spec.k):
-        op = ("deletion", "substitution", "insertion")[rng.choice(3, p=spec.op_weights)]
+        op = ("deletion", "substitution", "insertion")[rng.choice(3, p=[1 / 3] * 3)]
         if exhausted:
             op = "insertion"
         if op == "deletion":
@@ -192,12 +219,10 @@ class TestPerturbEditMatchesReference:
     @given(
         st.lists(st.sampled_from("abcdef"), max_size=8),
         st.integers(min_value=0, max_value=8),
-        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.7, 0.2, 0.1),
-                         (0, 0.5, 0.5), (1 / 3, 1 / 3, 1 / 3), (2, 0, 1e-9)]),
         st.integers(min_value=0, max_value=2**32),
     )
-    def test_same_tokens_and_generator_state(self, sentence, k, weights, seed):
-        spec = PerturbationSpec(k=k, seed=seed, op_weights=weights)
+    def test_same_tokens_and_generator_state(self, sentence, k, seed):
+        spec = PerturbationSpec(k=k, seed=seed)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         assert perturb_edit(sentence, self.VOCAB, spec, rng=ours) == \
             reference_perturb_edit(sentence, self.VOCAB, spec, theirs)
@@ -214,7 +239,7 @@ class TestPerturbCorpus:
         st.integers(min_value=0, max_value=2**70),
     )
     def test_each_sentence_draws_from_its_index_derived_generator(self, lines, k, seed):
-        spec = PerturbationSpec(k=k, seed=seed, op_weights=(0.5, 0.3, 0.2))
+        spec = PerturbationSpec(k=k, seed=seed)
         want = [" ".join(reference_perturb_edit(line.split(), self.VOCAB, spec,
                                                 np.random.default_rng([seed, i])))
                 for i, line in enumerate(lines)]
@@ -401,7 +426,7 @@ def reference_candidates(table: EmbeddingTable, top_n: int, word: str):
     weights = np.maximum(sims[top], 0.0)
     if weights.sum() <= 0:
         return None
-    return [units[i] for i in top], _cdf(weights / weights.sum())
+    return [units[i] for i in top], numpy_cdf(weights / weights.sum())
 
 
 class TestNeighborSampler:

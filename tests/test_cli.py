@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import re
 import subprocess
 import sys
 import tempfile
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -145,7 +147,7 @@ class TestEncode:
         code, _, _ = run_cli(["encode", "--codec", "pinyin", "--granularity", "letters",
                               "--input", str(src), "--output", str(out_path)], capsys)
         assert code == 0
-        table = load_code_table(bundled_table_path("pinyin"), "pinyin")
+        table = load_code_table(bundled_table_path("pinyin"))
         assert out_path.read_bytes() == self._per_token_output(
             lines, lambda tok: table_encode(tok, table, "letters"))
 
@@ -361,6 +363,23 @@ class TestGeometry:
         )
         assert code == 0
         assert out.splitlines()[0] == "step,volume"
+
+    @pytest.mark.parametrize("command", [["cdf"], ["coverage", "--seed", "1"],
+                                         ["density", "--seed", "1"]])
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_points_that_are_not_2d_are_a_data_error(self, capsys, tmp_path, command,
+                                                     dimension):
+        groups, points = tmp_path / "g.tsv", tmp_path / "p.txt"
+        groups.write_text("".join(f"u{i}\tG{i % 6}\n" for i in range(30)), encoding="utf-8")
+        rows = [" ".join([f"u{i}"] + [str(i * j % 7) for j in range(1, dimension + 1)])
+                for i in range(30)]
+        points.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        code, stdout, err = run_cli(["geometry", *command, "--groups", str(groups),
+                                     "--points", str(points), "--output", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert "2-D points" in err and "internal error" not in err
+        assert not out.exists()
 
     def test_density_without_samples_is_data_error(self, capsys, tmp_path):
         paths = _write_report_inputs(tmp_path)
@@ -800,6 +819,13 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert "phonoprep" in result.stdout
 
+    def test_project_script_target_resolves(self):
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"phonoprep": "phonoprep.cli:main"}
+        module, _, name = scripts["phonoprep"].partition(":")
+        assert getattr(importlib.import_module(module), name) is main
+
 
 class TestPipelineRunCli:
     def test_every_config_field_has_a_flag(self):
@@ -1082,6 +1108,10 @@ class TestReportBytes:
     @pytest.mark.parametrize("flags", [
         ["--beta", "nan", "--radius", "1"], ["--beta", "2", "--radius", "nan"],
         ["--beta", "inf", "--radius", "1"], ["--beta", "2", "--radius=-inf"],
+        # a number that float() reads is a value after a space too, not an option
+        ["--beta", "2", "--radius", "-inf"], ["--beta", "-1e3", "--radius", "1"],
+        ["--radius", "-Infinity", "--beta", "2"], ["--beta", "-nan", "--radius", "1"],
+        ["--beta", "2", "--radius", "-.5E-1_0"],
     ])
     def test_hull_params_must_be_finite(self, capsys, tmp_path, flags):
         paths = _write_report_inputs(tmp_path)
@@ -1089,6 +1119,22 @@ class TestReportBytes:
         code, out, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
         assert (code, out) == (2, "")
         assert "must be finite and positive" in err
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789._eE+-infatyINFATY", max_size=8))
+    def test_every_float_literal_is_a_value_and_nothing_else(self, text):
+        text = "-" + text
+        try:
+            want = float(text)
+        except ValueError:
+            want = None
+        argv = ["geometry", "cdf", "--groups", "g", "--points", "p", "--radius", text]
+        try:
+            got = build_parser().parse_args(argv).radius
+        except SystemExit as exc:  # ``--radius`` takes ``text`` for an option and lacks a value
+            assert (exc.code, want) == (1, None)
+        else:
+            assert want is not None and (got == want or (got != got and want != want))
 
     @pytest.mark.parametrize("case", sorted(REPORT_PINS))
     def test_report_stdout_is_pinned(self, capsys, tmp_path, case):

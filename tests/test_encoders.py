@@ -156,48 +156,48 @@ def test_empty_code_passes_through(token):
 
 class TestCodeTable:
     def test_bundled_pinyin_table1(self):
-        table = load_code_table(bundled_table_path("pinyin"), "pinyin")
+        table = load_code_table(bundled_table_path("pinyin"))
         for ch in "笑校孝效":
             assert table_encode(ch, table) == ["xiao4"], ch
         for ch in "氏事市视":
             assert table_encode(ch, table) == ["shi4"], ch
 
     def test_letters_granularity(self):
-        table = load_code_table(bundled_table_path("pinyin"), "pinyin")
+        table = load_code_table(bundled_table_path("pinyin"))
         assert table_encode("市", table, granularity="letters") == ["s", "h", "i", "4"]
 
     def test_unknown_characters_pass_through(self):
-        table = load_code_table(bundled_table_path("wubi"), "wubi")
+        table = load_code_table(bundled_table_path("wubi"))
         assert table_encode("abc", table) == ["a", "b", "c"]
 
     def test_multi_character_token(self):
-        table = load_code_table(bundled_table_path("pinyin"), "pinyin")
+        table = load_code_table(bundled_table_path("pinyin"))
         assert table_encode("笑话", table) == ["xiao4", "hua4"]
 
     def test_duplicate_keys_keep_order(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("国\tguo2\n国\tguo3\n", encoding="utf-8")
-        table = load_code_table(p, "pinyin")
+        table = load_code_table(p)
         assert table.entries["国"] == ("guo2", "guo3")
         assert table.default_code("国") == "guo2"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# header\n\n笑\txiao4\n", encoding="utf-8")
-        table = load_code_table(p, "pinyin")
+        table = load_code_table(p)
         assert table.default_code("笑") == "xiao4"
 
     def test_empty_table(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# only comments\n", encoding="utf-8")
         with pytest.raises(EmptyTable):
-            load_code_table(p, "pinyin")
+            load_code_table(p)
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("笑\txiao4\nbadline\n", encoding="utf-8")
         with pytest.raises(MalformedTableLine) as exc:
-            load_code_table(p, "pinyin")
+            load_code_table(p)
         assert exc.value.lineno == 2
 
     @pytest.mark.parametrize("code", ["a b", "xiao 4", " xiao4", "xiao4 ", "a\u2028b", "\x0c"])
@@ -206,17 +206,17 @@ class TestCodeTable:
         p = tmp_path / "t.tsv"
         p.write_text(f"笑\txiao4\nx\t{code}\n", encoding="utf-8")
         with pytest.raises(MalformedTableLine) as exc:
-            load_code_table(p, "pinyin")
+            load_code_table(p)
         assert exc.value.lineno == 2
 
     def test_wubi_code_shape(self):
-        table = load_code_table(bundled_table_path("wubi"), "wubi")
+        table = load_code_table(bundled_table_path("wubi"))
         for codes in table.entries.values():
             for code in codes:
                 assert 1 <= len(code) <= 4
 
     def test_pinyin_tone_digit_shape(self):
-        table = load_code_table(bundled_table_path("pinyin"), "pinyin")
+        table = load_code_table(bundled_table_path("pinyin"))
         for codes in table.entries.values():
             for code in codes:
                 assert code[-1] in "12345"

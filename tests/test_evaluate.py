@@ -202,11 +202,11 @@ class TestBleu:
 
 class TestVocabStats:
     def test_basic_counts(self):
-        report = vocab_stats(["a b a"])
+        report = vocab_stats({"corpus": ["a b a"]})
         assert report.streams == {"corpus": (2, 3)}
 
     def test_empty_corpus(self):
-        report = vocab_stats([])
+        report = vocab_stats({"corpus": []})
         assert report.streams["corpus"] == (0, 0)
 
     def test_named_streams(self):

@@ -175,6 +175,13 @@ class TestHull:
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("points", [
+        [[0.0], [1.0], [5.0]], [[0, 0, 0], [1, 0, 0], [0, 1, 9]], np.zeros((0, 2)),
+    ])
+    def test_points_must_be_2d(self, points):
+        with pytest.raises(ValueError, match="2-D points"):
+            smooth_hull(points)
+
 
 class TestSmoothing:
     def test_no_removal_when_beta_low(self):

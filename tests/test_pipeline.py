@@ -137,7 +137,7 @@ def _reference_word_codec(codec):
     return encode_token
 
 
-PINYIN = load_code_table(bundled_table_path("pinyin"), "pinyin")
+PINYIN = load_code_table(bundled_table_path("pinyin"))
 CLUSTERS = random_cluster_uniform(["ab", "ba", "cab", "x1", "笑", "9"], 0.5, seed=3)
 REFERENCE_ENCODERS = {
     **{name: (lambda name=name: make_token_encoder(name),

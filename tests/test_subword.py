@@ -27,7 +27,6 @@ from phonoprep.subword import (
     map_tokens,
     read_lines,
     save_bpe_model,
-    split_lines,
     write_lines,
 )
 
@@ -350,6 +349,16 @@ class TestMergeFile:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines ``iter_lines`` reads from ``text``, split in one go: only ``"\\n"``
+    ends a line, one ``"\\r"`` before it goes, and a non-empty tail is a line."""
+    *lines, last = text.split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if last:
+        lines.append(last)
+    return lines
+
+
 @pytest.mark.parametrize("text, lines", [
     ("", []),
     ("\n", [""]),
@@ -363,6 +372,7 @@ class TestMergeFile:
 ])
 def test_split_lines_breaks_only_at_newline(text, lines):
     assert split_lines(text) == lines
+    assert list(iter_lines(io.BytesIO(text.encode("utf-8")))) == lines
 
 
 # every character str.splitlines() (or a text-mode read of a lone "\r") takes for

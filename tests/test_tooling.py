@@ -1,0 +1,45 @@
+"""The package's public names and the test suite's own configuration."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phonoprep
+
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+MODULES = ["phonoprep", *(f"phonoprep.{m.name}"
+                          for m in pkgutil.iter_modules(phonoprep.__path__))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    # Hypothesis imports libcst to report a failing example; under the warning
+    # policy a DeprecationWarning from that import once ended the whole run
+    # with an INTERNALERROR, and the tests after the failing one never ran
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout, result.stdout
