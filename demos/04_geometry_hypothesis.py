@@ -26,9 +26,9 @@ from phonoprep.geometry import (
     train_embeddings,
     volume_cdf,
 )
+from phonoprep.subword import read_lines
 
-corpus = (Path(__file__).parent.parent / "data" / "desk_en.txt") \
-    .read_text(encoding="utf-8").splitlines()
+corpus = read_lines(Path(__file__).parent.parent / "data" / "desk_en.txt")
 
 print("training PPMI+SVD embeddings (d=100) ...")
 table = train_embeddings(corpus, d=100, window=5, seed=7, normalize=True)

@@ -16,9 +16,9 @@ from phonoprep.augment import (
     perturb_edit,
 )
 from phonoprep.geometry import train_embeddings
+from phonoprep.subword import read_lines
 
-corpus = (Path(__file__).parent.parent / "data" / "desk_en.txt") \
-    .read_text(encoding="utf-8").splitlines()[:3000]
+corpus = read_lines(Path(__file__).parent.parent / "data" / "desk_en.txt")[:3000]
 
 print("training embeddings for neighbor lookup ...")
 table = train_embeddings(corpus, d=50, window=5, seed=0)

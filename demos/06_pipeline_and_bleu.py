@@ -13,9 +13,9 @@ from pathlib import Path
 
 from phonoprep.evaluate import bleu
 from phonoprep.pipeline import PipelineConfig, run_pipeline
+from phonoprep.subword import read_lines
 
-corpus = (Path(__file__).parent.parent / "data" / "desk_en.txt") \
-    .read_text(encoding="utf-8").splitlines()[:1500]
+corpus = read_lines(Path(__file__).parent.parent / "data" / "desk_en.txt")[:1500]
 
 
 def tree_hash(root: Path) -> str:

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EmptyEmbedding, check_fraction, check_int
 from .geometry import EmbeddingTable, _unit_rows
+from .subword import token_counts
 
 __all__ = [
     "NoiseSpec",
@@ -213,7 +212,7 @@ def noise_augment(
     unchanged. Sentence count and per-sentence length are preserved.
     """
     lines = list(corpus)
-    counts = Counter(chain.from_iterable(map(str.split, lines)))
+    counts = token_counts(lines)
     sampler = _NeighborSampler(table, spec.top_n, counts)
     total_tokens = counts.total()
     covered_tokens = sum(n for t, n in counts.items() if t in table.vectors)

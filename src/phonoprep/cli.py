@@ -61,6 +61,7 @@ from .subword import (
     map_tokens,
     read_lines,
     save_bpe_model,
+    token_counts,
     write_json,
     write_lines,
 )
@@ -123,7 +124,10 @@ def _hull_params(args) -> HullParams | None:
 def _grouped_points(args) -> list[np.ndarray]:
     projected = load_embeddings(args.points).vectors
     encoding = load_cluster_model(args.groups).assignment
-    return group_points(projected, encoding)
+    groups = group_points(projected, encoding)
+    if not groups:
+        raise PhonoprepError(f"groups {args.groups} share no unit with points {args.points}")
+    return groups
 
 
 # --- subcommand handlers ---
@@ -145,7 +149,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    model = cluster_corpus(read_lines(args.corpus), args.seed,
+    model = cluster_corpus(token_counts(iter_lines(args.corpus)), args.seed,
                            fraction=args.fraction, baseline=args.baseline)
     save_cluster_model(model, args.output)
     print(f"wrote {model.num_clusters} clusters for {len(model.assignment)} units"
@@ -154,7 +158,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_bpe_learn(args) -> int:
-    model = bpe_learn(read_lines(args.corpus), args.operations)
+    model = bpe_learn(token_counts(iter_lines(args.corpus)), args.operations)
     save_bpe_model(model, args.output)
     print(f"learned {len(model.merges)} merges to {args.output}")
     return 0
@@ -241,7 +245,7 @@ def cmd_augment_noise(args) -> int:
 
 def cmd_augment_perturb(args) -> int:
     lines = read_lines(args.input)
-    vocab = sorted({tok for line in lines for tok in line.split()})
+    vocab = sorted(token_counts(lines))
     spec = PerturbationSpec(k=args.k, seed=args.seed)
     write_lines(args.output, perturb_corpus(lines, vocab, spec))
     print(f"applied {args.k} edits per sentence to {len(lines)} sentences (seed {args.seed})")
@@ -254,12 +258,12 @@ def cmd_eval_bleu(args) -> int:
 
 
 def cmd_eval_vocab(args) -> int:
-    streams: dict[str, list[str]] = {}
+    streams: dict = {}
     for p in args.inputs:
         name = Path(p).name
         if name in streams:  # the report keys each stream by its file name
             raise PhonoprepError(f"two --input files are named {name!r}")
-        streams[name] = read_lines(p)
+        streams[name] = token_counts(iter_lines(p))
     _emit_report(args, vocab_stats(streams))
     return 0
 

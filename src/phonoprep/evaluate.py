@@ -10,10 +10,9 @@ score.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -166,16 +165,8 @@ def bleu(
     )
 
 
-def vocab_stats(named: Mapping[str, Iterable[str] | Mapping[str, int]]) -> VocabReport:
-    """Exact unique/total token counts of each named stream.
-
-    A stream is its lines, or its token counts: a mapping of each token to
-    how often it occurs, whose keys are the unique tokens and whose values
-    sum to the total.
-    """
-    streams = {}
-    for name, stream in named.items():
-        if not isinstance(stream, Mapping):
-            stream = Counter(chain.from_iterable(map(str.split, stream)))
-        streams[name] = (len(stream), sum(stream.values()))
-    return VocabReport(streams=streams)
+def vocab_stats(named: Mapping[str, Mapping[str, int]]) -> VocabReport:
+    """Exact unique/total token counts of each named stream, given as its ``token_counts``:
+    the number of its keys and the sum of its values."""
+    return VocabReport(streams={name: (len(counts), sum(counts.values()))
+                                for name, counts in named.items()})

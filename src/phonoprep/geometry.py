@@ -473,10 +473,6 @@ def volume_cdf(
         raise ValueError("need at least one group")
     volumes = []
     for g in groups:
-        g = np.atleast_2d(np.asarray(g, dtype=float))
-        if len(g) < 3:
-            volumes.append(0.0)
-            continue
         try:
             volumes.append(smooth_hull(g, params).volume)
         except AllPointsRemoved:

@@ -19,7 +19,6 @@ import shutil
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -61,6 +60,7 @@ from .subword import (
     line_writer,
     map_tokens,
     save_bpe_model,
+    token_counts,
     write_json,
 )
 
@@ -207,18 +207,18 @@ def make_token_encoder(
 
 
 def cluster_corpus(
-    lines: Iterable[str],
+    counts: Mapping[str, int],
     seed: int,
     fraction: float | None = None,
     baseline: str = "metaphone",
 ) -> ClusterModel:
-    """Random cluster model over the distinct tokens of ``lines``.
+    """Random cluster model over the distinct tokens of a corpus, the keys of its ``counts``.
 
     With ``fraction`` the clusters are near-equal and number
     ``fraction`` times the vocabulary; otherwise their sizes copy how many
     tokens share each code of the ``baseline`` word codec.
     """
-    units = sorted({tok for line in lines for tok in line.split()})
+    units = sorted(counts)
     if fraction is not None:
         return random_cluster_uniform(units, fraction, seed)
     dist = derive_size_distribution(units, WORD_ENCODERS[baseline])
@@ -377,14 +377,13 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     counts: dict[str, Counter[str]] = {}
     with _stage("read-inputs"):
         for name, src in sources.items():
-            counts[name] = Counter(chain.from_iterable(map(str.split, iter_lines(src))))
+            counts[name] = token_counts(iter_lines(src))
             shutil.copyfile(src, out / "inputs" / f"{name}.txt")
 
     # models are learned on the training split only
     cluster_model = None
     with _stage("build-encoder"):
         if config.encoder in CLUSTER_ENCODERS:
-            # the distinct tokens are the units: each one a line of one token
             cluster_model = cluster_corpus(counts["train"], config.seed,
                                            fraction=config.cluster_fraction,
                                            baseline=config.cluster_baseline)

@@ -25,9 +25,10 @@ import json
 import os
 import secrets
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
@@ -47,6 +48,7 @@ __all__ = [
     "line_writer",
     "map_tokens",
     "read_lines",
+    "token_counts",
     "write_lines",
     "write_json",
 ]
@@ -163,29 +165,26 @@ def _tokens_after(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.cumsum(lengths), lengths) - np.arange(1, lengths.sum() + 1)
 
 
-def bpe_learn(corpus: str | Iterable[str] | Mapping[str, int], num_operations: int) -> BpeModel:
-    """Learn up to ``num_operations`` merges from a corpus of sentences.
+def token_counts(lines: Iterable[str]) -> Counter[str]:
+    """How often each ``str.split()`` token of ``lines`` occurs, in order of first appearance."""
+    return Counter(chain.from_iterable(map(str.split, lines)))
 
-    ``corpus`` is either the sentences or their token counts, a mapping of
-    each token (as ``str.split()`` gives it) to how often it occurs. The
-    merges depend only on those counts, not on the order of the tokens, so
-    both forms of one corpus learn the same merges. Stops early once no
-    adjacent pair occurs more than once.
+
+def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
+    """Learn up to ``num_operations`` merges from a corpus's ``token_counts``.
+
+    The merges depend only on how often each token occurs, not on the order
+    of the tokens. Stops early once no adjacent pair occurs more than once.
     """
     check_int("num_operations", num_operations, 0)
-    if isinstance(corpus, Mapping):
-        word_freqs = corpus
-        if any(f < 1 for f in word_freqs.values()):
-            raise ValueError("every token count must be >= 1")
-    else:
-        tokens, ids, _ = _token_ids(corpus)
-        word_freqs = dict(zip(tokens, np.bincount(ids, minlength=len(tokens)).tolist()))
-    if not word_freqs:
+    if any(f < 1 for f in counts.values()):
+        raise ValueError("every token count must be >= 1")
+    if not counts:
         raise EmptyCorpus("corpus has no tokens")
 
     # one working sequence of symbols per unique word
-    seqs: list[list[str]] = [list(w) for w in word_freqs]
-    freqs = list(word_freqs.values())
+    seqs: list[list[str]] = [list(w) for w in counts]
+    freqs = list(counts.values())
 
     # exact live count of every pair present, plus a superset index of the
     # words holding it (entries go stale as merges rewrite words)

@@ -51,7 +51,7 @@ from phonoprep.geometry import (
     volume_cdf,
 )
 from phonoprep.pipeline import PipelineConfig, run_pipeline
-from phonoprep.subword import bpe_apply, bpe_decode, bpe_learn, save_bpe_model
+from phonoprep.subword import bpe_apply, bpe_decode, bpe_learn, save_bpe_model, token_counts
 
 DATA = Path(__file__).parent / "data"
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
@@ -271,20 +271,20 @@ class TestCriterion5HullOracle:
 class TestCriterion6Bpe:
     def test_round_trip_and_determinism(self, desk_lines, tmp_path):
         t0 = time.perf_counter()
-        model = bpe_learn(desk_lines, 2000)
+        model = bpe_learn(token_counts(desk_lines), 2000)
         for line in desk_lines:
             tokens = line.split()
             assert bpe_decode(bpe_apply(tokens, model), model) == tokens
 
-        zero = bpe_learn(desk_lines[:100], 0)
+        zero = bpe_learn(token_counts(desk_lines[:100]), 0)
         word = desk_lines[0].split()[0]
         pieces = bpe_apply([word], zero)
         assert len(pieces) == len(word)
         assert [p.rstrip("@") for p in pieces] == list(word)
 
         p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
-        save_bpe_model(bpe_learn(desk_lines, 2000), p1)
-        save_bpe_model(bpe_learn(desk_lines, 2000), p2)
+        save_bpe_model(bpe_learn(token_counts(desk_lines), 2000), p1)
+        save_bpe_model(bpe_learn(token_counts(desk_lines), 2000), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
         elapsed = time.perf_counter() - t0

@@ -24,6 +24,7 @@ from phonoprep.errors import NonAlphabeticToken
 from phonoprep.evaluate import vocab_stats
 from phonoprep.geometry import load_embeddings, pca_project
 from phonoprep.pipeline import WORD_ENCODERS, PipelineConfig, cluster_corpus
+from phonoprep.subword import token_counts
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
@@ -94,7 +95,8 @@ class TestDispatch:
         code, _, _ = run_cli(["cluster", "--corpus", str(corpus), "--seed", "9",
                               "--output", str(model), *flags], capsys)
         assert code == 0
-        save_cluster_model(cluster_corpus(lines, 9, **options), tmp_path / "want.tsv")
+        save_cluster_model(cluster_corpus(token_counts(lines), 9, **options),
+                           tmp_path / "want.tsv")
         assert model.read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
@@ -237,7 +239,7 @@ class TestEval:
         code, out, _ = run_cli(["eval", "vocab", "--input", str(f), "--format", "json"],
                                capsys)
         assert code == 0
-        report = vocab_stats({"v.txt": ["a b a", "", "c"]})
+        report = vocab_stats({"v.txt": token_counts(["a b a", "", "c"])})
         assert out == json.dumps(report.to_dict(), sort_keys=True) + "\n"
 
 
@@ -381,6 +383,29 @@ class TestGeometry:
         assert "2-D points" in err and "internal error" not in err
         assert not out.exists()
 
+    def test_cdf_groups_too_small_for_an_area_still_need_2d_points(self, capsys, tmp_path):
+        groups, points = tmp_path / "g.tsv", tmp_path / "p.txt"
+        groups.write_text("a\tG1\nb\tG1\nc\tG2\nd\tG2\n", encoding="utf-8")
+        points.write_text("a 0\nb 1\nc 2\nd 3\n", encoding="utf-8")
+        code, stdout, err = run_cli(["geometry", "cdf", "--groups", str(groups),
+                                     "--points", str(points)], capsys)
+        assert (code, stdout) == (2, "")
+        assert "2-D points" in err
+
+    @pytest.mark.parametrize("command", [["gamma"], ["cdf"], ["coverage", "--seed", "1"],
+                                         ["density", "--seed", "1"]])
+    def test_groups_that_share_no_unit_with_the_points_are_refused(self, capsys, tmp_path,
+                                                                    command):
+        groups, points = tmp_path / "g.tsv", tmp_path / "p.txt"
+        groups.write_text("x\tA\ny\tB\n", encoding="utf-8")
+        points.write_text("u1 0.0 0.0\nu2 1.0 1.0\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        code, stdout, err = run_cli(["geometry", *command, "--groups", str(groups),
+                                     "--points", str(points), "--output", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert f"groups {groups} share no unit with points {points}" in err
+        assert not out.exists()
+
     def test_density_without_samples_is_data_error(self, capsys, tmp_path):
         paths = _write_report_inputs(tmp_path)
         code, out, err = run_cli(["geometry", "density", "--groups", str(paths["g.tsv"]),
@@ -435,6 +460,16 @@ class TestBpeAndPipeline:
         )
         assert code == 0
         assert restored.read_text(encoding="utf-8") == corpus.read_text(encoding="utf-8")
+
+    def test_bpe_learn_on_the_desk_corpus_writes_the_pinned_merge_file(self, capsys,
+                                                                        tmp_path):
+        # the words digest of tests/test_subword.py::test_desk_merge_files_are_pinned
+        merges = tmp_path / "m.txt"
+        code, _, _ = run_cli(["bpe", "learn", "--corpus", str(DESK_CORPUS),
+                              "--operations", "2000", "--output", str(merges)], capsys)
+        assert code == 0
+        assert hashlib.sha256(merges.read_bytes()).hexdigest() == (
+            "220f63c70143585fa472e6a20e9e2e7cfa9abfeaab94cf78fd89fc2510941b61")
 
     def test_bpe_apply_rejects_token_ending_with_marker(self, capsys, tmp_path):
         merges = tmp_path / "m.txt"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from phonoprep.encoders import soundex_encode
 from phonoprep.errors import LineCountMismatch
 from phonoprep.evaluate import MAX_ORDER, BleuReport, bleu, vocab_stats
+from phonoprep.subword import token_counts
 
 CORPUS = [
     "the cat sat on the mat today",
@@ -202,20 +203,20 @@ class TestBleu:
 
 class TestVocabStats:
     def test_basic_counts(self):
-        report = vocab_stats({"corpus": ["a b a"]})
+        report = vocab_stats({"corpus": token_counts(["a b a"])})
         assert report.streams == {"corpus": (2, 3)}
 
     def test_empty_corpus(self):
-        report = vocab_stats({"corpus": []})
+        report = vocab_stats({"corpus": token_counts([])})
         assert report.streams["corpus"] == (0, 0)
 
     def test_named_streams(self):
-        report = vocab_stats({"words": ["a b c"], "codes": ["X X Y"]})
+        report = vocab_stats({"words": token_counts(["a b c"]), "codes": token_counts(["X X Y"])})
         assert report.streams["words"] == (3, 3)
         assert report.streams["codes"] == (2, 3)
 
     def test_to_dict_is_the_report_payload(self):
-        report = vocab_stats({"words": ["a b c"], "codes": ["X X Y"]})
+        report = vocab_stats({"words": token_counts(["a b c"]), "codes": token_counts(["X X Y"])})
         assert report.to_dict() == {
             "schema": "phonoprep/vocab-report/1",
             "streams": {"codes": {"unique": 2, "total": 3},
@@ -227,16 +228,17 @@ class TestVocabStats:
     def test_counts_give_the_rows_of_their_lines(self, streams):
         counts = {name: Counter(tok for line in lines for tok in line.split())
                   for name, lines in streams.items()}
-        assert vocab_stats(counts) == vocab_stats(streams)
+        assert vocab_stats(counts) == vocab_stats(
+            {name: token_counts(lines) for name, lines in streams.items()})
         # the pipeline's combined row: the union of the keys, the totals summed
         combined = [line for lines in streams.values() for line in lines]
         assert (vocab_stats({"combined": sum(counts.values(), Counter())})
-                == vocab_stats({"combined": combined}))
+                == vocab_stats({"combined": token_counts(combined)}))
 
     def test_encoded_stream_compresses_vocabulary(self):
         words = CORPUS
         codes = [" ".join(soundex_encode(w) for w in line.split()) for line in words]
-        report = vocab_stats({"words": words, "codes": codes})
+        report = vocab_stats({"words": token_counts(words), "codes": token_counts(codes)})
         (codes_unique, codes_total), (words_unique, words_total) = (
             report.streams["codes"], report.streams["words"])
         assert codes_unique <= words_unique

@@ -248,6 +248,12 @@ class TestVolumeCdf:
         cdf = volume_cdf(groups)
         assert cdf == [(0.0, 0.5), (0.0, 1.0)]
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_every_group_needs_2d_points(self, size):
+        # a group too small for an area meets the hull's 2-D rule all the same
+        with pytest.raises(ValueError, match="2-D points"):
+            volume_cdf([np.arange(size, dtype=float).reshape(size, 1)])
+
     def test_two_groups(self):
         half = np.array([(0, 0), (1, 0), (0, 1)], dtype=float)
         cdf = volume_cdf([SQUARE, half])

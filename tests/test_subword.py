@@ -27,6 +27,7 @@ from phonoprep.subword import (
     map_tokens,
     read_lines,
     save_bpe_model,
+    token_counts,
     write_lines,
 )
 
@@ -86,14 +87,28 @@ _small_counts = st.sampled_from(["ab", "abc", "abcd", "x</w>"]).flatmap(
 )
 
 
-def test_bpe_learn_reads_a_bare_string_as_one_line_and_skips_blank_lines():
-    # read line by line, "ab ab\nab" would be six one-letter tokens and learn nothing
-    expected = bpe_learn({"ab": 3, "c": 1}, 5).merges
-    assert expected == (("a", "b"),)
-    assert bpe_learn("ab ab\nab c", 5).merges == expected
-    assert bpe_learn(["ab ab", "", " \t ", "ab c"], 5).merges == expected
-    with pytest.raises(EmptyCorpus):
-        bpe_learn(["", " \t "], 5)
+class TestTokenCounts:
+    def test_blank_lines_hold_no_tokens(self):
+        expected = bpe_learn({"ab": 3, "c": 1}, 5).merges
+        assert expected == (("a", "b"),)
+        assert bpe_learn(token_counts(["ab ab", "", " \t ", "ab c"]), 5).merges == expected
+        with pytest.raises(EmptyCorpus):
+            bpe_learn(token_counts(["", " \t "]), 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.text(max_size=20)
+                          | st.sampled_from(["", " \t ", "a a", "b\u2028c a", "\u2028"]),
+                          max_size=8))
+    @example(lines=[])
+    @example(lines=["x y", "", " \t ", "y\u2028x z x"])
+    def test_matches_a_per_token_count(self, lines):
+        want: dict[str, int] = {}
+        for line in lines:
+            for tok in line.split():
+                want[tok] = want.get(tok, 0) + 1
+        got = token_counts(iter(lines))  # one pass over the lines is enough
+        assert got == want
+        assert list(got) == list(want)  # tokens in order of first appearance
 
 
 class TestTokenIds:
@@ -123,53 +138,53 @@ class TestTokenIds:
 class TestLearn:
     def test_single_pair_corpus(self):
         # "a a" is the only pair occurring more than once
-        model = bpe_learn("aa aa aa", 1)
+        model = bpe_learn(token_counts(["aa aa aa"]), 1)
         assert model.merges == (("a", "a"),)
 
     def test_zero_operations(self):
-        model = bpe_learn("hello world", 0)
+        model = bpe_learn(token_counts(["hello world"]), 0)
         assert model.merges == ()
         assert bpe_apply(["hello"], model) == ["h@@", "e@@", "l@@", "l@@", "o"]
 
     def test_stops_without_repeated_pairs(self):
-        model = bpe_learn("a b c d e", 10)
+        model = bpe_learn(token_counts(["a b c d e"]), 10)
         assert model.merges == ()
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            bpe_learn("", 5)
+            bpe_learn(token_counts([""]), 5)
 
     def test_frequency_order(self):
         # "ab" appears 3 times, "cd" twice: (a,b) must be learned first
-        model = bpe_learn("ab ab ab cd cd", 2)
+        model = bpe_learn(token_counts(["ab ab ab cd cd"]), 2)
         assert model.merges == (("a", "b"), ("c", "d"))
 
     def test_lexicographic_tie_break(self):
         # "xy" and "ab" both occur twice; (a,b) < (x,y)
-        model = bpe_learn("xy ab xy ab", 1)
+        model = bpe_learn(token_counts(["xy ab xy ab"]), 1)
         assert model.merges == (("a", "b"),)
 
     def test_determinism(self):
         corpus = ["the cat sat on the mat", "the dog sat on the log"] * 3
-        m1 = bpe_learn(corpus, 20)
-        m2 = bpe_learn(corpus, 20)
+        m1 = bpe_learn(token_counts(corpus), 20)
+        m2 = bpe_learn(token_counts(corpus), 20)
         assert m1.merges == m2.merges
 
     def test_prefix_stability(self):
         # learning more operations extends, never rewrites, the merge list
         corpus = ["lower lower lowest newer newest wider widest"] * 2
-        small = bpe_learn(corpus, 5)
-        big = bpe_learn(corpus, 12)
+        small = bpe_learn(token_counts(corpus), 5)
+        big = bpe_learn(token_counts(corpus), 12)
         assert big.merges[:len(small.merges)] == small.merges
 
     def test_overlapping_runs_count_twice(self):
         # "aaa" holds (a,a) twice, so it alone reaches the two-occurrence floor
-        assert bpe_learn("aaa", 5).merges == (("a", "a"),)
+        assert bpe_learn(token_counts(["aaa"]), 5).merges == (("a", "a"),)
 
     def test_literal_end_of_word_text_is_ordinary_text(self):
         # "</w>" in a token is four characters like any others: building it
         # as a piece must not stop its pairs from being counted
-        model = bpe_learn(["x</w> x</w>"], 10)
+        model = bpe_learn(token_counts(["x</w> x</w>"]), 10)
         assert model.merges[-1] == ("x", "</w>")
         assert bpe_apply(["x</w>"], model) == ["x</w>"]
 
@@ -179,7 +194,7 @@ class TestLearn:
     @example(["x</w> x</w>"], 10)  # a piece equal to "</w>" keeps its pairs
     def test_matches_reference_learner(self, lines, ops):
         # ops well past the merge supply of these corpora exercises the early stop
-        assert bpe_learn(lines, ops).merges == reference_bpe_learn(lines, ops)
+        assert bpe_learn(token_counts(lines), ops).merges == reference_bpe_learn(lines, ops)
 
     @settings(max_examples=300, deadline=None)
     @given(_small_counts, st.integers(min_value=0, max_value=40))
@@ -202,7 +217,7 @@ class TestLearn:
         # order in which the counts list the tokens
         counts = Counter(tok for line in lines for tok in line.split())
         counts = data.draw(st.permutations(list(counts.items())))
-        assert bpe_learn(dict(counts), ops).merges == bpe_learn(lines, ops).merges
+        assert bpe_learn(dict(counts), ops).merges == bpe_learn(token_counts(lines), ops).merges
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_counts_must_be_positive(self, count):
@@ -228,7 +243,7 @@ class TestLearn:
         }
         for name, (corpus, ops, digest) in pinned.items():
             path = tmp_path / f"{name}.bpe"
-            save_bpe_model(bpe_learn(corpus, ops), path)
+            save_bpe_model(bpe_learn(token_counts(corpus), ops), path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
 
 
@@ -248,7 +263,7 @@ class TestApply:
 
     def test_rejects_token_ending_with_marker(self):
         # "ab@@ cd" would decode as the single token "abcd"
-        model = bpe_learn(["ab@@ cd", "ab@@ ef", "xb@@ q"], 10)
+        model = bpe_learn(token_counts(["ab@@ cd", "ab@@ ef", "xb@@ q"]), 10)
         with pytest.raises(ContinuationMarkerToken):
             bpe_apply(["ab@@", "cd"], model)
         with pytest.raises(ContinuationMarkerToken):
@@ -256,8 +271,8 @@ class TestApply:
         assert bpe_decode(bpe_apply(["a@@b", "@"], model), model) == ["a@@b", "@"]
 
     def test_segmentation_cache_is_per_model(self):
-        coarse = bpe_learn("abab abab", 3)
-        fine = bpe_learn("abab abab", 0)
+        coarse = bpe_learn(token_counts(["abab abab"]), 3)
+        fine = bpe_learn(token_counts(["abab abab"]), 0)
         assert bpe_apply(["abab"], coarse) == ["abab"]
         assert bpe_apply(["abab"], fine) == ["a@@", "b@@", "a@@", "b"]
         assert bpe_apply(["abab", "abab"], coarse) == ["abab", "abab"]
@@ -270,7 +285,7 @@ class TestApply:
         word = "bandana"
         counts = []
         for ops in (0, 2, 4, 8, 16):
-            model = bpe_learn(corpus, ops)
+            model = bpe_learn(token_counts(corpus), ops)
             counts.append(len(bpe_apply([word], model)))
         assert counts == sorted(counts, reverse=True)
 
@@ -278,7 +293,7 @@ class TestApply:
 class TestDecode:
     def test_round_trip_sentence(self):
         corpus = ["this is a test", "this is another test"]
-        model = bpe_learn(corpus, 8)
+        model = bpe_learn(token_counts(corpus), 8)
         for line in corpus:
             tokens = line.split()
             assert bpe_decode(bpe_apply(tokens, model), model) == tokens
@@ -295,13 +310,13 @@ class TestDecode:
     @settings(max_examples=50)
     @given(st.lists(st.text(alphabet="abcdefgxyz", min_size=1, max_size=8), min_size=1, max_size=10))
     def test_round_trip_random(self, tokens):
-        model = bpe_learn(" ".join(tokens), 10)
+        model = bpe_learn(token_counts([" ".join(tokens)]), 10)
         assert bpe_decode(bpe_apply(tokens, model), model) == tokens
 
 
 class TestMergeFile:
     def test_save_load_round_trip(self, tmp_path):
-        model = bpe_learn("ab ab abc abc abcd", 6)
+        model = bpe_learn(token_counts(["ab ab abc abc abcd"]), 6)
         path = tmp_path / "merges.txt"
         save_bpe_model(model, path)
         loaded = load_bpe_model(path)
@@ -314,13 +329,13 @@ class TestMergeFile:
     @example(["</w>", "</w>", "a@@", "a@@", "#:", "#:"], 10)
     def test_round_trip_property(self, tmp_path_factory, tokens, ops):
         # pieces may spell "</w>", end in "@@" or start with "#" and still read back
-        model = bpe_learn(" ".join(tokens), ops)
+        model = bpe_learn(token_counts([" ".join(tokens)]), ops)
         path = tmp_path_factory.mktemp("merges") / "merges.txt"
         save_bpe_model(model, path)
         assert load_bpe_model(path).merges == model.merges
 
     def test_early_stopping_model_survives_its_file(self, tmp_path):
-        model = bpe_learn(["ab ab cd"], 50)
+        model = bpe_learn(token_counts(["ab ab cd"]), 50)
         assert len(model.merges) == 1  # no pair occurs twice after "ab"
         path = tmp_path / "merges.txt"
         save_bpe_model(model, path)
@@ -334,7 +349,7 @@ class TestMergeFile:
             load_bpe_model(path)
 
     def test_header_and_layout(self, tmp_path):
-        model = bpe_learn("aa aa", 1)
+        model = bpe_learn(token_counts(["aa aa"]), 1)
         path = tmp_path / "merges.txt"
         save_bpe_model(model, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -344,8 +359,8 @@ class TestMergeFile:
     def test_byte_identical_reruns(self, tmp_path):
         corpus = ["some words repeat some words repeat here"] * 5
         p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
-        save_bpe_model(bpe_learn(corpus, 15), p1)
-        save_bpe_model(bpe_learn(corpus, 15), p2)
+        save_bpe_model(bpe_learn(token_counts(corpus), 15), p1)
+        save_bpe_model(bpe_learn(token_counts(corpus), 15), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 

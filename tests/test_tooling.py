@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import phonoprep
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "phonoprep").glob("*.py"))
 MODULES = ["phonoprep", *(f"phonoprep.{m.name}"
                           for m in pkgutil.iter_modules(phonoprep.__path__))]
 
@@ -21,6 +23,22 @@ MODULES = ["phonoprep", *(f"phonoprep.{m.name}"
 def test_every_name_in_all_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_imported_name_is_used_or_exported(path):
+    # a deletion can leave behind an import that nothing in the module reads
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    assert sorted(imported - used - exported) == []
 
 
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
