@@ -133,9 +133,11 @@ def _grouped_points(args) -> list[np.ndarray]:
 # --- subcommand handlers ---
 
 def cmd_encode(args) -> int:
-    for flag, value in (("--table", args.table), ("--granularity", args.granularity)):
-        if value is not None and args.codec not in TABLE_ENCODERS:
-            raise PhonoprepError(f"{flag} is read only by --codec {' and '.join(TABLE_ENCODERS)}")
+    for flag, value, codecs in (("--table", args.table, TABLE_ENCODERS),
+                                ("--granularity", args.granularity, TABLE_ENCODERS),
+                                ("--model", args.model, ("cluster",))):
+        if value is not None and args.codec not in codecs:
+            raise PhonoprepError(f"{flag} is read only by --codec {' and '.join(codecs)}")
     if args.codec == "cluster" and not args.model:
         raise PhonoprepError("--codec cluster requires --model")
     encoder = make_token_encoder(
@@ -149,8 +151,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    if args.baseline is not None and args.fraction is not None:
+        raise PhonoprepError("--baseline is read only without --fraction")
     model = cluster_corpus(token_counts(iter_lines(args.corpus)), args.seed,
-                           fraction=args.fraction, baseline=args.baseline)
+                           fraction=args.fraction, baseline=args.baseline or "metaphone")
     save_cluster_model(model, args.output)
     print(f"wrote {model.num_clusters} clusters for {len(model.assignment)} units"
           f" to {args.output}")
@@ -315,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="build a random clustering model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--baseline", choices=tuple(WORD_ENCODERS), default="metaphone")
+    p.add_argument("--baseline", choices=tuple(WORD_ENCODERS), default=None,
+                   help="word codec whose code sizes the clusters copy (default: metaphone)")
     p.add_argument("--fraction", type=float, default=None,
                    help="uniform clustering at this fraction of the vocabulary")
     _add_seed(p)
@@ -530,17 +535,13 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) is None:  # neither the flag nor the config gave one
             _command_parsers(parser, argv)[-1].error(
                 "the following arguments are required: --seed")
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (PhonoprepError, OSError, json.JSONDecodeError) as exc:
+    except (PhonoprepError, OSError, ValueError) as exc:  # a bad config's JSON is a ValueError
         print(f"phonoprep: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except (PhonoprepError, OSError, ValueError) as exc:
-        print(f"phonoprep: error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"phonoprep: internal error: {exc}", file=sys.stderr)
         return 3
 

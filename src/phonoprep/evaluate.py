@@ -1,10 +1,10 @@
 """Corpus-level BLEU scoring and vocabulary statistics.
 
-The scorer reproduces the classic multi-bleu script semantics:
-case-sensitive, whitespace-tokenized BLEU-4 with modified (clipped) n-gram
-precision and the brevity penalty, reported on the familiar one-line
-format. Smoothing is off by default; any zero n-gram precision zeroes the
-score.
+The scorer reproduces the classic multi-bleu script semantics with one
+reference per sentence: case-sensitive, whitespace-tokenized BLEU-4 with
+modified (clipped) n-gram precision and the brevity penalty, reported on
+the familiar one-line format. Smoothing is off by default; any zero
+n-gram precision zeroes the score.
 """
 
 from __future__ import annotations
@@ -68,56 +68,32 @@ class VocabReport:
             [k, u, t] for k, (u, t) in sorted(self.streams.items())]
 
 
-def bleu(
-    hypotheses: Sequence[str],
-    references: Sequence[str] | Sequence[Sequence[str]],
-    smooth: bool = False,
-) -> BleuReport:
-    """Corpus BLEU-4 of one hypothesis stream against reference stream(s).
+def bleu(hypotheses: Sequence[str], references: Sequence[str],
+         smooth: bool = False) -> BleuReport:
+    """Corpus BLEU-4 of a hypothesis stream against one reference line per hypothesis.
 
-    Each reference entry may be a single sentence or a list of alternative
-    references; clipping then uses the per-n-gram maximum across them, and
-    the closest reference length feeds the brevity penalty. ``smooth``
-    add-one-smooths orders 2-4 (useful only for tiny corpora). N-gram
-    counts are exact integers, so the report does not depend on the order
-    in which sentences or n-grams are counted.
+    Line ``i`` of both streams is sentence ``i``; the reference length is
+    the sum of the reference line lengths. ``smooth`` add-one-smooths
+    orders 2-4 (useful only for tiny corpora). N-gram counts are exact
+    integers, so the report does not depend on the order in which
+    sentences or n-grams are counted.
     """
-    hypotheses = list(hypotheses)
-    references = list(references)
     if len(hypotheses) != len(references):
         raise LineCountMismatch(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
     n_hyp = len(hypotheses)
-    ref_lines: list[str] = []
-    ref_sentence: list[int] = []  # the hypothesis each reference line belongs to
-    for i, refs in enumerate(references):
-        group = [refs] if isinstance(refs, str) else list(refs)
-        if not group:
-            raise ValueError(f"sentence {i} has no reference")
-        ref_lines += group
-        ref_sentence += [i] * len(group)
-    one_reference = len(ref_lines) == n_hyp
-
     # hypothesis tokens first, then reference tokens
-    vocab, tokens, lengths = _token_ids(chain(hypotheses, ref_lines))
+    vocab, tokens, lengths = _token_ids(chain(hypotheses, references))
     width = len(vocab)
-    segment_sentence = np.concatenate([np.arange(n_hyp), ref_sentence]).astype(np.int64)
-    ref_sentence = segment_sentence[n_hyp:]
-    hyp_len, ref_len = lengths[:n_hyp], lengths[n_hyp:]
-    hyp_length = int(hyp_len.sum())
-    # closest reference length, the shorter one on a tie
-    closest = np.lexsort((ref_len, np.abs(ref_len - hyp_len[ref_sentence]), ref_sentence))
-    _, first = np.unique(ref_sentence[closest], return_index=True)
-    ref_length = int(ref_len[closest[first]].sum())
+    hyp_length, ref_length = int(lengths[:n_hyp].sum()), int(lengths[n_hyp:].sum())
 
-    # each token's segment, and the tokens after it in that segment
-    segment = np.repeat(np.arange(len(lengths)), lengths)
+    # the tokens after each token in its line
     after = _tokens_after(lengths)
     # start positions of the n-grams of this order, and their dense
     # (sentence, n-gram) ids; order 1 keys each token by its sentence
     starts = np.arange(len(tokens))
-    grams = segment_sentence[segment] * width + tokens
+    grams = np.repeat(np.tile(np.arange(n_hyp), 2), lengths) * width + tokens
     matches, totals = [], []
     for n in range(1, MAX_ORDER + 1):
         if n > 1:
@@ -127,13 +103,7 @@ def bleu(
         distinct, grams = np.unique(grams, return_inverse=True)
         h = int(np.searchsorted(starts, hyp_length))  # hypothesis n-grams come first
         hyp_counts = np.bincount(grams[:h], minlength=len(distinct))
-        if one_reference:
-            ref_counts = np.bincount(grams[h:], minlength=len(distinct))
-        else:  # the largest count in any one reference of the sentence
-            seg_keys, seg_counts = np.unique(segment[starts[h:]] * len(distinct) + grams[h:],
-                                             return_counts=True)
-            ref_counts = np.zeros(len(distinct), dtype=np.int64)
-            np.maximum.at(ref_counts, seg_keys % len(distinct), seg_counts)
+        ref_counts = np.bincount(grams[h:], minlength=len(distinct))
         matches.append(int(np.minimum(hyp_counts, ref_counts).sum()))
         totals.append(h)
 

@@ -201,17 +201,15 @@ class DensityReport:
 
 # --- embeddings ---
 
-def cooccurrence_counts(
-    corpus: str | Iterable[str], window: int = 5
-) -> tuple[list[str], csr_matrix]:
-    """Symmetric-window co-occurrence counts over the corpus vocabulary.
+def cooccurrence_counts(lines: Iterable[str], window: int = 5) -> tuple[list[str], csr_matrix]:
+    """Symmetric-window co-occurrence counts over the vocabulary of ``lines``.
 
     Every pair of tokens at most ``window`` positions apart within one
-    sentence counts once in each direction. The vocabulary is sorted by
+    line counts once in each direction. The vocabulary is sorted by
     falling frequency, then by token; the matrix is in canonical CSR form.
     """
     check_int("window", window, 0)
-    tokens, ids, lengths = _token_ids(corpus)
+    tokens, ids, lengths = _token_ids(lines)
     if not tokens:
         raise EmptyCorpus("corpus has no tokens")
     n = len(tokens)
@@ -241,8 +239,6 @@ def cooccurrence_counts(
 def ppmi(matrix: csr_matrix) -> csr_matrix:
     """Positive pointwise mutual information of a co-occurrence matrix."""
     total = matrix.sum()
-    if total == 0:
-        return csr_matrix(matrix.shape)
     row = np.asarray(matrix.sum(axis=1)).ravel()
     col = np.asarray(matrix.sum(axis=0)).ravel()
     out = matrix.tocoo()
@@ -270,13 +266,13 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def train_embeddings(
-    corpus: str | Iterable[str],
+    lines: Iterable[str],
     d: int = 100,
     window: int = 5,
     seed: int = 0,
     normalize: bool = False,
 ) -> EmbeddingTable:
-    """PPMI + truncated SVD embeddings, deterministic per seed.
+    """PPMI + truncated SVD embeddings of the tokens of ``lines``, deterministic per seed.
 
     ``normalize`` rescales every vector to unit length (vector norms from
     this construction track token frequency, which distorts geometric
@@ -288,7 +284,7 @@ def train_embeddings(
     """
     check_int("d", d, 2)
     check_int("seed", seed, 0)
-    vocab, counts = cooccurrence_counts(corpus, window=window)
+    vocab, counts = cooccurrence_counts(lines, window=window)
     weights = ppmi(counts)
     del counts  # not beside the solver's workspace
     if not (weights.data > 0).any():  # ``ppmi`` stores explicit zeros

@@ -140,19 +140,17 @@ def map_tokens(table: Mapping[str, str], tokens: Iterable[str]) -> str:
     return " ".join(map(table.__getitem__, tokens))
 
 
-def _token_ids(corpus: str | Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Every line's ``str.split()`` tokens as integer ids; a bare string is one line.
+def _token_ids(lines: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every line's ``str.split()`` tokens as integer ids.
 
     Returns the distinct tokens in order of first appearance (token ``i``
     has id ``i``), the int64 ids of all tokens line after line, and each
     line's token count, 0 for a blank line. Each line is split once and its
     token strings are dropped before the next line is read.
     """
-    if isinstance(corpus, str):
-        corpus = [corpus]
     index = TypeMap(lambda token: len(index))  # a token not yet seen gets the next id
     ids, lengths = array("q"), array("q")
-    for line in corpus:
+    for line in lines:
         tokens = line.split()
         ids.extend(map(index.__getitem__, tokens))
         lengths.append(len(tokens))

@@ -48,6 +48,15 @@ class TestDispatch:
         assert code == 1
         assert "usage" in err.lower()
 
+    def test_unexpected_error_while_parsing_is_internal_error(self, capsys, monkeypatch):
+        def fail(parser, argv):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("phonoprep.cli._apply_config_defaults", fail)
+        code, out, err = run_cli(["encode", "--codec", "soundex"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "phonoprep: internal error: boom\n"
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
         assert run_cli(["geometry", "--help"], capsys)[0] == 0
@@ -98,6 +107,25 @@ class TestDispatch:
         save_cluster_model(cluster_corpus(token_counts(lines), 9, **options),
                            tmp_path / "want.tsv")
         assert model.read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--fraction", "0.5", "--baseline", "soundex"], None),
+        (["--fraction", "0.5", "--baseline", "metaphone"], None),
+        ([], {"baseline": "soundex", "fraction": 0.5}),
+        (["--baseline", "soundex"], {"fraction": 0.5}),
+    ])
+    def test_baseline_with_fraction_is_data_error(self, capsys, tmp_path, flags, config):
+        # uniform clustering reads no baseline, so a given one would be ignored
+        corpus, model = tmp_path / "c.txt", tmp_path / "m.tsv"
+        corpus.write_text("body but bad\nsuppose body\n", encoding="utf-8")
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            flags = [*flags, "--config", str(tmp_path / "config.json")]
+        code, out, err = run_cli(["cluster", "--corpus", str(corpus), "--seed", "1",
+                                  "--output", str(model), *flags], capsys)
+        assert (code, out) == (2, "")
+        assert "--baseline" in err and "--fraction" in err
+        assert not model.exists()
 
 
 class TestEncode:
@@ -168,6 +196,17 @@ class TestEncode:
         assert code == 2
         assert flags[0] in err
         assert out == ""
+
+    @pytest.mark.parametrize("codec", ["metaphone", "soundex", "nysiis", "pinyin", "wubi"])
+    def test_model_flag_for_a_codec_other_than_cluster_is_data_error(self, capsys, tmp_path,
+                                                                     codec):
+        src, out_path = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text("body text\n", encoding="utf-8")
+        code, out, err = run_cli(["encode", "--codec", codec, "--model", "/nonexistent/m.tsv",
+                                  "--input", str(src), "--output", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert "--model is read only by --codec cluster" in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("row", ["a\t", "a\tG 1", "a\tG1\tG2", "# seed: abc",
                                      "\tG2", "a b\tG2", "b\tG2"])
@@ -587,6 +626,19 @@ class TestBpeAndPipeline:
         )
         assert code == 2
         assert "fractoin" in err
+        assert not (tmp_path / "clusters.tsv").exists()
+
+    def test_config_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
+        corpus, config = tmp_path / "c.txt", tmp_path / "config.json"
+        corpus.write_text("body but bad speak\n", encoding="utf-8")
+        config.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(
+            ["cluster", "--config", str(config), "--corpus", str(corpus),
+             "--seed", "1", "--output", str(tmp_path / "clusters.tsv")],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("phonoprep: error: ") and "utf-8" in err
         assert not (tmp_path / "clusters.tsv").exists()
 
 

@@ -36,21 +36,15 @@ def reference_bleu(hypotheses, references, smooth=False) -> BleuReport:
     matches = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER
     hyp_length = ref_length = 0
-    for hyp, refs in zip(hypotheses, references):
-        hyp_tokens = hyp.split()
-        ref_token_lists = [r.split() for r in ([refs] if isinstance(refs, str) else refs)]
+    for hyp, ref in zip(hypotheses, references):
+        hyp_tokens, ref_tokens = hyp.split(), ref.split()
         hyp_length += len(hyp_tokens)
-        ref_length += sorted(
-            (abs(len(r) - len(hyp_tokens)), len(r)) for r in ref_token_lists
-        )[0][1]
+        ref_length += len(ref_tokens)
         for n in range(1, MAX_ORDER + 1):
             hyp_counts = _reference_ngrams(hyp_tokens, n)
-            max_ref: Counter = Counter()
-            for ref_tokens in ref_token_lists:
-                for gram, count in _reference_ngrams(ref_tokens, n).items():
-                    max_ref[gram] = max(max_ref[gram], count)
+            ref_counts = _reference_ngrams(ref_tokens, n)
             totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
+            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
     precisions = []
     for n in range(MAX_ORDER):
         m, t = matches[n], totals[n]
@@ -71,18 +65,13 @@ def reference_bleu(hypotheses, references, smooth=False) -> BleuReport:
 
 # three-token vocabulary: repeated n-grams, so clipping matters at every order
 _line = st.lists(st.sampled_from(["a", "b", "c"]), max_size=9).map(" ".join)
-_alternatives = st.lists(_line, min_size=1, max_size=3)
 
 
 @st.composite
 def _bleu_inputs(draw):
+    """Hypothesis lines and one reference line for each."""
     hyps = draw(st.lists(_line, max_size=8))
-    refs = draw(st.one_of(
-        st.lists(_line, min_size=len(hyps), max_size=len(hyps)),
-        st.lists(_alternatives, min_size=len(hyps), max_size=len(hyps)),
-        st.lists(_line | _alternatives, min_size=len(hyps), max_size=len(hyps)),
-    ))
-    return hyps, refs
+    return hyps, draw(st.lists(_line, min_size=len(hyps), max_size=len(hyps)))
 
 
 class TestBleuMatchesReference:
@@ -90,7 +79,7 @@ class TestBleuMatchesReference:
     @given(inputs=_bleu_inputs(), smooth=st.booleans())
     @example(inputs=([], []), smooth=False)
     @example(inputs=(["", "a b"], ["", ""]), smooth=True)
-    @example(inputs=(["a a a a b"], [["a a b", "a b a a a a", ""]]), smooth=False)
+    @example(inputs=(["a a a a b", "b a"], ["a b a a a a", ""]), smooth=False)
     def test_reports_equal(self, inputs, smooth):
         hyps, refs = inputs
         assert bleu(hyps, refs, smooth=smooth) == reference_bleu(hyps, refs, smooth)
@@ -99,8 +88,6 @@ class TestBleuMatchesReference:
         lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()[:2000]
         hyps = [" ".join(line.split()[1:]) for line in lines]
         assert bleu(hyps, lines) == reference_bleu(hyps, lines)
-        refs = [[line, prev] for line, prev in zip(lines, lines[-1:] + lines)]
-        assert bleu(hyps, refs) == reference_bleu(hyps, refs)
 
 
 class TestBleuMemory:
@@ -174,18 +161,6 @@ class TestBleu:
     def test_line_count_mismatch(self):
         with pytest.raises(LineCountMismatch):
             bleu(["a"], ["a", "b"])
-
-    def test_sentence_without_reference_is_refused(self):
-        with pytest.raises(ValueError, match="sentence 1 has no reference"):
-            bleu(["a", "b"], [["a"], []])
-
-    def test_multi_reference_clipping(self):
-        hyp = ["the cat the cat sat down here"]
-        refs = [["the cat sat down here now ok", "the cat the dog sat up here"]]
-        report = bleu(hyp, refs)
-        # max ref counts: the=2 (second ref), cat=1; hand-clipped matches:
-        # the(2)+cat(1)+sat(1)+down(1)+here(1) = 6 of 7 hypothesis tokens
-        assert report.precisions[0] == pytest.approx(6 / 7)
 
     def test_smoothing_flag_rescues_tiny_corpora(self):
         report = bleu(["a b"], ["a b"], smooth=True)

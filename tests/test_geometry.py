@@ -47,8 +47,6 @@ DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
 def reference_cooccurrence_counts(corpus, window: int = 5):
     """Naive counter: one Python pair tuple per co-occurrence, both directions."""
-    if isinstance(corpus, str):
-        corpus = [corpus]
     sentences = [line.split() for line in corpus if line.split()]
     freq = Counter(tok for sent in sentences for tok in sent)
     vocab = sorted(freq, key=lambda w: (-freq[w], w))
@@ -504,12 +502,6 @@ class TestCooccurrenceCounts:
             return
         vocab, matrix = cooccurrence_counts(corpus, window=window)
         want_vocab, want = reference_cooccurrence_counts(corpus, window=window)
-        assert vocab == want_vocab
-        assert_same_csr(matrix, want)
-
-    def test_string_corpus_is_one_sentence(self):
-        vocab, matrix = cooccurrence_counts("x y x z", window=2)
-        want_vocab, want = reference_cooccurrence_counts(["x y x z"], window=2)
         assert vocab == want_vocab
         assert_same_csr(matrix, want)
 

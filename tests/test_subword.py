@@ -127,13 +127,6 @@ class TestTokenIds:
         # ids are given in order of first appearance
         assert tokens == list(dict.fromkeys(t for line in lines for t in line.split()))
 
-    @settings(max_examples=100, deadline=None)
-    @given(text=st.text(max_size=30))
-    def test_bare_string_is_one_line(self, text):
-        tokens, ids, lengths = _token_ids(text)
-        assert lengths.tolist() == [len(text.split())]
-        assert [tokens[i] for i in ids] == text.split()
-
 
 class TestLearn:
     def test_single_pair_corpus(self):
