@@ -407,7 +407,8 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     pieces = word_pieces, code_pieces = bpe_pieces(word_bpe), bpe_pieces(code_bpe)
     for name, enc in encoded.items():
         with _stage("bpe-apply"):
-            # each new type is segmented here, so a token ending in the marker fails here
+            # only types the learners left out are segmented here, so a token
+            # ending in the marker, which they leave out, fails here
             word_pieces.fill(enc.codes)
             code_pieces.fill(enc.codes.values())
         with _stage("combine"):

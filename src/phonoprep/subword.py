@@ -16,6 +16,13 @@ token is ordinary text.
 Applied output uses a continuation suffix on every non-final piece of a
 word (the ``@@`` convention), so ``bpe_decode`` inverts ``bpe_apply``
 exactly; ``bpe_apply`` rejects tokens that themselves end with that suffix.
+
+Merges apply in rank order in both the learner and the applier, so the
+learner's final symbols for a word are what ``bpe_apply`` gives it (the
+subword-nmt construction). ``bpe_learn`` therefore hands each learned
+word's pieces to its model, and only a type the learner did not see is
+segmented by ``bpe_apply``; a model loaded from its merge file starts with
+none and segments every type on first use.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class BpeModel:
 
     merges: tuple[tuple[str, str], ...]
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
-    # token -> applied pieces, filled by bpe_apply
+    # token -> applied pieces: each learned word's from bpe_learn, any other from bpe_apply
     _segments: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,6 +180,8 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
 
     The merges depend only on how often each token occurs, not on the order
     of the tokens. Stops early once no adjacent pair occurs more than once.
+    The model already holds the ``bpe_apply`` pieces of every token except
+    one ending in the continuation marker, which ``bpe_apply`` refuses.
     """
     check_int("num_operations", num_operations, 0)
     if any(f < 1 for f in counts.values()):
@@ -271,7 +280,19 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
         if len(heap) > 2 * len(pair_counts):
             heap = rebuild()
 
-    return BpeModel(merges=tuple(merges))
+    # free the learner's tables before the pieces are built; each word's final
+    # symbols are its applied pieces, and a marker-ending word is left to
+    # bpe_apply, which refuses it
+    del pair_counts, pair_words, heap
+    model = BpeModel(merges=tuple(merges))
+    model._segments.update((w, _marked(seq)) for w, seq in zip(counts, seqs)
+                           if not w.endswith(CONTINUATION))
+    return model
+
+
+def _marked(symbols: list[str]) -> list[str]:
+    """A word's symbols as applied pieces: every non-final one gains the continuation marker."""
+    return [p + CONTINUATION for p in symbols[:-1]] + [symbols[-1]]
 
 
 def _segment(word: str, model: BpeModel) -> list[str]:
@@ -296,7 +317,8 @@ def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
     Non-final pieces of a word carry the continuation marker so the output
     is exactly decodable; a token that itself ends with the marker raises
     ``ContinuationMarkerToken``. Segmentations are cached on the model, so
-    repeated tokens cost one lookup.
+    repeated tokens cost one lookup: a model from ``bpe_learn`` already holds
+    every learned word's pieces, and only other tokens are segmented here.
     """
     out: list[str] = []
     cache = model._segments
@@ -307,9 +329,7 @@ def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
                 raise ContinuationMarkerToken(
                     f"token {token!r} ends with the continuation marker {CONTINUATION!r}"
                 )
-            raw = _segment(token, model)
-            pieces = [p + CONTINUATION for p in raw[:-1]] + [raw[-1]]
-            cache[token] = pieces
+            pieces = cache[token] = _marked(_segment(token, model))
         out.extend(pieces)
     return out
 

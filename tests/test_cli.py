@@ -23,7 +23,7 @@ from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
 from phonoprep.errors import NonAlphabeticToken
 from phonoprep.evaluate import vocab_stats
 from phonoprep.geometry import load_embeddings, pca_project
-from phonoprep.pipeline import WORD_ENCODERS, PipelineConfig, cluster_corpus
+from phonoprep.pipeline import WORD_ENCODERS, PipelineConfig, cluster_corpus, run_pipeline
 from phonoprep.subword import token_counts
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
@@ -1013,6 +1013,30 @@ class TestPipelineRunCli:
         assert code == 2
         assert re.search(r"output[-_]dir", err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+
+    def test_bpe_streams_match_bpe_apply_of_the_saved_models(self, capsys, tmp_path):
+        # the learners hand the run the pieces of every training type; `bpe apply`
+        # loads each merge file afresh and segments every type itself
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
+        splits = {"train": lines[:400], "dev": lines[400:500], "test": lines[500:600]}
+        for name, part in splits.items():
+            (tmp_path / f"{name}.txt").write_text("\n".join(part) + "\n", encoding="utf-8")
+        train_types = set(token_counts(splits["train"]))
+        assert all(set(token_counts(splits[name])) - train_types for name in ("dev", "test"))
+        out = run_pipeline(PipelineConfig(
+            **{f"{name}_path": str(tmp_path / f"{name}.txt") for name in splits},
+            output_dir=str(tmp_path / "out"), encoder="metaphone",
+            combine_mode="multi_source", bpe_operations_words=300, bpe_operations_codes=100))
+        for name in splits:
+            for stream in ("words", "codes"):
+                model = out / "models" / f"{stream}.bpe"
+                plain = out / "streams" / f"{name}.{stream}"
+                applied = tmp_path / f"{name}.{stream}.bpe"
+                code, _, _ = run_cli(["bpe", "apply", "--model", str(model), "--input",
+                                      str(plain), "--output", str(applied)], capsys)
+                assert code == 0
+                got = (out / "streams" / f"{name}.src-{stream}").read_bytes()
+                assert got == applied.read_bytes(), (name, stream)
 
 
 LINE_BREAK_LOOKALIKES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"

@@ -598,13 +598,14 @@ class TestPerTypeSegmentation:
 
     def test_each_type_is_segmented_once_per_run(self, tmp_path, monkeypatch):
         # pinyin code strings share code tokens ("xiao4" and "xiao4 shi4"): each
-        # token type and code string is looked up in BPE once per run, and the
-        # code model segments each code token once
+        # token type and code string is looked up in BPE once per run; the
+        # learners hand over the pieces of every training type, so each model
+        # segments only the types its learner did not count, each once
         segments, applies = Counter(), Counter()
         segment, apply = subword._segment, pipeline.bpe_apply
 
         def counting_segment(word, model):
-            segments[word] += 1
+            segments[id(model), word] += 1
             return segment(word, model)
 
         def counting_apply(tokens, model):
@@ -617,6 +618,7 @@ class TestPerTypeSegmentation:
         splits = {name: [" ".join("".join(rng.choices("笑校是时我你他们ab", k=rng.randint(1, 3)))
                                   for _ in range(5)) for _ in range(n)]
                   for name, n in (("train", 12), ("dev", 6), ("test", 6))}
+        splits["test"].append("好c 好")  # code tokens the training split lacks
         paths = {f"{name}_path": str(_write_corpus(tmp_path / f"{name}.txt", lines))
                  for name, lines in splits.items()}
         run_pipeline(PipelineConfig(**paths, output_dir=str(tmp_path / "out"), encoder="pinyin",
@@ -627,7 +629,12 @@ class TestPerTypeSegmentation:
         codes = {code for text in code_strings for code in text.split()}
         assert sum(len(text.split()) for text in code_strings) > len(codes)
         assert sum(applies.values()) == len(words) + len(code_strings)
-        assert sum(segments.values()) == len(words) + len(codes)
+        train_words = {tok for line in splits["train"] for tok in line.split()}
+        train_codes = {code for tok in train_words for code in encoder(tok)[0].split()}
+        assert words - train_words and codes - train_codes  # held-out splits bring new types
+        unseen = Counter(words - train_words) + Counter(codes - train_codes)
+        assert set(segments.values()) == {1}  # no model segments a type twice
+        assert Counter(word for _, word in segments) == unseen
 
     @pytest.mark.parametrize("name", sorted(ENCODERS))
     @settings(max_examples=30, deadline=None)

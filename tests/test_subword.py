@@ -283,6 +283,53 @@ class TestApply:
         assert counts == sorted(counts, reverse=True)
 
 
+
+def _learned_segments_match_a_fresh_model(counts: Mapping[str, int], ops: int) -> None:
+    learned = bpe_learn(counts, ops)
+    fresh = BpeModel(merges=learned.merges)
+    assert learned._segments.keys() == counts.keys()
+    for word in counts:
+        assert learned._segments[word] == bpe_apply([word], fresh), word
+        if ops == 0:
+            assert learned._segments[word] == [c + "@@" for c in word[:-1]] + [word[-1]]
+
+
+class TestLearnedSegments:
+    """``bpe_learn`` hands its model each learned word's pieces, as ``bpe_apply`` gives them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_counts, st.integers(min_value=0, max_value=40))
+    @example({"aaaa": 2}, 5)  # an overlapping run merged twice, then (aa, aa)
+    @example({"abca": 2}, 1)  # left occurs twice but has one site
+    @example({"abc": 5, "ab": 4, "bc": 3}, 3)  # (b, c) re-queued below its heap entry
+    def test_counts_form_matches_a_fresh_model(self, counts, ops):
+        # ops well past the merge supply of these corpora exercises the early stop
+        _learned_segments_match_a_fresh_model(counts, ops)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_corpus, st.integers(min_value=0, max_value=40))
+    def test_lines_form_matches_a_fresh_model(self, lines, ops):
+        _learned_segments_match_a_fresh_model(token_counts(lines), ops)
+
+    def test_marker_ending_word_is_left_to_bpe_apply(self):
+        model = bpe_learn({"ab@@": 3, "ab": 2, "cd": 2}, 10)
+        assert model._segments == {"ab": ["ab"], "cd": ["cd"]}
+        with pytest.raises(ContinuationMarkerToken):
+            bpe_apply(["ab@@"], model)
+
+    def test_loaded_model_starts_empty_and_gives_the_same_pieces(self, tmp_path):
+        counts = token_counts(["lower lower lowest newer newest wider widest"] * 2)
+        model = bpe_learn(counts, 12)
+        path = tmp_path / "merges.txt"
+        save_bpe_model(model, path)
+        loaded = load_bpe_model(path)
+        assert loaded == model
+        assert loaded._segments == {}
+        for word in counts:
+            assert bpe_apply([word], loaded) == model._segments[word]
+        assert loaded._segments == model._segments
+
+
 class TestDecode:
     def test_round_trip_sentence(self):
         corpus = ["this is a test", "this is another test"]
