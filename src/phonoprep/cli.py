@@ -288,8 +288,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_seed(p) -> None:
-    """``--seed``; ``main`` refuses a command that gets no seed from it or from ``--config``."""
-    p.add_argument("--seed", type=_parse_seed, default=None, help="an integer >= 0, or 'auto'")
+    p.add_argument("--seed", type=_parse_seed, required=True, help="an integer >= 0, or 'auto'")
 
 
 def _add_format(p, default="text", choices=("text", "json", "csv")) -> None:
@@ -494,13 +493,14 @@ def _config_value(config_path: str, key: str, value, action: argparse.Action):
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load a flat JSON config named by --config and install it as defaults.
+    """Load a flat JSON config named by --config FILE or --config=FILE as defaults.
 
-    Defaults go onto the parser and the subparsers of the command: argparse
-    subparsers use their own namespaces, so top-level defaults would not
-    reach them. A key must name an option of some subcommand, and its value
-    must pass the checks of the command's options with that name.
+    Defaults go onto the parser and the subparsers of the command, whose
+    namespaces are their own. A key must name an option of some subcommand,
+    and its value must pass the checks of the command's options with that
+    name; the value then stands in for the flag, required or not.
     """
+    argv = [w for a in argv for w in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -523,6 +523,9 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
                                           action)
                for action in p._actions if action.dest in defaults}
         p.set_defaults(**own)
+        for action in p._actions:
+            if action.option_strings and action.dest in own:
+                action.required = False
     return argv
 
 
@@ -532,9 +535,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) is None:  # neither the flag nor the config gave one
-            _command_parsers(parser, argv)[-1].error(
-                "the following arguments are required: --seed")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -780,6 +780,34 @@ class TestConfigValues:
         assert "error: the following arguments are required: --seed" in err
         assert out == ""
 
+    def test_config_values_stand_in_for_required_flags(self, capsys, tmp_path, corpus):
+        code, _, _ = run_cli(["bpe", "learn", "--corpus", str(corpus), "--operations", "3",
+                              "--output", str(tmp_path / "a.txt")], capsys)
+        assert code == 0
+        code, _, err = self.run(capsys, tmp_path,
+                                {"operations": 3, "output": str(tmp_path / "b.txt")},
+                                ["bpe", "learn", "--corpus", str(corpus)])
+        assert code == 0, err
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_config_alone_supplies_a_repeated_required_option(self, capsys, tmp_path, corpus):
+        code, out, err = self.run(capsys, tmp_path, {"inputs": [str(corpus)]}, ["eval", "vocab"])
+        assert code == 0, err
+        assert out.splitlines() == ["stream,unique,total", "c.txt,6,11"]
+
+    def test_config_given_with_an_equals_sign_acts_as_with_a_space(
+            self, capsys, tmp_path, corpus):
+        config = tmp_path / "e.json"
+        config.write_text(json.dumps({"dim": 2, "window": 2, "seed": 4}), encoding="utf-8")
+        runs = []
+        for name, spelling in (("a.txt", ["--config", str(config)]),
+                               ("b.txt", [f"--config={config}"])):
+            code, out, err = run_cli(["geometry", "embed", "--corpus", str(corpus),
+                                      "--output", str(tmp_path / name), *spelling], capsys)
+            assert code == 0, err
+            runs.append((out.replace(name, "V"), (tmp_path / name).read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_csv_format_is_refused_only_where_it_has_no_choice(self, capsys, tmp_path):
         groups = tmp_path / "g.tsv"
         groups.write_text("a\t0\nb\t0\nc\t1\nd\t1\n", encoding="utf-8")

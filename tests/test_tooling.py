@@ -13,8 +13,10 @@ import pytest
 
 import phonoprep
 
-PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "phonoprep").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+SOURCES = sorted((ROOT / "src" / "phonoprep").glob("*.py"))
+SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 MODULES = ["phonoprep", *(f"phonoprep.{m.name}"
                           for m in pkgutil.iter_modules(phonoprep.__path__))]
 
@@ -25,7 +27,7 @@ def test_every_name_in_all_resolves(module):
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda path: path.name)
 def test_every_imported_name_is_used_or_exported(path):
     # a deletion can leave behind an import that nothing in the module reads
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -61,3 +63,13 @@ def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout, result.stdout
+
+
+def test_desk_corpus_tool_rewrites_the_bundled_corpus_from_any_directory(tmp_path):
+    out = tmp_path / "desk.txt"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "make_desk_corpus.py"), "--output", str(out)],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    assert out.read_bytes() == (ROOT / "data" / "desk_en.txt").read_bytes()
+    assert result.stdout == f"wrote 10000 sentences, 5055 distinct tokens to {out}\n"

@@ -1,110 +1,32 @@
 #!/usr/bin/env python3
 """Generate the bundled desk-scale corpus (data/desk_en.txt).
 
-Deterministic: a fixed seed drives everything. The vocabulary is built
-from consonant skeletons decorated with varying vowels, so phonetic codes
-collide in realistic many-to-one groups, while topics are assigned
-independently of spelling. Sentences mix topic words with shared function
-words, giving the co-occurrence structure the embedding stage needs.
+The benchmark's generator, ``perfbench/corpus.py``, owns the corpus: this
+tool writes its ``DESK`` shape at ``DESK_SEED``, the same lines the
+benchmark checks against the bundled file byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-SEED = 20260809
-N_SENTENCES = 10_000
-N_TOPICS = 4
-WORDS_PER_TOPIC = 1250
-N_SKELETONS = 400
-N_FUNCTION_WORDS = 60
-
-# no 'g' (its code flips on the following vowel, fragmenting groups) and no
-# 'h'/'w'/'y' (position-sensitive); vowels then never change a word's code
-ONSETS = [
-    "b", "d", "f", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z",
-    "br", "dr", "fl", "kl", "pr", "st", "tr", "sp", "bl", "kr",
-]
-MIDDLES = [
-    "b", "d", "f", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z",
-    "mb", "nd", "rt", "st", "lt", "nk", "rm", "ls", "nt", "rp",
-]
-ENDS = ["", "n", "r", "s", "t", "l", "k", "m"]
-VOWELS = list("aeiou")
-
-
-def build_vocabulary(rng: np.random.Generator) -> list[str]:
-    skeletons = set()
-    while len(skeletons) < N_SKELETONS:
-        skeletons.add((
-            ONSETS[rng.integers(len(ONSETS))],
-            MIDDLES[rng.integers(len(MIDDLES))],
-            ENDS[rng.integers(len(ENDS))],
-        ))
-    skeletons = sorted(skeletons)
-
-    words: set[str] = set()
-    target = N_TOPICS * WORDS_PER_TOPIC
-    while len(words) < target:
-        onset, middle, end = skeletons[rng.integers(len(skeletons))]
-        v1 = VOWELS[rng.integers(5)]
-        v2 = VOWELS[rng.integers(5)]
-        words.add(onset + v1 + middle + v2 + end)
-    return sorted(words)
-
-
-def build_function_words(rng: np.random.Generator) -> list[str]:
-    words: set[str] = set()
-    while len(words) < N_FUNCTION_WORDS:
-        onset = ONSETS[rng.integers(13)]  # single-consonant onsets only
-        words.add(onset + VOWELS[rng.integers(5)])
-    return sorted(words)
-
-
-def zipf_weights(n: int, exponent: float = 0.8) -> np.ndarray:
-    ranks = np.arange(1, n + 1, dtype=float)
-    weights = ranks ** -exponent
-    return weights / weights.sum()
+import corpus  # noqa: E402
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).parent.parent / "data" / "desk_en.txt"),
-    )
+    parser.add_argument("--output", default=str(ROOT / "data" / "desk_en.txt"))
     args = parser.parse_args()
 
-    rng = np.random.default_rng(SEED)
-    vocab = build_vocabulary(rng)
-    function_words = build_function_words(rng)
-
-    topic_of = rng.integers(N_TOPICS, size=len(vocab))
-    topics = [np.array([w for w, t in zip(vocab, topic_of) if t == topic])
-              for topic in range(N_TOPICS)]
-
-    function_arr = np.array(function_words)
-    function_w = zipf_weights(len(function_arr))
-    topic_w = [zipf_weights(len(t)) for t in topics]
-
-    lines = []
-    for _ in range(N_SENTENCES):
-        topic = int(rng.integers(N_TOPICS))
-        length = int(rng.integers(8, 25))
-        tokens = []
-        for _ in range(length):
-            if rng.random() < 0.3:
-                tokens.append(str(rng.choice(function_arr, p=function_w)))
-            else:
-                tokens.append(str(rng.choice(topics[topic], p=topic_w[topic])))
-        lines.append(" ".join(tokens))
-
+    lines = corpus.generate(corpus.DESK, corpus.DESK_SEED)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.write_text(corpus.corpus_text(lines), encoding="utf-8")
     realized = {tok for line in lines for tok in line.split()}
     print(f"wrote {len(lines)} sentences, {len(realized)} distinct tokens to {out}")
 
