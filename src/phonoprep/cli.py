@@ -512,9 +512,10 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     if not isinstance(data, dict):
         raise PhonoprepError(f"config {config_path} must be a flat JSON object")
     defaults = {k.replace("-", "_"): v for k, v in data.items()}
-    # one flat config serves every subcommand: a key is known if any option has it
-    known = {action.dest for p in _parsers(parser)
-             for action in p._actions if action.default is not argparse.SUPPRESS}
+    # one flat config serves every subcommand: a key is known if any option has
+    # it; a subcommand selector's dest names no option and is chosen in argv
+    known = {action.dest for p in _parsers(parser) for action in p._actions
+             if action.option_strings and action.default is not argparse.SUPPRESS}
     unknown = sorted(set(defaults) - known)
     if unknown:
         raise InvalidConfig(f"config {config_path}: unknown key(s) {', '.join(unknown)}")

@@ -48,6 +48,8 @@ def fold_to_ascii_letters(token: str) -> str:
     NFKD-decomposes, drops combining marks, keeps A-Z only. Returns ""
     when nothing alphabetic survives.
     """
+    if token.isascii() and token.isalpha():  # NFKD leaves ASCII as it is, with no marks
+        return token.upper()
     folded = unicodedata.normalize("NFKD", token)
     out = []
     for ch in folded:

@@ -6,9 +6,12 @@ twice, and ties go to the lexicographically smallest pair, so learning is
 fully deterministic. Pair counts are kept incrementally, as in subword-nmt
 and fastBPE: a merge updates only the pairs beside its one site in a word
 holding its left symbol once, and re-counts a word holding it more often.
-The next pair comes off a lazy max-heap keyed by ``(-count, pair)``: a pair
-is pushed when its count rises, and an entry popped above its pair's live
-count is pushed back at that count. Overlapping occurrences all count:
+Each live pair keeps a list of the words that may hold it; a rewritten word
+stays listed under pairs it lost, and the list goes when the pair's count
+reaches 0, so the index holds no dead pair. The next pair comes off a lazy
+max-heap keyed by ``(-count, pair)``: a pair is pushed when its count
+rises, and an entry popped above its pair's live count is pushed back at
+that count. Overlapping occurrences all count:
 ``aaa`` holds ``(a, a)`` twice. Pairs are counted within a word and never
 across two, so no end-of-word symbol is needed; the text ``</w>`` inside a
 token is ordinary text.
@@ -193,15 +196,16 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
     seqs: list[list[str]] = [list(w) for w in counts]
     freqs = list(counts.values())
 
-    # exact live count of every pair present, plus a superset index of the
-    # words holding it (entries go stale as merges rewrite words)
+    # exact live count of every pair present, plus each live pair's list of the
+    # words that may hold it: entries go stale as merges rewrite words, and a
+    # word may be listed twice
     pair_counts: dict[tuple[str, str], int] = {}
-    pair_words: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    pair_words: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
     for wi, seq in enumerate(seqs):
         f = freqs[wi]
         for pair in zip(seq, seq[1:]):
             pair_counts[pair] = pair_counts.get(pair, 0) + f
-            pair_words[pair].add(wi)
+            pair_words[pair].append(wi)
 
     # (-count, pair) pops the most frequent pair, ties to the smallest pair;
     # only counts >= 2 are pushed, as a pair must occur twice to be merged.
@@ -241,12 +245,12 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
                     deltas[seq[j - 1], left] -= f
                     pair = seq[j - 1], joined
                     deltas[pair] += f
-                    pair_words[pair].add(wi)
+                    pair_words[pair].append(wi)
                 if j + 2 < len(seq):
                     deltas[right, seq[j + 2]] -= f
                     pair = joined, seq[j + 2]
                     deltas[pair] += f
-                    pair_words[pair].add(wi)
+                    pair_words[pair].append(wi)
                 seq[j:j + 2] = (joined,)
             elif sites:
                 # two or more: recount the whole word
@@ -265,7 +269,7 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
                     deltas[pair] -= f
                 for pair in zip(merged, merged[1:]):
                     deltas[pair] += f
-                    pair_words[pair].add(wi)
+                    pair_words[pair].append(wi)
                 seqs[wi] = merged
         for pair, delta in deltas.items():
             if delta == 0:
@@ -275,8 +279,9 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
                 pair_counts[pair] = count
                 if delta > 0 and count >= 2:
                     heapq.heappush(heap, (-count, pair))
-            else:
+            else:  # no word holds the pair, so every index entry is stale
                 del pair_counts[pair]
+                pair_words.pop(pair, None)  # best's list is already spent
         if len(heap) > 2 * len(pair_counts):
             heap = rebuild()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import json
 import re
 import subprocess
@@ -627,6 +628,23 @@ class TestBpeAndPipeline:
         assert code == 2
         assert "fractoin" in err
         assert not (tmp_path / "clusters.tsv").exists()
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["encode", "--codec", "soundex"], {"command": "encode", "bpe_command": "apply"},
+         "bpe_command"),
+        (["eval", "vocab", "--input", "corp.txt"], {"pipeline_command": "run"},
+         "pipeline_command"),
+    ])
+    def test_subcommand_name_is_not_a_config_key(self, capsys, monkeypatch, tmp_path,
+                                                 argv, config, key):
+        # a subcommand is chosen on the command line; its dest names no option
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a b\n")))
+        (tmp_path / "corp.txt").write_text("a b\n", encoding="utf-8")
+        (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli([*argv, "--config", "c.json"], capsys)
+        assert (code, out) == (2, "")
+        assert "unknown key" in err and key in err
 
     def test_config_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
         corpus, config = tmp_path / "c.txt", tmp_path / "config.json"

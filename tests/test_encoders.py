@@ -9,15 +9,18 @@ values both references agree on were kept for soundex/metaphone).
 from __future__ import annotations
 
 import re
+import string
+import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from phonoprep.encoders import (
     bundled_table_path,
     encode_or_passthrough,
+    fold_to_ascii_letters,
     load_code_table,
     metaphone_encode,
     nysiis_encode,
@@ -140,6 +143,31 @@ class TestSharedCodecProperties:
             return
         assert encode(word.lower()) == encode(word.upper())
         assert encode(word) == encode(word)
+
+
+def reference_fold(token: str) -> str:
+    """The fold one character at a time: NFKD, no combining marks, upper case, A-Z only."""
+    out = []
+    for ch in unicodedata.normalize("NFKD", token):
+        if unicodedata.combining(ch):
+            continue
+        ch = ch.upper()
+        if "A" <= ch <= "Z":
+            out.append(ch)
+    return "".join(out)
+
+
+@given(st.text(alphabet=string.ascii_letters, max_size=12)
+       | st.text(alphabet=string.ascii_letters + string.digits + string.punctuation, max_size=12)
+       | st.text(max_size=12))
+@example("")
+@example("Body")
+@example("caf\u00e9")  # a precomposed letter: NFKD splits off its combining mark
+@example("straße")  # non-ASCII letters whose upper case is ASCII
+@example("\u0131\ufb01")  # dotless i, and the fi ligature that NFKD splits
+@example("\uff21\uff22")  # fullwidth letters fold to ASCII
+def test_fold_matches_the_nfkd_loop(token):
+    assert fold_to_ascii_letters(token) == reference_fold(token)
 
 
 @pytest.mark.parametrize("token, expected", [("body", ("B300", False)), ("42", ("42", True))])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Mapping
@@ -196,6 +197,7 @@ class TestLearn:
     @example({"cdab": 2}, 1)  # one site at the end
     @example({"abca": 2}, 1)  # left occurs twice but has one site: the word is re-counted
     @example({"aaaa": 2}, 5)  # an overlapping run: (a, a) twice, then (aa, aa)
+    @example({"abab": 2}, 3)  # listed twice under (a, b): the second visit finds no site
     # merging (a, b) drops (b, c) from 8 to 3 below its heap entry; popped at 8,
     # it is queued again at 3 and merged after (ab, c)
     @example({"abc": 5, "ab": 4, "bc": 3}, 3)
@@ -220,6 +222,21 @@ class TestLearn:
     def test_empty_counts(self):
         with pytest.raises(EmptyCorpus):
             bpe_learn({}, 5)
+
+    def test_index_memory_stays_near_the_start(self):
+        # the word index keeps only live pairs, so learning 2,000 merges on the
+        # desk words needs little more memory than the tables learning starts from
+        counts = token_counts(read_lines(DESK_CORPUS))
+
+        def peak(ops):
+            tracemalloc.start()
+            try:
+                bpe_learn(counts, ops)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= 1.3 * peak(0)
 
     def test_desk_merge_files_are_pinned(self, tmp_path):
         # the pipeline-desk merge-file goldens of perfbench/golden.json; they pin
