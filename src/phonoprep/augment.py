@@ -27,7 +27,7 @@ from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyEmbedding, check_fraction, check_int
+from .errors import PhonoprepError, check_fraction, check_int
 from .geometry import EmbeddingTable, _unit_rows
 from .subword import token_counts
 
@@ -80,7 +80,7 @@ class _NeighborSampler:
 
     def __init__(self, table: EmbeddingTable, top_n: int, words: Container[str]):
         if not table.vectors:
-            raise EmptyEmbedding("embedding table has no vectors")
+            raise PhonoprepError("embedding table has no vectors")
         units, matrix = table.matrix()
         normed = _unit_rows(matrix)
         rows = [i for i, u in enumerate(units) if u in words]

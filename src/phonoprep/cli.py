@@ -16,6 +16,7 @@ import json
 import re
 import secrets
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable
 
@@ -25,7 +26,7 @@ from . import __version__
 from .augment import NoiseSpec, PerturbationSpec, noise_augment, perturb_corpus
 from .clustering import load_cluster_model, save_cluster_model
 from .encoders import GRANULARITIES
-from .errors import InvalidConfig, PhonoprepError, check_int
+from .errors import PhonoprepError, check_int
 from .evaluate import bleu, vocab_stats
 from .geometry import (
     CurveReport,
@@ -57,12 +58,13 @@ from .subword import (
     bpe_decode,
     bpe_learn,
     iter_lines,
+    json_text,
+    line_writer,
     load_bpe_model,
     map_tokens,
     read_lines,
     save_bpe_model,
     token_counts,
-    write_json,
     write_lines,
 )
 
@@ -233,15 +235,22 @@ def cmd_geometry_density(args) -> int:
 
 
 def cmd_augment_noise(args) -> int:
+    if args.manifest and Path(args.manifest).resolve() == Path(args.output).resolve():
+        raise PhonoprepError(f"--manifest and --output name the same file {args.output}")
     table = load_embeddings(args.embeddings)
     spec = NoiseSpec(fraction=args.fraction, top_n=args.top_n, seed=args.seed)
     stats: dict = {}
-    write_lines(args.output, noise_augment(read_lines(args.input), table, spec,
-                                           stats_out=stats))
-    if args.manifest:
-        write_json(args.manifest, {"schema": "phonoprep/noise-manifest/1", "seed": args.seed,
-                                   "fraction": args.fraction, "top_n": args.top_n,
-                                   "stats": stats})
+    # both files are opened before either is written, so a bad path leaves neither;
+    # the output is renamed into place last
+    with ExitStack() as stack:
+        write = stack.enter_context(line_writer(args.output))
+        write_manifest = stack.enter_context(line_writer(args.manifest)) if args.manifest else None
+        for line in noise_augment(read_lines(args.input), table, spec, stats_out=stats):
+            write(line)
+        if write_manifest:
+            write_manifest(json_text({"schema": "phonoprep/noise-manifest/1", "seed": args.seed,
+                                      "fraction": args.fraction, "top_n": args.top_n,
+                                      "stats": stats}))
     print(f"replaced {stats['replaced_tokens']} of {stats['total_tokens']} tokens"
           f" (seed {args.seed})")
     return 0
@@ -479,16 +488,16 @@ def _config_value(config_path: str, key: str, value, action: argparse.Action):
         what = f"a list of values that are each {what}"
     if not isinstance(items, list) or any(
             isinstance(v, bool) is not switch or not isinstance(v, kinds) for v in items):
-        raise InvalidConfig(f"config {config_path}: {key} must be {what}, got {value!r}")
+        raise PhonoprepError(f"config {config_path}: {key} must be {what}, got {value!r}")
     if action.type is not None:
         try:
             items = [v if v == "auto" else action.type(str(v)) for v in items]
         except (argparse.ArgumentTypeError, PhonoprepError) as exc:
             # argparse catches these only for a flag; here the message names the config
-            raise InvalidConfig(f"config {config_path}: {exc}") from None
+            raise PhonoprepError(f"config {config_path}: {exc}") from None
     if action.choices is not None and any(v not in action.choices for v in items):
-        raise InvalidConfig(f"config {config_path}: {key} must be one of "
-                            f"{', '.join(map(str, action.choices))}, got {value!r}")
+        raise PhonoprepError(f"config {config_path}: {key} must be one of "
+                             f"{', '.join(map(str, action.choices))}, got {value!r}")
     return items if repeated else items[0]
 
 
@@ -518,7 +527,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
              if action.option_strings and action.default is not argparse.SUPPRESS}
     unknown = sorted(set(defaults) - known)
     if unknown:
-        raise InvalidConfig(f"config {config_path}: unknown key(s) {', '.join(unknown)}")
+        raise PhonoprepError(f"config {config_path}: unknown key(s) {', '.join(unknown)}")
     for p in _command_parsers(parser, argv):
         own = {action.dest: _config_value(config_path, action.dest, defaults[action.dest],
                                           action)

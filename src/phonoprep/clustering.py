@@ -18,14 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .encoders import encode_or_passthrough
-from .errors import (
-    EmptyUnitList,
-    InvalidFraction,
-    SizeMismatch,
-    TooFewPoints,
-    check_fraction,
-    check_int,
-)
+from .errors import PhonoprepError, check_fraction, check_int
 from .subword import read_lines, write_lines
 
 __all__ = [
@@ -88,7 +81,7 @@ class KMeansModel:
 
 def _check_units(units: Sequence[str]) -> None:
     if not units:
-        raise EmptyUnitList("no units to cluster")
+        raise PhonoprepError("no units to cluster")
     if len(set(units)) != len(units):
         raise ValueError("units must be distinct")
 
@@ -120,9 +113,7 @@ def random_cluster(units: Sequence[str], dist: SizeDistribution, seed: int) -> C
     """Uniformly sample units without replacement into clusters sized by ``dist``."""
     _check_units(units)
     if dist.total != len(units):
-        raise SizeMismatch(
-            f"distribution covers {dist.total} units, got {len(units)}"
-        )
+        raise PhonoprepError(f"distribution covers {dist.total} units, got {len(units)}")
     return _partition(units, dist.multiplicities, seed, "baseline-derived")
 
 
@@ -133,7 +124,7 @@ def random_cluster_uniform(units: Sequence[str], fraction: float, seed: int) -> 
     n = len(units)
     k = int(np.floor(fraction * n + 0.5))
     if k < 1:
-        raise InvalidFraction(f"fraction {fraction} yields no clusters for {n} units")
+        raise ValueError(f"fraction {fraction} yields no clusters for {n} units")
     base, extra = divmod(n, k)
     sizes = [base + 1] * extra + [base] * (k - extra)
     return _partition(units, sizes, seed, "uniform-k")
@@ -259,7 +250,7 @@ def kmeans_fit(
         raise ValueError("points must be a non-empty (n, d) array")
     k = check_int("k", k, 1)
     if k > len(pts):
-        raise TooFewPoints(f"need k in [1, {len(pts)}], got {k}")
+        raise PhonoprepError(f"need k in [1, {len(pts)}], got {k}")
     check_int("max_iter", max_iter, 1)
     check_int("n_init", n_init, 1)
     check_int("seed", seed, 0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .errors import EmptyTable, MalformedTableLine, NonAlphabeticToken
+from .errors import NonAlphabeticToken, PhonoprepError
 from .subword import read_lines
 
 __all__ = [
@@ -337,10 +337,10 @@ def load_code_table(path: str | Path) -> CodeTable:
         parts = line.split("\t")
         # a code is one token, so each character of a word gives one code token
         if len(parts) != 2 or len(parts[0]) != 1 or parts[1].split() != [parts[1]]:
-            raise MalformedTableLine(str(path), lineno, line)
+            raise PhonoprepError(f"{path}:{lineno}: malformed table line: {line!r}")
         entries.setdefault(parts[0], []).append(parts[1])
     if not entries:
-        raise EmptyTable(f"no entries in {path}")
+        raise PhonoprepError(f"no entries in {path}")
     return CodeTable(entries={k: tuple(v) for k, v in entries.items()})
 
 

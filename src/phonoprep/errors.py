@@ -1,7 +1,8 @@
-"""Exception types raised by the public API, and the checks of its seeds and counts.
+"""The package's exception types, and the checks of its seeds, counts and fractions.
 
-Everything derives from PhonoprepError so callers (and the CLI) can
-distinguish data/contract problems from genuine bugs.
+Data and contract problems raise ``PhonoprepError`` and argument checks
+``ValueError``; the CLI exits 2 on either, and 3 on anything else, a bug.
+A subclass exists only where the package itself catches it by type.
 """
 
 from __future__ import annotations
@@ -13,105 +14,12 @@ class PhonoprepError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- encoders ---
-
 class NonAlphabeticToken(PhonoprepError):
-    """Token has no alphabetic content after diacritic folding."""
-
-
-class MalformedTableLine(PhonoprepError):
-    """A code-table line does not parse; carries the 1-based line number."""
-
-    def __init__(self, path: str, lineno: int, line: str):
-        super().__init__(f"{path}:{lineno}: malformed table line: {line!r}")
-        self.lineno = lineno
-
-
-class EmptyTable(PhonoprepError):
-    """Code-table file contained no entries."""
-
-
-# --- clustering ---
-
-class EmptyUnitList(PhonoprepError):
-    """No units supplied where at least one is required."""
-
-
-class SizeMismatch(PhonoprepError):
-    """Cluster-size distribution does not cover the unit count."""
-
-
-class InvalidFraction(PhonoprepError, ValueError):
-    """Fraction outside (0, 1], or a cluster fraction yielding zero clusters."""
-
-
-class TooFewPoints(PhonoprepError):
-    """Fewer points than requested clusters."""
-
-
-# --- subword ---
-
-class EmptyCorpus(PhonoprepError):
-    """Corpus stream yielded no tokens."""
-
-
-class DanglingContinuation(PhonoprepError):
-    """Subword stream ended in the middle of a word."""
-
-
-class ContinuationMarkerToken(PhonoprepError):
-    """Token ends with the continuation marker, so its pieces would not decode."""
-
-
-# --- geometry ---
-
-class DimensionMismatch(PhonoprepError):
-    """Embedding line has the wrong number of components; carries the 1-based line number."""
-
-    def __init__(self, path: str, lineno: int, expected: int, got: int):
-        super().__init__(f"{path}:{lineno}: expected {expected} components, got {got}")
-        self.lineno = lineno
-
-
-class MalformedFloat(PhonoprepError):
-    """Embedding line has a component that does not parse as a float."""
-
-
-class DegenerateData(PhonoprepError):
-    """Data without the structure to analyse: identical points, a degenerate
-    hull, or a co-occurrence matrix with no positive PPMI entry."""
+    """Token has no alphabetic content after diacritic folding; the encoders pass it through."""
 
 
 class AllPointsRemoved(PhonoprepError):
-    """Hull smoothing removed every point; threshold too aggressive."""
-
-
-class ZeroDispersion(PhonoprepError):
-    """Every group collapses to a single repeated point (denominator 0)."""
-
-
-class InsufficientGroups(PhonoprepError):
-    """Fewer groups than the density measure needs to sample."""
-
-
-class EmptyEmbedding(PhonoprepError):
-    """Embedding table has no vectors."""
-
-
-# --- evaluate ---
-
-class LineCountMismatch(PhonoprepError):
-    """Hypothesis and reference streams have different lengths."""
-
-
-# --- pipeline ---
-
-class SeparatorCollision(PhonoprepError):
-    """Separator token occurs in one of the streams being combined."""
-
-
-class InvalidConfig(PhonoprepError):
-    """A configuration names an unknown key or lacks a required one."""
+    """Hull smoothing removed every point; a hull volume counts it as 0.0."""
 
 
 class PipelineStageError(PhonoprepError):
@@ -121,8 +29,6 @@ class PipelineStageError(PhonoprepError):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
 
-
-# --- argument checks ---
 
 def check_int(name: str, value, low: int) -> int:
     """``value`` as a plain int if it is an integer >= ``low`` and not a bool."""
@@ -134,5 +40,5 @@ def check_int(name: str, value, low: int) -> int:
 def check_fraction(name: str, value) -> float:
     """``value`` as a plain float if it is a number in (0, 1]; a bool is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= 1:
-        raise InvalidFraction(f"{name} must be a number in (0, 1], got {value!r}")
+        raise ValueError(f"{name} must be a number in (0, 1], got {value!r}")
     return float(value)

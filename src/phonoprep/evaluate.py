@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import LineCountMismatch
+from .errors import PhonoprepError
 from .subword import _tokens_after, _token_ids
 
 __all__ = ["BleuReport", "VocabReport", "bleu", "vocab_stats"]
@@ -79,9 +79,7 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str],
     sentences or n-grams are counted.
     """
     if len(hypotheses) != len(references):
-        raise LineCountMismatch(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
+        raise PhonoprepError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
     n_hyp = len(hypotheses)
     # hypothesis tokens first, then reference tokens
     vocab, tokens, lengths = _token_ids(chain(hypotheses, references))

@@ -21,16 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import svds
 from scipy.spatial import cKDTree
 
-from .errors import (
-    AllPointsRemoved,
-    DegenerateData,
-    DimensionMismatch,
-    EmptyCorpus,
-    InsufficientGroups,
-    MalformedFloat,
-    ZeroDispersion,
-    check_int,
-)
+from .errors import AllPointsRemoved, PhonoprepError, check_int
 from .subword import _tokens_after, _token_ids, read_lines, write_lines
 
 __all__ = [
@@ -70,7 +61,8 @@ class EmbeddingTable:
     def __post_init__(self):
         for unit, vec in self.vectors.items():
             if vec.shape != (self.dimension,):
-                raise DimensionMismatch("<memory>", 0, self.dimension, vec.shape[0])
+                raise PhonoprepError(f"vector for {unit!r} has shape {vec.shape},"
+                                     f" expected ({self.dimension},)")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"non-finite components for {unit!r}")
 
@@ -211,7 +203,7 @@ def cooccurrence_counts(lines: Iterable[str], window: int = 5) -> tuple[list[str
     check_int("window", window, 0)
     tokens, ids, lengths = _token_ids(lines)
     if not tokens:
-        raise EmptyCorpus("corpus has no tokens")
+        raise PhonoprepError("corpus has no tokens")
     n = len(tokens)
     freq = np.bincount(ids, minlength=n).tolist()
     order = sorted(range(n), key=lambda i: (-freq[i], tokens[i]))
@@ -280,7 +272,7 @@ def train_embeddings(
     vocabulary is smaller than ``d`` the dimension is reduced with a
     warning. A corpus whose PPMI matrix has no positive entry (no pair
     within ``window``, or every pair at or below chance) raises
-    ``DegenerateData``.
+    ``PhonoprepError``.
     """
     check_int("d", d, 2)
     check_int("seed", seed, 0)
@@ -288,7 +280,7 @@ def train_embeddings(
     weights = ppmi(counts)
     del counts  # not beside the solver's workspace
     if not (weights.data > 0).any():  # ``ppmi`` stores explicit zeros
-        raise DegenerateData(
+        raise PhonoprepError(
             f"no word pair within window {window} co-occurs above chance; nothing to embed")
     n = len(vocab)
     if d > n:
@@ -337,18 +329,19 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         if dimension is None:
             dimension = len(comps)
             if dimension < 1:
-                raise DimensionMismatch(str(path), lineno, 1, 0)
+                raise PhonoprepError(f"{path}:{lineno}: expected 1 components, got 0")
         if len(comps) != dimension:
-            raise DimensionMismatch(str(path), lineno, dimension, len(comps))
+            raise PhonoprepError(f"{path}:{lineno}: expected {dimension} components,"
+                                 f" got {len(comps)}")
         try:
             vec = np.array([float(x) for x in comps])
         except ValueError as exc:
-            raise MalformedFloat(f"{path}:{lineno}: {exc}") from None
+            raise PhonoprepError(f"{path}:{lineno}: {exc}") from None
         if unit in vectors:
             log.warning("duplicate unit %r at %s:%d; last entry wins", unit, path, lineno)
         vectors[unit] = vec
     if dimension is None:
-        raise EmptyCorpus(f"no vectors in {path}")
+        raise PhonoprepError(f"no vectors in {path}")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
@@ -362,7 +355,7 @@ def pca_project(table: EmbeddingTable) -> tuple[Projection2D, dict[str, np.ndarr
     mean = matrix.mean(axis=0)
     centered = matrix - mean
     if np.allclose(centered, 0.0):
-        raise DegenerateData("all embedding vectors identical")
+        raise PhonoprepError("all embedding vectors identical")
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = _fix_signs(vt[:2].T).T
     projected = {u: (table.vectors[u] - mean) @ components.T for u in units}
@@ -440,12 +433,24 @@ def smooth_hull(points: Sequence[Sequence[float]] | np.ndarray,
     )
 
 
+def _smoothed_volume(points, params: HullParams | None) -> float:
+    """Smoothed-hull volume of ``points``; 0.0 where smoothing removes every point."""
+    try:
+        return smooth_hull(points, params).volume
+    except AllPointsRemoved:
+        return 0.0
+
+
 def coverage_curve(
     groups: Sequence[np.ndarray],
     order_seed: int,
     params: HullParams | None = None,
 ) -> list[tuple[int, float]]:
-    """Cumulative smoothed-hull volume as groups are added in seeded order."""
+    """Cumulative smoothed-hull volume as groups are added in seeded order.
+
+    A step whose pooled points the smoothing removes entirely has volume 0.0,
+    as a group has in ``volume_cdf``.
+    """
     check_int("order_seed", order_seed, 0)
     if not groups:
         raise ValueError("need at least one group")
@@ -455,8 +460,7 @@ def coverage_curve(
     pool: list[np.ndarray] = []
     for step, g in enumerate(order, start=1):
         pool.append(np.atleast_2d(np.asarray(groups[g], dtype=float)))
-        metrics = smooth_hull(np.vstack(pool), params)
-        curve.append((step, metrics.volume))
+        curve.append((step, _smoothed_volume(np.vstack(pool), params)))
     return curve
 
 
@@ -467,13 +471,7 @@ def volume_cdf(
     """Per-group hull volumes paired with empirical CDF values k/n."""
     if not groups:
         raise ValueError("need at least one group")
-    volumes = []
-    for g in groups:
-        try:
-            volumes.append(smooth_hull(g, params).volume)
-        except AllPointsRemoved:
-            volumes.append(0.0)
-    volumes.sort()
+    volumes = sorted(_smoothed_volume(g, params) for g in groups)
     n = len(volumes)
     return [(v, (i + 1) / n) for i, v in enumerate(volumes)]
 
@@ -495,7 +493,7 @@ def concentration_factor(groups: Sequence[np.ndarray]) -> GammaReport:
         sum(np.linalg.norm(a - c, axis=1).sum() for a, c in zip(arrays, centroids))
     )
     if denominator == 0.0:
-        raise ZeroDispersion("every group is a single repeated point")
+        raise PhonoprepError("every group is a single repeated point")
     return GammaReport(
         gamma=numerator / denominator,
         centroids=centroids,
@@ -526,19 +524,19 @@ def density_measure(
         raise ValueError("neighbor_index must be 1, 2, or 3")
     m = check_int("m", m, 1)
     if len(groups) < 5:
-        raise InsufficientGroups(f"need >= 5 groups, got {len(groups)}")
+        raise PhonoprepError(f"need >= 5 groups, got {len(groups)}")
     rng = np.random.default_rng(seed)
     chosen = tuple(sorted(rng.choice(len(groups), size=5, replace=False).tolist()))
     reference = np.vstack([np.atleast_2d(np.asarray(groups[i], dtype=float)) for i in chosen])
     if len(reference) < neighbor_index:
-        raise InsufficientGroups(
+        raise PhonoprepError(
             f"reference set of {len(reference)} points cannot answer "
             f"{neighbor_index}-nearest-neighbor queries"
         )
 
     metrics = smooth_hull(all_points, params)
     if metrics.degenerate:
-        raise DegenerateData("smoothed hull of all points is degenerate")
+        raise PhonoprepError("smoothed hull of all points is degenerate")
     corners = metrics.vertices
 
     tree = cKDTree(reference)

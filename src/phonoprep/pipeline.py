@@ -42,13 +42,7 @@ from .encoders import (
     soundex_encode,
     table_encode,
 )
-from .errors import (
-    InvalidConfig,
-    PipelineStageError,
-    SeparatorCollision,
-    check_fraction,
-    check_int,
-)
+from .errors import PhonoprepError, PipelineStageError, check_fraction, check_int
 from .evaluate import vocab_stats
 from .subword import (
     CONTINUATION,
@@ -153,11 +147,11 @@ class PipelineConfig:
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - names)
         if unknown:
-            raise InvalidConfig(f"unknown config key(s): {', '.join(unknown)}")
+            raise PhonoprepError(f"unknown config key(s): {', '.join(unknown)}")
         missing = sorted(f.name for f in fields(cls)
                          if f.default is MISSING and f.name not in data)
         if missing:
-            raise InvalidConfig(f"missing config key(s): {', '.join(missing)}")
+            raise PhonoprepError(f"missing config key(s): {', '.join(missing)}")
         return cls(**data)
 
 
@@ -288,7 +282,7 @@ def combine(
         if hits:
             first = next(i for i, line in enumerate(lines, start=1)
                          if not hits.isdisjoint(line.split()))
-            raise SeparatorCollision(f"separator {separator!r} occurs in {stream} line {first}")
+            raise PhonoprepError(f"separator {separator!r} occurs in {stream} line {first}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"{prefix}.{suffix}" for suffix in ("words", "codes", *_COMBINED[mode])]

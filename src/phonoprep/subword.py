@@ -44,7 +44,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus, check_int
+from .errors import PhonoprepError, check_int
 
 __all__ = [
     "BpeModel",
@@ -60,6 +60,7 @@ __all__ = [
     "read_lines",
     "token_counts",
     "write_lines",
+    "json_text",
     "write_json",
 ]
 
@@ -108,7 +109,10 @@ def read_lines(path: str | Path) -> list[str]:
 def line_writer(path: str | Path) -> Iterator[Callable[[str], None]]:
     """A function writing a line and a ``"\\n"`` after it as UTF-8, as ``iter_lines`` reads it.
 
-    The lines go to a sibling temp file, renamed to ``path`` once the block succeeds."""
+    The lines go to a sibling temp file, renamed to ``path`` once the block succeeds. A
+    directory at ``path`` is refused here, before the block, as the rename would refuse it."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
     tmp = Path(f"{path}.tmp-{secrets.token_hex(6)}")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as f:
@@ -125,9 +129,14 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
             write(line)
 
 
+def json_text(data: dict) -> str:
+    """``data`` as the JSON of every file written: indented, with sorted keys."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
 def write_json(path: str | Path, data: dict) -> None:
-    """Write ``data`` as JSON, indented and with sorted keys, and a final ``"\\n"``."""
-    write_lines(path, [json.dumps(data, indent=2, sort_keys=True)])
+    """Write ``json_text(data)`` and a final ``"\\n"``."""
+    write_lines(path, [json_text(data)])
 
 
 class TypeMap(dict):
@@ -190,7 +199,7 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
     if any(f < 1 for f in counts.values()):
         raise ValueError("every token count must be >= 1")
     if not counts:
-        raise EmptyCorpus("corpus has no tokens")
+        raise PhonoprepError("corpus has no tokens")
 
     # one working sequence of symbols per unique word
     seqs: list[list[str]] = [list(w) for w in counts]
@@ -321,7 +330,7 @@ def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
 
     Non-final pieces of a word carry the continuation marker so the output
     is exactly decodable; a token that itself ends with the marker raises
-    ``ContinuationMarkerToken``. Segmentations are cached on the model, so
+    ``PhonoprepError``. Segmentations are cached on the model, so
     repeated tokens cost one lookup: a model from ``bpe_learn`` already holds
     every learned word's pieces, and only other tokens are segmented here.
     """
@@ -331,9 +340,8 @@ def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
         pieces = cache.get(token)
         if pieces is None:
             if token.endswith(CONTINUATION):
-                raise ContinuationMarkerToken(
-                    f"token {token!r} ends with the continuation marker {CONTINUATION!r}"
-                )
+                raise PhonoprepError(f"token {token!r} ends with the continuation marker"
+                                     f" {CONTINUATION!r}")
             pieces = cache[token] = _marked(_segment(token, model))
         out.extend(pieces)
     return out
@@ -351,7 +359,7 @@ def bpe_decode(pieces: list[str], model: BpeModel) -> list[str]:
             out.append("".join(buf))
             buf = []
     if buf:
-        raise DanglingContinuation(f"stream ends mid-word: {''.join(buf)!r}")
+        raise PhonoprepError(f"stream ends mid-word: {''.join(buf)!r}")
     return out
 
 

@@ -26,7 +26,7 @@ from phonoprep.augment import (
     perturb_corpus,
     perturb_edit,
 )
-from phonoprep.errors import EmptyEmbedding
+from phonoprep.errors import PhonoprepError
 from phonoprep.evaluate import BleuReport, bleu
 from phonoprep.geometry import EmbeddingTable, train_embeddings
 
@@ -366,7 +366,7 @@ class TestNoiseAugment:
         assert other != noise_augment(corpus, table, spec)
 
     def test_empty_embedding(self):
-        with pytest.raises(EmptyEmbedding):
+        with pytest.raises(PhonoprepError, match="^embedding table has no vectors$"):
             noise_augment(["a b"], EmbeddingTable(dimension=2, vectors={}),
                           NoiseSpec(fraction=0.5, seed=0))
 

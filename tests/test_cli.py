@@ -455,6 +455,25 @@ class TestGeometry:
         assert out == ""
         assert "--samples must be >= 1" in err
 
+    def test_coverage_succeeds_at_every_order_seed(self, capsys, tmp_path):
+        # smoothing removes the whole pool where the far-apart pair comes first;
+        # that step once failed the command, so success depended on --seed
+        rows = [("far0", 50, 50, "G0"), ("far1", 90, 90, "G0")]  # five 6x5 grids beside them
+        rows += [(f"u{g}_{i}", 5 * g + 0.2 * (i % 6), 0.2 * (i // 6), f"G{g}")
+                 for g in range(1, 6) for i in range(30)]
+        groups, points = tmp_path / "g.tsv", tmp_path / "p.txt"
+        groups.write_text("".join(f"{u}\t{g}\n" for u, *_, g in rows), encoding="utf-8")
+        points.write_text("".join(f"{u} {x:.1f} {y:.1f}\n" for u, x, y, _ in rows),
+                          encoding="utf-8")
+        first_steps = set()
+        for seed in range(10):
+            code, out, err = run_cli(["geometry", "coverage", "--groups", str(groups),
+                                      "--points", str(points), "--beta", "3", "--radius",
+                                      "0.5", "--seed", str(seed)], capsys)
+            assert (code, err) == (0, ""), seed
+            first_steps.add(out.splitlines()[1])
+        assert "1,0.0" in first_steps
+
     @pytest.mark.parametrize("command", ["coverage", "density"])
     def test_csv_seed_auto_is_recorded_on_stderr(self, capsys, tmp_path, command):
         # six groups of five points: density samples five reference groups
@@ -870,6 +889,42 @@ class TestAugmentCli:
         data = json.loads(manifest.read_text(encoding="utf-8"))
         assert data["seed"] == 3
         assert data["stats"]["total_tokens"] == 25
+
+    def _noise_argv(self, tmp_path, output, manifest):
+        src = tmp_path / "in.txt"
+        src.write_text("alpha beta gamma delta epsilon\n" * 5, encoding="utf-8")
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("alpha 1 0\nbeta 0.9 0.1\ngamma 0.8 0.2\ndelta 0.7 0.3\n"
+                           "epsilon 0.6 0.4\n", encoding="utf-8")
+        return ["augment", "noise", "--input", str(src), "--embeddings", str(vectors),
+                "--output", str(output), "--seed", "3", "--manifest", str(manifest)]
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_manifest_at_the_output_path_is_refused_before_any_work(
+            self, capsys, monkeypatch, tmp_path, relative):
+        # the manifest JSON once replaced the noised corpus, and the command exited 0
+        out_path = tmp_path / "noised.txt"
+        out_path.write_text("kept\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv = self._noise_argv(tmp_path, out_path, "noised.txt" if relative else out_path)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"phonoprep: error: --manifest and --output name the same file {out_path}\n"
+        assert out_path.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("manifest, made", [
+        ("missing/m.json", []),  # once left the noised corpus behind
+        ("m.json", ["m.json"]),  # a directory where the manifest goes
+        ("m.json", ["noised.txt"]),  # a directory where the output goes
+    ], ids=["missing-directory", "manifest-is-a-directory", "output-is-a-directory"])
+    def test_bad_output_or_manifest_path_leaves_no_file(self, capsys, tmp_path, manifest, made):
+        for name in made:
+            (tmp_path / name).mkdir()
+        argv = self._noise_argv(tmp_path, tmp_path / "noised.txt", tmp_path / manifest)
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["in.txt", "v.txt", *made])
+        assert all(not any((tmp_path / name).iterdir()) for name in made)
 
     def test_noise_seed_auto_is_recorded_without_manifest(self, capsys, tmp_path):
         src = tmp_path / "in.txt"

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonoprep.encoders import soundex_encode
-from phonoprep.errors import LineCountMismatch
+from phonoprep.errors import PhonoprepError
 from phonoprep.evaluate import MAX_ORDER, BleuReport, bleu, vocab_stats
 from phonoprep.subword import token_counts
 
@@ -159,7 +159,7 @@ class TestBleu:
         assert twice.bleu == pytest.approx(once.bleu)
 
     def test_line_count_mismatch(self):
-        with pytest.raises(LineCountMismatch):
+        with pytest.raises(PhonoprepError, match="^1 hypotheses vs 2 references$"):
             bleu(["a"], ["a", "b"])
 
     def test_smoothing_flag_rescues_tiny_corpora(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -13,15 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from phonoprep.errors import (
-    AllPointsRemoved,
-    DegenerateData,
-    DimensionMismatch,
-    EmptyCorpus,
-    InsufficientGroups,
-    MalformedFloat,
-    ZeroDispersion,
-)
+from phonoprep.errors import AllPointsRemoved, PhonoprepError
 from phonoprep.geometry import (
     EmbeddingTable,
     HullParams,
@@ -239,6 +232,16 @@ class TestCoverage:
         vols = [v for _, v in curve]
         assert all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))
 
+    def test_step_whose_points_smoothing_removes_has_volume_zero(self):
+        # the pair's two points have no neighbour within the radius: alone in the
+        # pool they are all removed, as a group of them is in ``volume_cdf``
+        pair = np.array([(50.0, 50.0), (80.0, 80.0)])
+        params = HullParams(beta=1, radius=2.0)
+        assert coverage_curve([pair], order_seed=0, params=params) == [(1, 0.0)]
+        curves = {tuple(coverage_curve([pair, SQUARE], order_seed=seed, params=params))
+                  for seed in range(10)}
+        assert curves == {((1, 0.0), (2, 1.0)), ((1, 1.0), (2, 1.0))}
+
 
 class TestVolumeCdf:
     def test_singleton_groups_step_at_zero(self):
@@ -276,7 +279,7 @@ class TestGamma:
 
     def test_zero_dispersion(self):
         groups = [np.array([(0.0, 0.0), (0.0, 0.0)]), np.array([(5.0, 5.0)])]
-        with pytest.raises(ZeroDispersion):
+        with pytest.raises(PhonoprepError, match="^every group is a single repeated point$"):
             concentration_factor(groups)
 
     def test_tight_groups_have_larger_gamma(self):
@@ -293,7 +296,7 @@ class TestDensity:
 
     def test_requires_five_groups(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(InsufficientGroups):
+        with pytest.raises(PhonoprepError, match="^need >= 5 groups, got 4$"):
             density_measure(rng.normal(size=(30, 2)), self._groups(rng)[:4], seed=0)
 
     def test_monotone_in_neighbor_index(self):
@@ -417,7 +420,7 @@ class TestPca:
     def test_degenerate_data(self):
         vectors = {f"w{i}": np.ones(4) for i in range(5)}
         table = EmbeddingTable(dimension=4, vectors=vectors)
-        with pytest.raises(DegenerateData):
+        with pytest.raises(PhonoprepError, match="^all embedding vectors identical$"):
             pca_project(table)
 
 
@@ -478,7 +481,7 @@ class TestEmbeddings:
     ])
     def test_no_positive_ppmi_is_refused(self, corpus, window):
         assert not (ppmi(cooccurrence_counts(corpus, window=window)[1]).toarray() > 0).any()
-        with pytest.raises(DegenerateData, match="above chance"):
+        with pytest.raises(PhonoprepError, match="above chance"):
             train_embeddings(corpus, d=2, window=window, seed=0)
 
 
@@ -497,7 +500,7 @@ class TestCooccurrenceCounts:
     @example(corpus=["a b", "", "b a a"], window=1)
     def test_matches_reference(self, corpus, window):
         if not any(line.split() for line in corpus):
-            with pytest.raises(EmptyCorpus):
+            with pytest.raises(PhonoprepError, match="^corpus has no tokens$"):
                 cooccurrence_counts(corpus, window=window)
             return
         vocab, matrix = cooccurrence_counts(corpus, window=window)
@@ -540,6 +543,16 @@ _unit = st.one_of(
 ).filter(lambda t: t.split() == [t])
 
 
+class TestEmbeddingTable:
+    @pytest.mark.parametrize("vec", [np.array(1.0), np.zeros(3), np.zeros((1, 2))],
+                             ids=["0-d", "3", "1x2"])
+    def test_vector_of_another_shape_is_named_with_its_unit(self, vec):
+        # a 0-d vector once raised IndexError from reading its shape
+        shape = re.escape(str(vec.shape))
+        with pytest.raises(PhonoprepError, match=rf"^vector for 'w' has shape {shape}, expected"):
+            EmbeddingTable(dimension=2, vectors={"v": np.zeros(2), "w": vec})
+
+
 class TestEmbeddingFile:
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(1, 4), data=st.data())
@@ -575,14 +588,13 @@ class TestEmbeddingFile:
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("w1 0.5 1.5\nw2 1.0\n", encoding="utf-8")
-        with pytest.raises(DimensionMismatch) as exc:
+        with pytest.raises(PhonoprepError, match=r"vec\.txt:2: expected 2 components, got 1$"):
             load_embeddings(path)
-        assert exc.value.lineno == 2
 
     def test_malformed_float(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("w1 0.5 oops\n", encoding="utf-8")
-        with pytest.raises(MalformedFloat):
+        with pytest.raises(PhonoprepError, match=r"vec\.txt:1: could not convert .*'oops'$"):
             load_embeddings(path)
 
     def test_duplicate_last_wins(self, tmp_path, caplog):

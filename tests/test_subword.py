@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phonoprep.errors import ContinuationMarkerToken, DanglingContinuation, EmptyCorpus
+from phonoprep.errors import PhonoprepError
 from phonoprep.pipeline import encode_corpus, make_token_encoder
 from phonoprep.subword import (
     BpeModel,
@@ -93,7 +93,7 @@ class TestTokenCounts:
         expected = bpe_learn({"ab": 3, "c": 1}, 5).merges
         assert expected == (("a", "b"),)
         assert bpe_learn(token_counts(["ab ab", "", " \t ", "ab c"]), 5).merges == expected
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(PhonoprepError, match="^corpus has no tokens$"):
             bpe_learn(token_counts(["", " \t "]), 5)
 
     @settings(max_examples=300, deadline=None)
@@ -145,7 +145,7 @@ class TestLearn:
         assert model.merges == ()
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(PhonoprepError, match="^corpus has no tokens$"):
             bpe_learn(token_counts([""]), 5)
 
     def test_frequency_order(self):
@@ -220,7 +220,7 @@ class TestLearn:
             bpe_learn({"ab": 3, "ba": count}, 5)
 
     def test_empty_counts(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(PhonoprepError, match="^corpus has no tokens$"):
             bpe_learn({}, 5)
 
     def test_index_memory_stays_near_the_start(self):
@@ -274,9 +274,9 @@ class TestApply:
     def test_rejects_token_ending_with_marker(self):
         # "ab@@ cd" would decode as the single token "abcd"
         model = bpe_learn(token_counts(["ab@@ cd", "ab@@ ef", "xb@@ q"]), 10)
-        with pytest.raises(ContinuationMarkerToken):
+        with pytest.raises(PhonoprepError, match="^token 'ab@@' ends with the continuation"):
             bpe_apply(["ab@@", "cd"], model)
-        with pytest.raises(ContinuationMarkerToken):
+        with pytest.raises(PhonoprepError, match="^token '@@' ends with the continuation"):
             bpe_apply(["@@"], model)
         assert bpe_decode(bpe_apply(["a@@b", "@"], model), model) == ["a@@b", "@"]
 
@@ -331,7 +331,7 @@ class TestLearnedSegments:
     def test_marker_ending_word_is_left_to_bpe_apply(self):
         model = bpe_learn({"ab@@": 3, "ab": 2, "cd": 2}, 10)
         assert model._segments == {"ab": ["ab"], "cd": ["cd"]}
-        with pytest.raises(ContinuationMarkerToken):
+        with pytest.raises(PhonoprepError, match="^token 'ab@@' ends with the continuation"):
             bpe_apply(["ab@@"], model)
 
     def test_loaded_model_starts_empty_and_gives_the_same_pieces(self, tmp_path):
@@ -361,7 +361,7 @@ class TestDecode:
 
     def test_dangling_continuation(self):
         model = BpeModel(merges=())
-        with pytest.raises(DanglingContinuation):
+        with pytest.raises(PhonoprepError, match="^stream ends mid-word: 'th'$"):
             bpe_decode(["th@@"], model)
 
     @settings(max_examples=50)

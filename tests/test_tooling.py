@@ -43,6 +43,21 @@ def test_every_imported_name_is_used_or_exported(path):
     assert sorted(imported - used - exported) == []
 
 
+def test_every_error_subclass_is_caught_by_type_in_the_package():
+    # the CLI exits 2 on every PhonoprepError: a subclass earns its place only
+    # where the package itself tells it apart in an ``except`` clause
+    errors = ast.parse((ROOT / "src" / "phonoprep" / "errors.py").read_text(encoding="utf-8"))
+    subclasses = {node.name for node in errors.body if isinstance(node, ast.ClassDef)
+                  and any(getattr(base, "id", None) == "PhonoprepError" for base in node.bases)}
+    caught = {getattr(name, "id", getattr(name, "attr", None))
+              for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for name in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])}
+    assert subclasses, "no subclass found: the check reads nothing"
+    assert sorted(subclasses - caught) == []
+
+
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     # Hypothesis imports libcst to report a failing example; under the warning
     # policy a DeprecationWarning from that import once ended the whole run
