@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .augment import NoiseSpec, PerturbationSpec, noise_augment, perturb_corpus
 from .clustering import load_cluster_model, save_cluster_model
-from .encoders import GRANULARITIES
+from .encoders import GRANULARITIES, TABLE_KINDS
 from .errors import PhonoprepError, check_int
 from .evaluate import bleu, vocab_stats
 from .geometry import (
@@ -45,7 +45,6 @@ from .geometry import (
 from .pipeline import (
     COMBINE_MODES,
     ENCODERS,
-    TABLE_ENCODERS,
     PipelineConfig,
     WORD_ENCODERS,
     bpe_pieces,
@@ -67,8 +66,6 @@ from .subword import (
     token_counts,
     write_lines,
 )
-
-CODEC_CHOICES = tuple(WORD_ENCODERS) + TABLE_ENCODERS + ("cluster",)
 
 
 def _parse_seed(value: str) -> int:
@@ -135,8 +132,8 @@ def _grouped_points(args) -> list[np.ndarray]:
 # --- subcommand handlers ---
 
 def cmd_encode(args) -> int:
-    for flag, value, codecs in (("--table", args.table, TABLE_ENCODERS),
-                                ("--granularity", args.granularity, TABLE_ENCODERS),
+    for flag, value, codecs in (("--table", args.table, TABLE_KINDS),
+                                ("--granularity", args.granularity, TABLE_KINDS),
                                 ("--model", args.model, ("cluster",))):
         if value is not None and args.codec not in codecs:
             raise PhonoprepError(f"{flag} is read only by --codec {' and '.join(codecs)}")
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("encode", help="encode tokens on stdin or a file")
-    p.add_argument("--codec", choices=CODEC_CHOICES, required=True)
+    p.add_argument("--codec", choices=ENCODERS, required=True)
     p.add_argument("--table", help="code table override for pinyin/wubi")
     p.add_argument("--granularity", choices=GRANULARITIES)
     p.add_argument("--model", help="cluster model file for --codec cluster")

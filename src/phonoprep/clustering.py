@@ -287,7 +287,7 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
     units never contain whitespace, units starting with ``#`` stay rows.
     Other lines starting with ``#`` are comments. A unit and a cluster id
     are each one ``str.split()`` token (a row has one tab), a unit is listed
-    once and the seed is an integer >= 0; anything else is a ``ValueError``
+    once and the seed is an integer >= 0; anything else is a ``PhonoprepError``
     naming ``path:lineno``.
     """
     seed = 0
@@ -297,17 +297,19 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
         where = f"{path}:{lineno}"
         if line.startswith("# seed:"):
             text = line.split(":", 1)[1].strip()
-            seed = check_int(f"{where}: seed", int(text) if text.isdecimal() else text, 0)
+            if not text.isdecimal():
+                raise PhonoprepError(f"{where}: seed must be an integer >= 0, got {text!r}")
+            seed = int(text)
         elif line.startswith("# source:"):
             source = line.split(":", 1)[1].strip()
         elif "\t" in line and not line.startswith("# "):
             unit, _, cid = line.partition("\t")
             for name, value in (("unit", unit), ("cluster id", cid)):
                 if value.split() != [value]:  # a token can match it, and keeps one code
-                    raise ValueError(f"{where}: {name} must be one token, got {value!r}")
+                    raise PhonoprepError(f"{where}: {name} must be one token, got {value!r}")
             if unit in assignment:
-                raise ValueError(f"{where}: unit {unit!r} is listed twice")
+                raise PhonoprepError(f"{where}: unit {unit!r} is listed twice")
             assignment[unit] = cid
         elif line and not line.startswith("#"):
-            raise ValueError(f"{where}: expected unit<TAB>cluster-id, got {line!r}")
+            raise PhonoprepError(f"{where}: expected unit<TAB>cluster-id, got {line!r}")
     return ClusterModel(assignment=assignment, seed=seed, source=source)

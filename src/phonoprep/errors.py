@@ -18,10 +18,6 @@ class NonAlphabeticToken(PhonoprepError):
     """Token has no alphabetic content after diacritic folding; the encoders pass it through."""
 
 
-class AllPointsRemoved(PhonoprepError):
-    """Hull smoothing removed every point; a hull volume counts it as 0.0."""
-
-
 class PipelineStageError(PhonoprepError):
     """A pipeline stage failed; carries the stage name."""
 

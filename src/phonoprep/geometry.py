@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import svds
 from scipy.spatial import cKDTree
 
-from .errors import AllPointsRemoved, PhonoprepError, check_int
+from .errors import PhonoprepError, check_int
 from .subword import _tokens_after, _token_ids, read_lines, write_lines
 
 __all__ = [
@@ -406,7 +406,8 @@ def smooth_hull(points: Sequence[Sequence[float]] | np.ndarray,
     """Convex hull after removing sparsely-neighbored points.
 
     A point is removed when its closed r-ball holds fewer than the required
-    number of *other* points. ``params=None`` disables removal entirely.
+    number of *other* points. ``params=None`` disables removal entirely. Where
+    every point is removed, the hull is empty: no vertices and volume 0.0.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0 or pts.shape[1] != 2:  # a hull is drawn in the plane
@@ -420,10 +421,6 @@ def smooth_hull(points: Sequence[Sequence[float]] | np.ndarray,
         )
         keep = neighbor_counts >= required
         removed = int((~keep).sum())
-        if not keep.any():
-            raise AllPointsRemoved(
-                f"beta={params.beta} removed all {len(pts)} points"
-            )
         pts = pts[keep]
     vertices = convex_hull(pts)
     return HullMetrics(
@@ -431,14 +428,6 @@ def smooth_hull(points: Sequence[Sequence[float]] | np.ndarray,
         volume=polygon_area(vertices),
         removed_outliers=removed,
     )
-
-
-def _smoothed_volume(points, params: HullParams | None) -> float:
-    """Smoothed-hull volume of ``points``; 0.0 where smoothing removes every point."""
-    try:
-        return smooth_hull(points, params).volume
-    except AllPointsRemoved:
-        return 0.0
 
 
 def coverage_curve(
@@ -460,7 +449,7 @@ def coverage_curve(
     pool: list[np.ndarray] = []
     for step, g in enumerate(order, start=1):
         pool.append(np.atleast_2d(np.asarray(groups[g], dtype=float)))
-        curve.append((step, _smoothed_volume(np.vstack(pool), params)))
+        curve.append((step, smooth_hull(np.vstack(pool), params).volume))
     return curve
 
 
@@ -471,7 +460,7 @@ def volume_cdf(
     """Per-group hull volumes paired with empirical CDF values k/n."""
     if not groups:
         raise ValueError("need at least one group")
-    volumes = sorted(_smoothed_volume(g, params) for g in groups)
+    volumes = sorted(smooth_hull(g, params).volume for g in groups)
     n = len(volumes)
     return [(v, (i + 1) / n) for i, v in enumerate(volumes)]
 
@@ -536,7 +525,9 @@ def density_measure(
 
     metrics = smooth_hull(all_points, params)
     if metrics.degenerate:
-        raise PhonoprepError("smoothed hull of all points is degenerate")
+        raise PhonoprepError(f"smoothed hull of all points is degenerate"
+                             f" ({metrics.removed_outliers} of {len(np.atleast_2d(all_points))}"
+                             f" points removed as outliers)")
     corners = metrics.vertices
 
     tree = cKDTree(reference)

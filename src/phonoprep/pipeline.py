@@ -65,7 +65,6 @@ __all__ = [
     "COMBINE_MODES",
     "TokenEncoder",
     "WORD_ENCODERS",
-    "TABLE_ENCODERS",
     "make_token_encoder",
     "cluster_corpus",
     "bpe_pieces",
@@ -81,9 +80,7 @@ WORD_ENCODERS: dict[str, Callable[[str], str]] = {
     "nysiis": nysiis_encode,
     "metaphone": metaphone_encode,
 }
-TABLE_ENCODERS = TABLE_KINDS
-CLUSTER_ENCODERS = ("cluster", "cluster_uniform")
-ENCODERS = (*WORD_ENCODERS, *TABLE_ENCODERS, *CLUSTER_ENCODERS)
+ENCODERS = (*WORD_ENCODERS, *TABLE_KINDS, "cluster")
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,8 @@ class PipelineConfig:
     test_path: str | None = None
     table_path: str | None = None  # pinyin/wubi only: table instead of the bundled one
     granularity: str = "per_character"  # table encoders only
-    cluster_baseline: str = "metaphone"  # size-distribution source
-    cluster_fraction: float | None = None  # cluster_uniform only, which needs it
+    cluster_baseline: str = "metaphone"  # cluster only: the codec whose code sizes it copies
+    cluster_fraction: float | None = None  # cluster only: near-equal clusters instead
 
     def __post_init__(self):
         for name in ("train_path", "output_dir"):
@@ -127,17 +124,19 @@ class PipelineConfig:
             raise ValueError(f"unknown encoder {self.encoder!r}; pick one of {ENCODERS}")
         if self.combine_mode not in COMBINE_MODES:
             raise ValueError(f"unknown combine mode {self.combine_mode!r}")
-        if (self.encoder == "cluster_uniform") != (self.cluster_fraction is not None):
-            raise ValueError("cluster_fraction is needed by, and read only by, cluster_uniform")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.cluster_baseline not in WORD_ENCODERS:
             raise ValueError(f"unknown cluster_baseline {self.cluster_baseline!r}")
         defaults = {f.name: f.default for f in fields(self)}
-        for name, readers in (("table_path", TABLE_ENCODERS), ("granularity", TABLE_ENCODERS),
-                              ("cluster_baseline", ("cluster",))):
+        for name, readers in (("table_path", TABLE_KINDS), ("granularity", TABLE_KINDS),
+                              ("cluster_baseline", ("cluster",)),
+                              ("cluster_fraction", ("cluster",))):
             if getattr(self, name) != defaults[name] and self.encoder not in readers:
                 raise ValueError(f"{name} is read only by {' and '.join(readers)}")
+        if self.cluster_fraction is not None and (
+                self.cluster_baseline != defaults["cluster_baseline"]):
+            raise ValueError("cluster_baseline is read only without cluster_fraction")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -190,10 +189,10 @@ def make_token_encoder(
     if name in WORD_ENCODERS:
         codec = WORD_ENCODERS[name]
         return lambda tok: encode_or_passthrough(tok, codec)
-    if name in TABLE_ENCODERS:
+    if name in TABLE_KINDS:
         table = load_code_table(table_path or bundled_table_path(name))
         return lambda tok: (" ".join(table_encode(tok, table, granularity)), False)
-    if name in CLUSTER_ENCODERS:
+    if name == "cluster":
         if cluster_model is None:
             raise ValueError("cluster encoder needs a ClusterModel")
         return lambda tok: (encode_with_clusters([tok], cluster_model)[0], False)
@@ -377,7 +376,7 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     # models are learned on the training split only
     cluster_model = None
     with _stage("build-encoder"):
-        if config.encoder in CLUSTER_ENCODERS:
+        if config.encoder == "cluster":
             cluster_model = cluster_corpus(counts["train"], config.seed,
                                            fraction=config.cluster_fraction,
                                            baseline=config.cluster_baseline)

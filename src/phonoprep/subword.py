@@ -369,7 +369,9 @@ def save_bpe_model(model: BpeModel, path: str | Path) -> None:
 
 
 def load_bpe_model(path: str | Path) -> BpeModel:
-    merges = []
+    """Read a merge file; a bad line or a pair listed twice is a ``PhonoprepError``
+    naming ``path:lineno``."""
+    merges: dict[tuple[str, str], int] = {}  # pair -> its line
     for lineno, line in enumerate(read_lines(path), 1):
         if lineno == 1 and line.startswith("#version"):
             continue
@@ -377,9 +379,13 @@ def load_bpe_model(path: str | Path) -> BpeModel:
             continue
         parts = line.split(" ")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'left right', got {line!r}")
+            raise PhonoprepError(f"{path}:{lineno}: expected 'left right', got {line!r}")
         if any(part.split() != [part] for part in parts):  # else no token can use it
-            raise ValueError(f"{path}:{lineno}: merge symbols must be one token each, "
-                             f"got {line!r}")
-        merges.append((parts[0], parts[1]))
+            raise PhonoprepError(f"{path}:{lineno}: merge symbols must be one token each, "
+                                 f"got {line!r}")
+        pair = (parts[0], parts[1])
+        if pair in merges:
+            raise PhonoprepError(f"{path}:{lineno}: merge pair {line!r} is listed twice,"
+                                 f" first at line {merges[pair]}")
+        merges[pair] = lineno
     return BpeModel(merges=tuple(merges))

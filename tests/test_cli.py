@@ -24,7 +24,13 @@ from phonoprep.encoders import bundled_table_path, load_code_table, table_encode
 from phonoprep.errors import NonAlphabeticToken
 from phonoprep.evaluate import vocab_stats
 from phonoprep.geometry import load_embeddings, pca_project
-from phonoprep.pipeline import WORD_ENCODERS, PipelineConfig, cluster_corpus, run_pipeline
+from phonoprep.pipeline import (
+    ENCODERS,
+    WORD_ENCODERS,
+    PipelineConfig,
+    cluster_corpus,
+    run_pipeline,
+)
 from phonoprep.subword import token_counts
 
 DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
@@ -445,6 +451,19 @@ class TestGeometry:
         assert (code, stdout) == (2, "")
         assert f"groups {groups} share no unit with points {points}" in err
         assert not out.exists()
+
+    def test_density_where_smoothing_removes_every_point_names_the_count(self, capsys,
+                                                                          tmp_path):
+        groups, points = tmp_path / "g.tsv", tmp_path / "p.txt"
+        groups.write_text("".join(f"u{i}\tG{i}\n" for i in range(6)), encoding="utf-8")
+        points.write_text("".join(f"u{i} {10 * i}.0 {10 * (i % 2)}.0\n" for i in range(6)),
+                          encoding="utf-8")
+        code, out, err = run_cli(["geometry", "density", "--groups", str(groups),
+                                  "--points", str(points), "--seed", "0",
+                                  "--beta", "2", "--radius", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("phonoprep: error: smoothed hull of all points is degenerate"
+                       " (6 of 6 points removed as outliers)\n")
 
     def test_density_without_samples_is_data_error(self, capsys, tmp_path):
         paths = _write_report_inputs(tmp_path)
@@ -1021,20 +1040,32 @@ class TestPipelineRunCli:
         dests = {action.dest for action in run._actions}
         assert {f.name for f in fields(PipelineConfig)} <= dests
 
+    def test_encode_and_pipeline_run_offer_the_pipeline_encoders(self):
+        offered = {p.prog: tuple(action.choices) for p in _parsers(build_parser())
+                   for action in p._actions if action.dest in ("codec", "encoder")}
+        assert offered == {"phonoprep encode": ENCODERS, "phonoprep pipeline run": ENCODERS}
+
     def test_cluster_uniform_without_fraction_is_data_error(self, capsys, tmp_path):
+        # uniform clustering is the cluster encoder with a fraction; a config
+        # that names it cluster_uniform, fraction or not, names no encoder
         train = tmp_path / "train.txt"
         train.write_text("body but bad\n", encoding="utf-8")
-        code, _, err = run_cli(
-            ["pipeline", "run", "--train-path", str(train), "--output-dir",
-             str(tmp_path / "out"), "--encoder", "cluster_uniform", "--seed", "1"],
-            capsys,
-        )
-        assert code == 2
-        assert "cluster_fraction" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+        config = tmp_path / "config.json"
+        for fraction in ({}, {"cluster-fraction": 0.5}):
+            config.write_text(json.dumps({"encoder": "cluster_uniform", **fraction}),
+                              encoding="utf-8")
+            code, _, err = run_cli(
+                ["pipeline", "run", "--train-path", str(train), "--output-dir",
+                 str(tmp_path / "out"), "--config", str(config), "--seed", "1"],
+                capsys,
+            )
+            assert code == 2
+            assert err == (f"phonoprep: error: config {config}: encoder must be one of "
+                           f"{', '.join(ENCODERS)}, got 'cluster_uniform'\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "train.txt"]
 
     @pytest.mark.parametrize("flags,field", [
-        (["--encoder", "cluster", "--cluster-fraction", "0.25"], "cluster_fraction"),
+        (["--encoder", "metaphone", "--cluster-fraction", "0.25"], "cluster_fraction"),
         (["--encoder", "metaphone", "--table-path", "/nonexistent.tsv"], "table_path"),
         (["--encoder", "metaphone", "--granularity", "letters"], "granularity"),
         (["--encoder", "metaphone", "--cluster-baseline", "soundex"], "cluster_baseline"),
@@ -1088,9 +1119,9 @@ class TestPipelineRunCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv", "train.txt"]
 
     @pytest.mark.parametrize("config,flags,field", [
-        ({"encoder": "cluster_uniform", "cluster-fraction": True}, ["--seed", "1"],
+        ({"encoder": "cluster", "cluster-fraction": True}, ["--seed", "1"],
          "cluster_fraction"),
-        ({"encoder": "cluster_uniform", "cluster-fraction": 2}, ["--seed", "1"],
+        ({"encoder": "cluster", "cluster-fraction": 2}, ["--seed", "1"],
          "cluster_fraction"),
         ({"encoder": "cluster"}, ["--seed", "-5"], "seed"),
     ])

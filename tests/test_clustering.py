@@ -435,5 +435,5 @@ class TestModelFile:
     def test_malformed_row_is_refused_by_line(self, tmp_path, row, message):
         path = tmp_path / "clusters.tsv"
         path.write_text(f"# source: uniform-k\nb\tG2\n{row}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}"):
+        with pytest.raises(PhonoprepError, match=f"^{re.escape(f'{path}:3: {message}')}"):
             load_cluster_model(path)

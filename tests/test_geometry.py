@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from phonoprep.errors import AllPointsRemoved, PhonoprepError
+from phonoprep.errors import PhonoprepError
 from phonoprep.geometry import (
     EmbeddingTable,
     HullParams,
@@ -194,8 +194,11 @@ class TestSmoothing:
 
     def test_all_points_removed(self):
         pts = [(0, 0), (10, 10), (20, 20)]
-        with pytest.raises(AllPointsRemoved):
-            smooth_hull(pts, HullParams(beta=2, radius=1.0))
+        metrics = smooth_hull(pts, HullParams(beta=2, radius=1.0))
+        assert metrics.vertices.shape == (0, 2)
+        assert metrics.volume == 0.0
+        assert metrics.removed_outliers == 3
+        assert metrics.degenerate
 
     @pytest.mark.parametrize("field", ["beta", "radius"])
     @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), float("-inf")])

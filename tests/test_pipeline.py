@@ -246,6 +246,14 @@ def _write_corpus(path: Path, lines) -> Path:
     return path
 
 
+def _encoder(name: str) -> dict:
+    """Config keys of an encoder a test names; ``cluster_uniform`` is uniform
+    clustering, the ``cluster`` encoder with a ``cluster_fraction``."""
+    if name == "cluster_uniform":
+        return {"encoder": "cluster", "cluster_fraction": 0.5}
+    return {"encoder": name}
+
+
 def _dir_hashes(root: Path) -> dict[str, str]:
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -472,21 +480,25 @@ class TestRunPipeline:
         assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
     def test_cluster_uniform_needs_fraction(self, tmp_path):
-        with pytest.raises(ValueError, match="cluster_fraction"):
-            self._config(tmp_path, encoder="cluster_uniform")
-        with pytest.raises(ValueError, match="cluster_fraction"):
-            PipelineConfig.from_dict({"train_path": "t", "output_dir": "o",
-                                      "encoder": "cluster_uniform"})
+        # uniform clustering is the cluster encoder with a fraction; the old name is unknown
+        for fraction in (None, 0.5):
+            with pytest.raises(ValueError, match="^unknown encoder 'cluster_uniform'; pick one"
+                                                 " of .*'cluster'"):
+                self._config(tmp_path, encoder="cluster_uniform", cluster_fraction=fraction)
+            with pytest.raises(ValueError, match="^unknown encoder 'cluster_uniform'"):
+                PipelineConfig.from_dict({"train_path": "t", "output_dir": "o",
+                                          "encoder": "cluster_uniform",
+                                          "cluster_fraction": fraction})
 
     @pytest.mark.parametrize("value", [True, False, 0, 0.0, -0.5, 1.5, 2, "0.5",
                                        float("nan"), float("inf")])
     def test_cluster_fraction_must_be_a_fraction(self, tmp_path, value):
         with pytest.raises(ValueError, match="cluster_fraction"):
-            self._config(tmp_path, encoder="cluster_uniform", cluster_fraction=value)
+            self._config(tmp_path, encoder="cluster", cluster_fraction=value)
 
     @pytest.mark.parametrize("value", [0.25, 1e-9, 1, 1.0])
     def test_fraction_in_range_is_accepted(self, tmp_path, value):
-        cfg = self._config(tmp_path, encoder="cluster_uniform", cluster_fraction=value)
+        cfg = self._config(tmp_path, encoder="cluster", cluster_fraction=value)
         assert cfg.cluster_fraction == value
 
     @pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "7", None, -1])
@@ -494,16 +506,22 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="seed"):
             self._config(tmp_path, seed=value)
 
-    @pytest.mark.parametrize("encoder", ["cluster", "metaphone", "pinyin"])
-    def test_cluster_fraction_needs_cluster_uniform(self, tmp_path, encoder):
-        with pytest.raises(ValueError, match="cluster_fraction"):
-            self._config(tmp_path, encoder=encoder, cluster_fraction=0.25)
+    @pytest.mark.parametrize("encoder,message", [
+        # the cluster encoder reads a fraction, but then no baseline
+        ("cluster", "^cluster_baseline is read only without cluster_fraction$"),
+        ("metaphone", "^cluster_fraction is read only by cluster$"),
+        ("pinyin", "^cluster_fraction is read only by cluster$"),
+    ], ids=["cluster", "metaphone", "pinyin"])
+    def test_cluster_fraction_needs_cluster_uniform(self, tmp_path, encoder, message):
+        baseline = "soundex" if encoder == "cluster" else "metaphone"
+        with pytest.raises(ValueError, match=message):
+            self._config(tmp_path, encoder=encoder, cluster_fraction=0.25,
+                         cluster_baseline=baseline)
 
     @pytest.mark.parametrize("encoder", ["metaphone", "cluster", "cluster_uniform"])
     def test_table_path_needs_a_table_encoder(self, tmp_path, encoder):
         with pytest.raises(ValueError, match="table_path"):
-            self._config(tmp_path, encoder=encoder, table_path="/nonexistent.tsv",
-                         cluster_fraction=0.5 if encoder == "cluster_uniform" else None)
+            self._config(tmp_path, **_encoder(encoder), table_path="/nonexistent.tsv")
 
     @pytest.mark.parametrize("field,value,encoder", [
         ("granularity", "bogus", "pinyin"),
@@ -524,8 +542,7 @@ class TestRunPipeline:
     ])
     def test_value_an_encoder_never_reads_is_refused(self, tmp_path, field, value, encoder):
         with pytest.raises(ValueError, match=field):
-            self._config(tmp_path, encoder=encoder, **{field: value},
-                         cluster_fraction=0.5 if encoder == "cluster_uniform" else None)
+            self._config(tmp_path, **_encoder(encoder), **{field: value})
 
     @pytest.mark.parametrize("field,value,encoder", [
         ("granularity", "letters", "pinyin"),
@@ -569,17 +586,29 @@ class TestManifestFilePins:
             "312ea4f92aa2da4717effae1d5028a044ae3766229d965471c673f62af1dff9e",
     }
 
-    @pytest.mark.parametrize("encoder,mode", sorted(PINS))
-    def test_files_block_is_pinned(self, tmp_path, encoder, mode):
+    # the same run as ("cluster", "concat") with cluster_fraction=0.5, recorded when
+    # uniform clustering had an encoder name of its own, cluster_uniform
+    UNIFORM_PIN = "92b8c52d8fd765432feccef82d492ce46d8b11fc61e7306b12370756fe1ddafd"
+
+    def _files_hash(self, tmp_path, **config) -> str:
         paths = {f"{name}_path": str(_write_corpus(tmp_path / f"{name}.txt", lines))
                  for name, lines in PIN_SPLITS.items()}
         out = run_pipeline(PipelineConfig(
-            **paths, output_dir=str(tmp_path / "out"), encoder=encoder,
-            combine_mode=mode, seed=7, bpe_operations_words=12, bpe_operations_codes=6,
+            **paths, output_dir=str(tmp_path / "out"), seed=7, bpe_operations_words=12,
+            bpe_operations_codes=6, **config,
         ))
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         block = json.dumps(manifest["files"], sort_keys=True).encode("utf-8")
-        assert hashlib.sha256(block).hexdigest() == self.PINS[encoder, mode]
+        return hashlib.sha256(block).hexdigest()
+
+    @pytest.mark.parametrize("encoder,mode", sorted(PINS))
+    def test_files_block_is_pinned(self, tmp_path, encoder, mode):
+        assert self._files_hash(tmp_path, encoder=encoder, combine_mode=mode) == \
+            self.PINS[encoder, mode]
+
+    def test_uniform_cluster_files_block_is_pinned(self, tmp_path):
+        assert self._files_hash(tmp_path, encoder="cluster", combine_mode="concat",
+                                cluster_fraction=0.5) == self.UNIFORM_PIN
 
 
 class TestPerTypeSegmentation:

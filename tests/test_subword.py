@@ -402,7 +402,14 @@ class TestMergeFile:
     def test_merge_symbol_that_is_not_one_token_is_refused_by_line(self, tmp_path, row):
         path = tmp_path / "merges.txt"
         path.write_text(f"#version: 0.2\na b\n{row}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: merge symbols')}"):
+        with pytest.raises(PhonoprepError, match=f"^{re.escape(f'{path}:3: merge symbols')}"):
+            load_bpe_model(path)
+
+    def test_merge_pair_listed_twice_is_refused_by_line(self, tmp_path):
+        path = tmp_path / "merges.txt"
+        path.write_text("#version: 0.2\na b\nab c\na b\n", encoding="utf-8")
+        with pytest.raises(PhonoprepError, match=f"^{re.escape(f'{path}:4: merge pair')}"
+                                                 r" 'a b' is listed twice, first at line 2$"):
             load_bpe_model(path)
 
     def test_header_and_layout(self, tmp_path):
