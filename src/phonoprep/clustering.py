@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .encoders import encode_or_passthrough
 from .errors import PhonoprepError, check_fraction, check_int
@@ -164,6 +163,8 @@ def _nearest_by_tree(pts: np.ndarray, centroids: np.ndarray,
     A clear winner is the table's argmin too; near ties (duplicate
     centroids always give one) take the table row. Finite inputs only.
     """
+    from scipy.spatial import cKDTree  # loaded only where a tree is built
+
     dist, idx = cKDTree(centroids).query(pts, k=2)
     first, second = dist[:, 0] ** 2, dist[:, 1] ** 2
     # negated so that an overflowed (inf - inf) gap counts as a tie
@@ -178,11 +179,24 @@ def _nearest_by_tree(pts: np.ndarray, centroids: np.ndarray,
     return nearest, chosen
 
 
+def _squared_distances(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to ``center``, coordinates added left to right.
+
+    ``columns`` is contiguous ``pts.T``: one column at a time needs no (n, d)
+    temporary.
+    """
+    out = np.square(columns[0] - center[0])
+    for column, x in zip(columns[1:], center[1:]):
+        out += np.square(column - x)
+    return out
+
+
 def _lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
     # k-means++ seeding
+    columns = np.ascontiguousarray(pts.T)
     centroids = np.empty((k, pts.shape[1]))
     centroids[0] = pts[rng.integers(len(pts))]
-    closest_sq = np.sum((pts - centroids[0]) ** 2, axis=1)
+    closest_sq = _squared_distances(columns, centroids[0])
     for j in range(1, k):
         total = closest_sq.sum()
         if total <= 0.0:
@@ -190,7 +204,7 @@ def _lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, max_iter: int
         else:
             r = rng.random() * total
             centroids[j] = pts[np.searchsorted(np.cumsum(closest_sq), r)]
-        closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[j]) ** 2, axis=1))
+        np.minimum(closest_sq, _squared_distances(columns, centroids[j]), out=closest_sq)
 
     n, dim = pts.shape
     # bincount adds each cluster's members in input order, as a row-wise

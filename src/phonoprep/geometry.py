@@ -14,15 +14,17 @@ import logging
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import svds
-from scipy.spatial import cKDTree
 
 from .errors import PhonoprepError, check_int
 from .subword import _tokens_after, _token_ids, read_lines, write_lines
+
+# scipy is imported inside the functions that call it, so that importing the
+# package (and the encode, BPE and pipeline commands) never loads it
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "EmbeddingTable",
@@ -200,6 +202,8 @@ def cooccurrence_counts(lines: Iterable[str], window: int = 5) -> tuple[list[str
     line counts once in each direction. The vocabulary is sorted by
     falling frequency, then by token; the matrix is in canonical CSR form.
     """
+    from scipy.sparse import csr_matrix
+
     check_int("window", window, 0)
     tokens, ids, lengths = _token_ids(lines)
     if not tokens:
@@ -230,6 +234,8 @@ def cooccurrence_counts(lines: Iterable[str], window: int = 5) -> tuple[list[str
 
 def ppmi(matrix: csr_matrix) -> csr_matrix:
     """Positive pointwise mutual information of a co-occurrence matrix."""
+    from scipy.sparse import csr_matrix
+
     total = matrix.sum()
     row = np.asarray(matrix.sum(axis=1)).ravel()
     col = np.asarray(matrix.sum(axis=0)).ravel()
@@ -295,9 +301,18 @@ def train_embeddings(
         u, s, _ = np.linalg.svd(dense, full_matrices=False)
         u, s = u[:, :d], s[:d]
     else:
+        from scipy.sparse.linalg import LinearOperator, svds
+
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(min(weights.shape))
-        u, s, _ = svds(weights, k=d, v0=v0)
+        # ``weights`` is exactly symmetric: the counts are ``ordered +
+        # ordered.T``, their row and column sums add whole numbers exactly,
+        # and the product in the PPMI denominator commutes. So it is its own
+        # adjoint, and every product can use its CSR rows instead of a CSC
+        # transpose; both add each row's terms in column order
+        op = LinearOperator(weights.shape, matvec=weights.dot, rmatvec=weights.dot,
+                            matmat=weights.dot, rmatmat=weights.dot, dtype=weights.dtype)
+        u, s, _ = svds(op, k=d, v0=v0)
         order = np.argsort(s)[::-1]
         u, s = u[:, order], s[order]
     u = _fix_signs(u)
@@ -414,6 +429,8 @@ def smooth_hull(points: Sequence[Sequence[float]] | np.ndarray,
         raise ValueError(f"need one or more 2-D points, got an array of shape {pts.shape}")
     removed = 0
     if params is not None:
+        from scipy.spatial import cKDTree
+
         required = params.required_neighbors(len(pts))
         tree = cKDTree(pts)
         neighbor_counts = np.array(
@@ -529,6 +546,8 @@ def density_measure(
                              f" ({metrics.removed_outliers} of {len(np.atleast_2d(all_points))}"
                              f" points removed as outliers)")
     corners = metrics.vertices
+
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(reference)
     indices = range(1, neighbor_index + 1)

@@ -382,3 +382,34 @@ class TestCriterion9Pipeline:
         assert max(words, codes) <= combined <= words + codes
         report(9, f"byte-identical reruns over {len(h1)} files; vocab bounds "
                   f"max({words},{codes}) <= {combined} <= {words + codes}")
+
+
+class TestDeskGeometrySpeedUpsKeepTheBytes:
+    """At desk scale the fast forms give the bytes of the plain ones, in this process.
+
+    The embedding is the fixtures' (d=100, window=5, seed=7, unit rows);
+    K-Means runs at the geometry benchmark's settings. Both sides run on the
+    same BLAS build and thread count, so the comparison holds on any machine.
+    """
+
+    def test_self_adjoint_operator_gives_the_plain_svds_embedding(
+            self, desk_lines, desk_projection, monkeypatch):
+        import scipy.sparse.linalg
+
+        # hand ``svds`` the PPMI matrix itself, as before the operator
+        monkeypatch.setattr(scipy.sparse.linalg, "LinearOperator",
+                            lambda shape, matvec, **_: matvec.__self__)
+        plain = train_embeddings(desk_lines, d=100, window=5, seed=7, normalize=True)
+        table, _ = desk_projection
+        assert table.matrix()[1].tobytes() == plain.matrix()[1].tobytes()
+
+    def test_kmeans_equals_the_reference_at_the_benchmark_settings(self, desk_projection):
+        from test_clustering import assert_same_model, reference_kmeans_fit
+
+        _, projected = desk_projection
+        units = sorted(projected)
+        pts = np.array([projected[u] for u in units])
+        k = len(group_points(projected, {u: metaphone_encode(u) for u in units}))
+        assert k == 390
+        assert_same_model(kmeans_fit(pts, k=k, seed=0, n_init=2, max_iter=20),
+                          reference_kmeans_fit(pts, k, 0, 20, 2))

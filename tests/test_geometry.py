@@ -511,6 +511,15 @@ class TestCooccurrenceCounts:
         assert vocab == want_vocab
         assert_same_csr(matrix, want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=_corpus, window=st.integers(0, 7))
+    def test_ppmi_is_exactly_symmetric(self, corpus, window):
+        # train_embeddings hands svds the PPMI matrix as its own adjoint
+        if not any(line.split() for line in corpus):
+            return
+        weights = ppmi(cooccurrence_counts(corpus, window=window)[1])
+        assert_same_csr(weights, weights.T.tocsr())
+
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             cooccurrence_counts(["a b c d e"], window=-2)

@@ -58,6 +58,79 @@ def test_every_error_subclass_is_caught_by_type_in_the_package():
     assert sorted(subclasses - caught) == []
 
 
+# the scipy modules a process has loaded
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+COMMANDS_WITHOUT_SCIPY = f"""
+import sys
+from pathlib import Path
+from phonoprep.cli import main
+
+d = Path(sys.argv[1])
+corpus = str(d / "corpus.txt")
+commands = [
+    ["encode", "--codec", "metaphone", "--input", corpus, "--output", str(d / "codes.txt")],
+    ["cluster", "--corpus", corpus, "--seed", "1", "--output", str(d / "clusters.tsv")],
+    ["bpe", "learn", "--corpus", corpus, "--operations", "5", "--output", str(d / "bpe.txt")],
+    ["bpe", "apply", "--model", str(d / "bpe.txt"), "--input", corpus,
+     "--output", str(d / "pieces.txt")],
+    ["augment", "perturb", "--input", corpus, "-k", "1", "--seed", "2",
+     "--output", str(d / "perturbed.txt")],
+    ["eval", "bleu", "--hyp", str(d / "perturbed.txt"), "--ref", corpus,
+     "--output", str(d / "bleu.txt")],
+    ["pipeline", "run", "--train-path", corpus, "--output-dir", str(d / "build"),
+     "--encoder", "soundex", "--seed", "3", "--bpe-operations-words", "5",
+     "--bpe-operations-codes", "5"],
+]
+loaded_after = []
+for argv in commands:
+    assert main(argv) == 0, argv
+    if {SCIPY_LOADED}:
+        loaded_after.append(" ".join(argv[:2]))
+print(loaded_after)
+"""
+
+GEOMETRY_IN_A_FRESH_PROCESS = f"""
+import sys
+import numpy as np
+from phonoprep.clustering import kmeans_fit
+from phonoprep.geometry import HullParams, smooth_hull, train_embeddings
+
+rng = np.random.default_rng(0)
+lines = [" ".join(f"w{{i}}" for i in rng.integers(0, 300, size=8)) for _ in range(600)]
+table = train_embeddings(lines, d=2, window=2, seed=1)
+assert len(table.vectors) == 300  # more than 256 types: the svds branch
+pts = table.matrix()[1]
+kmeans_fit(pts, k=4, seed=0)  # 2-D: the k-d tree assignment
+smooth_hull(pts, HullParams(beta=1, radius=10.0))
+print({SCIPY_LOADED} != [])
+"""
+
+
+def _last_line(*argv: str) -> str:
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_and_pipeline_loads_no_scipy():
+    # geometry and clustering import scipy where they call it, so a one-shot
+    # command does not pay for loading scipy.sparse and scipy.spatial
+    assert _last_line("-c", f"import sys, phonoprep.cli, phonoprep.pipeline; "
+                            f"print({SCIPY_LOADED})") == "[]"
+
+
+def test_commands_without_geometry_or_kmeans_load_no_scipy(tmp_path):
+    (tmp_path / "corpus.txt").write_text(
+        "the body of speech\nspeak about the bad space\nthe choir sang\n", encoding="utf-8")
+    assert _last_line("-c", COMMANDS_WITHOUT_SCIPY, str(tmp_path)) == "[]"
+    assert (tmp_path / "build" / "manifest.json").is_file()
+
+
+def test_geometry_loads_scipy_where_it_calls_it():
+    assert _last_line("-c", GEOMETRY_IN_A_FRESH_PROCESS) == "True"
+
+
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     # Hypothesis imports libcst to report a failing example; under the warning
     # policy a DeprecationWarning from that import once ended the whole run
