@@ -5,9 +5,10 @@ embedding-space neighbors (sampled proportionally to positive cosine
 similarity). It reads its whole corpus before it draws: the neighbors of the
 corpus's words, and of no other table word, are computed up front, one matrix
 product per block of words, which may round a similarity differently in the
-last place than a per-word product (tests pin the drawn streams).
-``perturb_edit`` applies a fixed number of word-level edit operations. Both
-are deterministic per seed: sentence ``i`` draws the stream of
+last place than a per-word product (tests pin the drawn streams). So the noise
+is the same per seed for a given numpy/scipy build, OpenBLAS kernel and thread
+count. ``perturb_edit`` applies a fixed number of word-level edit operations.
+In both, sentence ``i`` draws the stream of
 ``np.random.default_rng([seed, i])``. The SeedSequence words of every
 sentence are hashed for the whole corpus in one array pass, and each
 sentence gets a fresh PCG64 seeded from its row of them.
@@ -76,13 +77,16 @@ class _NeighborSampler:
     """Top-n cosine neighbors, with their sampling CDFs, of the given words;
     None for a word with no positively similar neighbor (a lone unit has none)."""
 
-    BLOCK = 128  # rows per similarity product
+    # rows per similarity product: the bytes hold only at this size, as BLAS may
+    # round a row's products differently in a block of another size
+    BLOCK = 128
+    SELECT = 32  # rows per top-n selection: it works row by row, on a smaller index array
 
     def __init__(self, table: EmbeddingTable, top_n: int, words: Container[str]):
         if not table.vectors:
             raise PhonoprepError("embedding table has no vectors")
         units, matrix = table.matrix()
-        normed = _unit_rows(matrix)
+        normed = _unit_rows(matrix.astype(np.float64, copy=False))  # in place, ints cast first
         rows = [i for i, u in enumerate(units) if u in words]
         n = max(min(top_n, len(units) - 1), 1)
         self._candidates: dict[str, tuple[list[str], list[float]] | None] = {}
@@ -90,10 +94,12 @@ class _NeighborSampler:
             block = rows[start:start + self.BLOCK]
             sims = normed[block] @ normed.T
             sims[np.arange(len(block)), block] = -np.inf
-            top = np.argpartition(sims, -n, axis=1)[:, -n:]
+            top = np.concatenate([np.argpartition(sims[i:i + self.SELECT], -n, axis=1)[:, -n:]
+                                  for i in range(0, len(block), self.SELECT)])
             order = np.argsort(np.take_along_axis(sims, top, axis=1), axis=1)[:, ::-1]
             top = np.take_along_axis(top, order, axis=1)
             weights = np.maximum(np.take_along_axis(sims, top, axis=1), 0.0)
+            del sims  # before the next block's product
             # numpy's ``choice`` CDF of each row with positive weight, all rows at once
             totals = weights.sum(axis=1)
             live = totals > 0

@@ -263,7 +263,7 @@ def cmd_augment_perturb(args) -> int:
 
 
 def cmd_eval_bleu(args) -> int:
-    _emit_report(args, bleu(read_lines(args.hyp), read_lines(args.ref), smooth=args.smooth))
+    _emit_report(args, bleu(iter_lines(args.hyp), iter_lines(args.ref), smooth=args.smooth))
     return 0
 
 

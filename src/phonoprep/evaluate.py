@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Mapping, Sequence
+from itertools import chain, islice
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .subword import _tokens_after, _token_ids
 __all__ = ["BleuReport", "VocabReport", "bleu", "vocab_stats"]
 
 MAX_ORDER = 4
+_CHUNK = 4096  # sentence pairs counted at a time
 
 
 @dataclass(frozen=True)
@@ -68,23 +69,15 @@ class VocabReport:
             [k, u, t] for k, (u, t) in sorted(self.streams.items())]
 
 
-def bleu(hypotheses: Sequence[str], references: Sequence[str],
-         smooth: bool = False) -> BleuReport:
-    """Corpus BLEU-4 of a hypothesis stream against one reference line per hypothesis.
-
-    Line ``i`` of both streams is sentence ``i``; the reference length is
-    the sum of the reference line lengths. ``smooth`` add-one-smooths
-    orders 2-4 (useful only for tiny corpora). N-gram counts are exact
-    integers, so the report does not depend on the order in which
-    sentences or n-grams are counted.
-    """
-    if len(hypotheses) != len(references):
-        raise PhonoprepError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
+def _count_chunk(hypotheses: list[str], references: list[str],
+                 matches: list[int], totals: list[int]) -> tuple[int, int]:
+    """Add one chunk's clipped n-gram matches and hypothesis n-gram totals, order by
+    order, to ``matches`` and ``totals``; return its hypothesis and reference lengths."""
     n_hyp = len(hypotheses)
     # hypothesis tokens first, then reference tokens
     vocab, tokens, lengths = _token_ids(chain(hypotheses, references))
     width = len(vocab)
-    hyp_length, ref_length = int(lengths[:n_hyp].sum()), int(lengths[n_hyp:].sum())
+    hyp_length = int(lengths[:n_hyp].sum())
 
     # the tokens after each token in its line
     after = _tokens_after(lengths)
@@ -92,7 +85,6 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str],
     # (sentence, n-gram) ids; order 1 keys each token by its sentence
     starts = np.arange(len(tokens))
     grams = np.repeat(np.tile(np.arange(n_hyp), 2), lengths) * width + tokens
-    matches, totals = [], []
     for n in range(1, MAX_ORDER + 1):
         if n > 1:
             inside = after[starts] >= n - 1
@@ -102,8 +94,37 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str],
         h = int(np.searchsorted(starts, hyp_length))  # hypothesis n-grams come first
         hyp_counts = np.bincount(grams[:h], minlength=len(distinct))
         ref_counts = np.bincount(grams[h:], minlength=len(distinct))
-        matches.append(int(np.minimum(hyp_counts, ref_counts).sum()))
-        totals.append(h)
+        matches[n - 1] += int(np.minimum(hyp_counts, ref_counts).sum())
+        totals[n - 1] += h
+    return hyp_length, int(lengths[n_hyp:].sum())
+
+
+def bleu(hypotheses: Iterable[str], references: Iterable[str],
+         smooth: bool = False) -> BleuReport:
+    """Corpus BLEU-4 of a hypothesis stream against one reference line per hypothesis.
+
+    Line ``i`` of both streams is sentence ``i``; the reference length is
+    the sum of the reference line lengths. ``smooth`` add-one-smooths
+    orders 2-4 (useful only for tiny corpora). The streams are read and
+    counted ``_CHUNK`` sentence pairs at a time. N-gram counts are exact
+    integers and clipping is per sentence, so the report does not depend on
+    the chunk size or on the order in which sentences or n-grams are counted.
+    """
+    hyps, refs = iter(hypotheses), iter(references)
+    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
+    hyp_length = ref_length = sentences = 0
+    while True:
+        hyp_chunk, ref_chunk = list(islice(hyps, _CHUNK)), list(islice(refs, _CHUNK))
+        if len(hyp_chunk) != len(ref_chunk):  # one stream ran out first: count both to the end
+            raise PhonoprepError(
+                f"{sentences + len(hyp_chunk) + sum(1 for _ in hyps)} hypotheses vs "
+                f"{sentences + len(ref_chunk) + sum(1 for _ in refs)} references")
+        if not hyp_chunk:
+            break
+        sentences += len(hyp_chunk)
+        h, r = _count_chunk(hyp_chunk, ref_chunk, matches, totals)
+        hyp_length += h
+        ref_length += r
 
     precisions = []
     for n in range(MAX_ORDER):

@@ -257,10 +257,15 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` with every row divided by its norm; a zero row stays zero."""
-    norms = np.linalg.norm(matrix, axis=1)
-    norms[norms == 0] = 1.0
-    return matrix / norms[:, None]
+    """Divide every row of ``matrix`` by its norm in place and return ``matrix``; a zero
+    row stays zero. A row's norm reduces that row alone, so 128 rows at a time give the
+    bits of the whole-matrix division without a temporary the size of ``matrix``."""
+    for start in range(0, len(matrix), 128):
+        rows = matrix[start:start + 128]
+        norms = np.linalg.norm(rows, axis=1)
+        norms[norms == 0] = 1.0
+        rows /= norms[:, None]
+    return matrix
 
 
 def train_embeddings(
@@ -270,7 +275,11 @@ def train_embeddings(
     seed: int = 0,
     normalize: bool = False,
 ) -> EmbeddingTable:
-    """PPMI + truncated SVD embeddings of the tokens of ``lines``, deterministic per seed.
+    """PPMI + truncated SVD embeddings of the tokens of ``lines``.
+
+    The output is the same per seed for a given numpy/scipy build, OpenBLAS
+    kernel and thread count; another one may round the solver's products,
+    and so a vector's last bits, differently.
 
     ``normalize`` rescales every vector to unit length (vector norms from
     this construction track token frequency, which distorts geometric
@@ -318,7 +327,7 @@ def train_embeddings(
     u = _fix_signs(u)
     emb = u * np.sqrt(s)
     if normalize:
-        emb = _unit_rows(emb)
+        _unit_rows(emb)
     return EmbeddingTable(
         dimension=d,
         vectors={w: emb[i].copy() for i, w in enumerate(vocab)},

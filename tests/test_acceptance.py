@@ -22,6 +22,7 @@ import pytest
 from phonoprep.augment import (
     NoiseSpec,
     PerturbationSpec,
+    _NeighborSampler,
     noise_augment,
     perturb_edit,
 )
@@ -413,3 +414,33 @@ class TestDeskGeometrySpeedUpsKeepTheBytes:
         assert k == 390
         assert_same_model(kmeans_fit(pts, k=k, seed=0, n_init=2, max_iter=20),
                           reference_kmeans_fit(pts, k, 0, 20, 2))
+
+    def test_neighbour_sampler_equals_the_whole_matrix_formulation(self, desk_projection):
+        table, _ = desk_projection
+        words = set(table.vectors)
+        # one normalised copy of the table and one full-width ``argpartition``
+        # per 128-row block, around the same 128-row products
+        units, matrix = table.matrix()
+        norms = np.linalg.norm(matrix, axis=1)
+        norms[norms == 0] = 1.0
+        normed = matrix / norms[:, None]
+        rows = [i for i, u in enumerate(units) if u in words]
+        n = max(min(10, len(units) - 1), 1)
+        want = {}
+        for start in range(0, len(rows), 128):
+            block = rows[start:start + 128]
+            sims = normed[block] @ normed.T
+            sims[np.arange(len(block)), block] = -np.inf
+            top = np.argpartition(sims, -n, axis=1)[:, -n:]
+            order = np.argsort(np.take_along_axis(sims, top, axis=1), axis=1)[:, ::-1]
+            top = np.take_along_axis(top, order, axis=1)
+            weights = np.maximum(np.take_along_axis(sims, top, axis=1), 0.0)
+            totals = weights.sum(axis=1)
+            live = totals > 0
+            cdfs = np.cumsum(weights[live] / totals[live, None], axis=1)
+            cdfs /= cdfs[:, -1:]
+            live_cdfs = iter(cdfs.tolist())
+            for wi, neighbors, alive in zip(block, top.tolist(), live.tolist()):
+                want[units[wi]] = (([units[i] for i in neighbors], next(live_cdfs))
+                                   if alive else None)
+        assert _NeighborSampler(table, 10, words)._candidates == want

@@ -261,6 +261,28 @@ class TestEval:
         code, _, _ = run_cli(["eval", "bleu", "--hyp", str(a), "--ref", str(b)], capsys)
         assert code == 2
 
+    def test_bleu_reads_one_file_through_two_readers(self, capsys):
+        desk = str(DESK_CORPUS)
+        code, out, _ = run_cli(["eval", "bleu", "--hyp", desk, "--ref", desk], capsys)
+        assert code == 0
+        assert out.startswith("BLEU = 100.00")
+
+    def test_bleu_names_both_line_counts(self, capsys, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("x\ny\nz\n", encoding="utf-8")
+        b.write_text("x\n", encoding="utf-8")
+        code, out, err = run_cli(["eval", "bleu", "--hyp", str(a), "--ref", str(b)], capsys)
+        assert (code, out) == (2, "")
+        assert "3 hypotheses vs 1 references" in err
+
+    def test_bleu_hypothesis_not_utf8_on_its_last_line_is_data_error(self, capsys, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_bytes(b"x y\nz \xff\n")
+        b.write_text("x y\nz w\n", encoding="utf-8")
+        code, out, err = run_cli(["eval", "bleu", "--hyp", str(a), "--ref", str(b)], capsys)
+        assert (code, out) == (2, "")
+        assert "phonoprep: error: " in err and "internal error" not in err
+
     def test_vocab_csv(self, capsys, tmp_path):
         f = tmp_path / "v.txt"
         f.write_text("a b a\n", encoding="utf-8")

@@ -7,11 +7,13 @@ import random
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phonoprep import evaluate
 from phonoprep.encoders import soundex_encode
 from phonoprep.errors import PhonoprepError
 from phonoprep.evaluate import MAX_ORDER, BleuReport, bleu, vocab_stats
@@ -90,10 +92,39 @@ class TestBleuMatchesReference:
         assert bleu(hyps, lines) == reference_bleu(hyps, lines)
 
 
+class TestBleuChunks:
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=_bleu_inputs(), smooth=st.booleans())
+    def test_any_chunk_size_gives_the_reference_report(self, chunk, inputs, smooth):
+        hyps, refs = inputs
+        with patch.object(evaluate, "_CHUNK", chunk):
+            assert bleu(hyps, refs, smooth=smooth) == reference_bleu(hyps, refs, smooth)
+
+    @pytest.mark.parametrize("chunk", [2, evaluate._CHUNK])
+    def test_unequal_generators_name_both_full_counts(self, chunk):
+        with patch.object(evaluate, "_CHUNK", chunk):
+            with pytest.raises(PhonoprepError, match="^3 hypotheses vs 5 references$"):
+                bleu(("a" for _ in range(3)), ("a" for _ in range(5)))
+            with pytest.raises(PhonoprepError, match="^5 hypotheses vs 3 references$"):
+                bleu(("a" for _ in range(5)), ("a" for _ in range(3)))
+
+
+def _bleu_peak(hyps: list[str], refs: list[str]) -> int:
+    """The tracemalloc peak of one ``bleu`` call, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bleu(hyps, refs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestBleuMemory:
     def test_desk_call_stays_under_35_mb(self):
-        # token ids and per-order n-gram ids, no per-sentence token lists:
-        # about 29 MB here, where a scorer holding every token string took 66 MB
+        # token ids and per-order n-gram ids of one chunk, no per-sentence token lists:
+        # about 11.5 MB here, where a scorer holding every token string took 66 MB
         lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
         hyps = [" ".join(line.split()[1:]) for line in lines]
         tracemalloc.start()
@@ -104,6 +135,14 @@ class TestBleuMemory:
         finally:
             tracemalloc.stop()
         assert peak < 35 * 2**20
+
+    def test_peak_does_not_grow_with_the_corpus(self):
+        # one chunk's arrays at a time: 11.5 MB once and 13.9 MB three times over,
+        # where whole-corpus arrays gave 26.2 and 77.5 MB (2.96x)
+        lines = DESK_CORPUS.read_text(encoding="utf-8").splitlines()
+        hyps = [" ".join(line.split()[1:]) for line in lines]
+        once = _bleu_peak(hyps, lines)
+        assert _bleu_peak(hyps * 3, lines * 3) <= 1.5 * once
 
 
 class TestBleu:

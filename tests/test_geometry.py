@@ -18,6 +18,7 @@ from phonoprep.errors import PhonoprepError
 from phonoprep.geometry import (
     EmbeddingTable,
     HullParams,
+    _unit_rows,
     concentration_factor,
     convex_hull,
     cooccurrence_counts,
@@ -486,6 +487,26 @@ class TestEmbeddings:
         assert not (ppmi(cooccurrence_counts(corpus, window=window)[1]).toarray() > 0).any()
         with pytest.raises(PhonoprepError, match="above chance"):
             train_embeddings(corpus, d=2, window=window, seed=0)
+
+
+class TestUnitRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32),
+        st.floats(min_value=0.0, max_value=0.5),
+    )
+    @example(rows=129, cols=3, seed=0, zeros=1.0)
+    def test_in_place_rows_equal_the_whole_matrix_division(self, rows, cols, seed, zeros):
+        rng = np.random.default_rng(seed)
+        # rows of every scale, and some all-zero ones
+        m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-100, 100, size=(rows, 1))
+        m[rng.random(rows) < zeros] = 0.0
+        m0 = m.copy()
+        n = np.linalg.norm(m0, axis=1)
+        assert _unit_rows(m) is m
+        assert m.tobytes() == (m0 / np.where(n == 0, 1.0, n)[:, None]).tobytes()
 
 
 _token = st.sampled_from(["a", "b", "c", "dd", "e9", "Ω"])
