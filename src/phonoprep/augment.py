@@ -21,6 +21,7 @@ operations) and each draw bisects it with one ``rng.random()``.
 
 from __future__ import annotations
 
+import functools
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -182,22 +183,33 @@ def _seed_words(seed: int, count: int) -> np.ndarray:
     return np.stack(drawn, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """One precomputed row of ``_seed_words``, handed to ``PCG64`` as its seed."""
+@functools.cache
+def _seed_words_type() -> type:
+    """The class of one precomputed row of ``_seed_words``, handed to ``PCG64`` as its seed.
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    It is built on first use, as its base class loads ``numpy.random``, which
+    importing this module does not."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("precomputed seed words hold exactly 4 uint64 words")
-        return self.words
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("precomputed seed words hold exactly 4 uint64 words")
+            return self.words
+
+    return SeedWords
 
 
 def _sentence_generators(seed: int, count: int) -> Iterator[np.random.Generator]:
     """A fresh generator in the state of ``default_rng([seed, i])`` for every ``i < count``."""
+    from numpy.random import PCG64, Generator
+
+    seed_words = _seed_words_type()
     for words in _seed_words(seed, count):
-        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        yield Generator(PCG64(seed_words(words)))
 
 
 def _replacement_count(fraction: float, length: int) -> int:

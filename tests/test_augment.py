@@ -18,8 +18,8 @@ from phonoprep.augment import (
     _OP_CDF,
     _draw,
     _NeighborSampler,
-    _SeedWords,
     _seed_words,
+    _seed_words_type,
     _sentence_generators,
     edit_distance,
     noise_augment,
@@ -259,7 +259,7 @@ def assert_rows_are_numpy_seeds(seed, count: int, indices) -> None:
     for i in indices:
         want = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
         assert words[i].tolist() == want.tolist()
-        rng = np.random.Generator(np.random.PCG64(_SeedWords(words[i])))
+        rng = np.random.Generator(np.random.PCG64(_seed_words_type()(words[i])))
         assert rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
 
 
@@ -295,7 +295,7 @@ class TestSentenceStates:
     @pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (4, np.uint32), (2, np.uint64)])
     def test_seed_words_refuse_any_other_request(self, n_words, dtype):
         with pytest.raises(ValueError, match="4 uint64 words"):
-            _SeedWords(_seed_words(1, 1)[0]).generate_state(n_words, dtype)
+            _seed_words_type()(_seed_words(1, 1)[0]).generate_state(n_words, dtype)
 
     def test_generators_stay_distinct_after_the_list_is_built(self):
         generators = list(_sentence_generators(3, 5))

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from phonoprep import evaluate
 from phonoprep.encoders import soundex_encode
 from phonoprep.errors import PhonoprepError
-from phonoprep.evaluate import MAX_ORDER, BleuReport, bleu, vocab_stats
+from phonoprep.evaluate import MAX_ORDER, BleuReport, _token_ids, bleu, vocab_stats
 from phonoprep.subword import token_counts
 
 CORPUS = [
@@ -257,3 +258,20 @@ class TestVocabStats:
             report.streams["codes"], report.streams["words"])
         assert codes_unique <= words_unique
         assert codes_total == words_total
+
+
+class TestTokenIds:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.text(max_size=20) | st.sampled_from(["", " \t ", "a a", "b\x85c"]),
+                          max_size=8))
+    @example(lines=[])
+    @example(lines=["x y", "", "y\u2028x z"])
+    def test_gives_each_lines_tokens_back(self, lines):
+        tokens, ids, lengths = _token_ids(lines)
+        assert ids.dtype == lengths.dtype == np.int64
+        assert len(lengths) == len(lines)
+        ends = np.cumsum(lengths)
+        for line, start, end in zip(lines, ends - lengths, ends):
+            assert [tokens[i] for i in ids[start:end]] == line.split()
+        # ids are given in order of first appearance
+        assert tokens == list(dict.fromkeys(t for line in lines for t in line.split()))

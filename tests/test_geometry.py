@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -487,6 +491,38 @@ class TestEmbeddings:
         assert not (ppmi(cooccurrence_counts(corpus, window=window)[1]).toarray() > 0).any()
         with pytest.raises(PhonoprepError, match="above chance"):
             train_embeddings(corpus, d=2, window=window, seed=0)
+
+
+# the desk embedding and its noise stream (TestDeskStreamsArePinned's spec)
+DESK_EMBEDDING_AND_NOISE = """
+import hashlib, json, sys
+from pathlib import Path
+import numpy as np
+from phonoprep.augment import NoiseSpec, noise_augment
+from phonoprep.geometry import train_embeddings
+
+lines = Path(sys.argv[1]).read_text(encoding="utf-8").splitlines()
+table = train_embeddings(lines, d=100, window=5, seed=7, normalize=True)
+units, matrix = table.matrix()
+np.save(sys.argv[2], matrix)
+stats = {}
+out = noise_augment(lines, table, NoiseSpec(0.2, 10, 11), stats_out=stats)
+print(json.dumps({"units": units, "replaced_tokens": stats["replaced_tokens"],
+                  "noise": hashlib.sha256("\\n".join(out).encode("utf-8")).hexdigest()}))
+"""
+
+
+def test_blas_thread_count_moves_only_the_embeddings_last_bits(tmp_path):
+    # each OpenBLAS thread count may sum the solver's products in its own order:
+    # the vectors then differ by rounding, and the noise drawn from them must not
+    one, two = (json.loads(subprocess.run(
+        [sys.executable, "-c", DESK_EMBEDDING_AND_NOISE, str(DESK_CORPUS),
+         str(tmp_path / f"{threads}.npy")], env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True, text=True, check=True).stdout) for threads in ("1", "2"))
+    assert one["units"] == two["units"]
+    gap = np.abs(np.load(tmp_path / "1.npy") - np.load(tmp_path / "2.npy")).max()
+    assert gap <= 1e-9
+    assert (one["replaced_tokens"], one["noise"]) == (two["replaced_tokens"], two["noise"])
 
 
 class TestUnitRows:

@@ -10,7 +10,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +18,6 @@ from phonoprep.errors import PhonoprepError
 from phonoprep.pipeline import encode_corpus, make_token_encoder
 from phonoprep.subword import (
     BpeModel,
-    _token_ids,
     bpe_apply,
     bpe_decode,
     bpe_learn,
@@ -110,23 +108,6 @@ class TestTokenCounts:
         got = token_counts(iter(lines))  # one pass over the lines is enough
         assert got == want
         assert list(got) == list(want)  # tokens in order of first appearance
-
-
-class TestTokenIds:
-    @settings(max_examples=300, deadline=None)
-    @given(lines=st.lists(st.text(max_size=20) | st.sampled_from(["", " \t ", "a a", "b\x85c"]),
-                          max_size=8))
-    @example(lines=[])
-    @example(lines=["x y", "", "y\u2028x z"])
-    def test_gives_each_lines_tokens_back(self, lines):
-        tokens, ids, lengths = _token_ids(lines)
-        assert ids.dtype == lengths.dtype == np.int64
-        assert len(lengths) == len(lines)
-        ends = np.cumsum(lengths)
-        for line, start, end in zip(lines, ends - lengths, ends):
-            assert [tokens[i] for i in ids[start:end]] == line.split()
-        # ids are given in order of first appearance
-        assert tokens == list(dict.fromkeys(t for line in lines for t in line.split()))
 
 
 class TestLearn:

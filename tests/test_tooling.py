@@ -131,6 +131,53 @@ def test_geometry_loads_scipy_where_it_calls_it():
     assert _last_line("-c", GEOMETRY_IN_A_FRESH_PROCESS) == "True"
 
 
+# numpy and OpenSSL's hashlib, where a process has loaded them
+NUMPY_OR_HASHLIB_LOADED = ("sorted({m.partition('.')[0] for m in sys.modules}"
+                           " & {'numpy', 'hashlib'})")
+
+COMMANDS_WITHOUT_NUMPY = f"""
+import sys
+from pathlib import Path
+from phonoprep.cli import main
+
+d = Path(sys.argv[1])
+corpus = str(d / "corpus.txt")
+commands = [
+    ["encode", "--codec", "metaphone", "--input", corpus, "--output", str(d / "codes.txt")],
+    ["bpe", "learn", "--corpus", corpus, "--operations", "5", "--output", str(d / "bpe.txt")],
+    ["bpe", "apply", "--model", str(d / "bpe.txt"), "--input", corpus,
+     "--output", str(d / "pieces.txt")],
+    ["eval", "vocab", "--input", corpus, "--output", str(d / "vocab.csv")],
+    *(["pipeline", "run", "--train-path", corpus, "--output-dir", str(d / encoder),
+       "--encoder", encoder, "--seed", "3", "--bpe-operations-words", "5",
+       "--bpe-operations-codes", "5"] for encoder in ("metaphone", "soundex")),
+]
+loaded_after = []
+for argv in commands:
+    assert main(argv) == 0, argv
+    loaded_after.append([" ".join(argv[:2]), {NUMPY_OR_HASHLIB_LOADED}])
+print(loaded_after)
+"""
+
+
+def test_commands_without_arrays_load_no_numpy(tmp_path):
+    # only the manifest's checksums load hashlib, and with it OpenSSL
+    (tmp_path / "corpus.txt").write_text(
+        "the body of speech\nspeak about the bad space\nthe choir sang\n", encoding="utf-8")
+    assert ast.literal_eval(_last_line("-c", COMMANDS_WITHOUT_NUMPY, str(tmp_path))) == [
+        ["encode --codec", []], ["bpe learn", []], ["bpe apply", []], ["eval vocab", []],
+        ["pipeline run", ["hashlib"]], ["pipeline run", ["hashlib"]]]
+    assert (tmp_path / "soundex" / "manifest.json").is_file()
+
+
+def test_the_benchmark_workers_imports_load_no_numpy_random():
+    # numpy itself loads numpy.random on first use; augment builds its seed
+    # class then, and no pipeline pass draws
+    assert _last_line("-c", "import sys, numpy, phonoprep.augment, phonoprep.geometry, "
+                            "phonoprep.clustering, phonoprep.pipeline; "
+                            "print('numpy.random' in sys.modules)") == "False"
+
+
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     # Hypothesis imports libcst to report a failing example; under the warning
     # policy a DeprecationWarning from that import once ended the whole run
