@@ -92,9 +92,22 @@ def soundex_encode(token: str) -> str:
     return "".join(code)
 
 
+# letter -> its NYSIIS code where the letters around it play no part; the
+# letters of _NYSIIS_CONTEXT are coded in the loop
+_NYSIIS_CONTEXT = frozenset("EKSPHW")
+_NYSIIS_MAP = {c: "A" if c in _VOWELS else {"Q": "G", "Z": "S", "M": "N"}.get(c, c)
+               for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
+
+
 def nysiis_encode(token: str) -> str:
     """NYSIIS code (1970 rules), uncapped; its first six characters are the
-    traditional strict variant."""
+    traditional strict variant.
+
+    The letters are rewritten left to right, and a rule that rewrites more
+    than its own letter (EV -> AF, KN -> NN, SCH -> SSS, PH -> FF) writes
+    ahead into the later letters, which are then read as rewritten. H and W
+    read the rewritten previous letter, and a letter joins the key only
+    where it differs from that letter."""
     word = _clean(token)
 
     if word.startswith("MAC"):
@@ -114,43 +127,35 @@ def nysiis_encode(token: str) -> str:
         word = word[:-2] + "D"
 
     chars = list(word)
-    key = [chars[0]]
-    for i in range(1, len(chars)):
+    n = len(chars)
+    prev = chars[0]
+    key = [prev]
+    for i in range(1, n):
         cur = chars[i]
-        nxt = chars[i + 1] if i + 1 < len(chars) else None
-        nxt2 = chars[i + 2] if i + 2 < len(chars) else None
-        prev = chars[i - 1]
-
-        if cur == "E" and nxt == "V":
-            transcoded = "AF"
-        elif cur in _VOWELS:
-            transcoded = "A"
-        elif cur == "Q":
-            transcoded = "G"
-        elif cur == "Z":
-            transcoded = "S"
-        elif cur == "M":
-            transcoded = "N"
-        elif cur == "K":
-            transcoded = "NN" if nxt == "N" else "C"
-        elif cur == "S" and nxt == "C" and nxt2 == "H":
-            transcoded = "SSS"
-        elif cur == "P" and nxt == "H":
-            transcoded = "FF"
-        elif cur == "H" and (prev not in _VOWELS or nxt is None or nxt not in _VOWELS):
-            transcoded = prev
-        elif cur == "W" and prev in _VOWELS:
-            transcoded = prev
+        if cur in _NYSIIS_CONTEXT:
+            nxt = chars[i + 1] if i + 1 < n else ""
+            if cur == "E":
+                if nxt == "V":
+                    chars[i + 1] = "F"
+                cur = "A"
+            elif cur == "K":
+                cur = "N" if nxt == "N" else "C"  # the N ahead is already N
+            elif cur == "S":
+                if nxt == "C" and i + 2 < n and chars[i + 2] == "H":
+                    chars[i + 1] = chars[i + 2] = "S"
+            elif cur == "P":
+                if nxt == "H":
+                    chars[i + 1] = cur = "F"
+            elif cur == "H":
+                if prev not in _VOWELS or nxt not in _VOWELS:
+                    cur = prev
+            elif prev in _VOWELS:  # W
+                cur = prev
         else:
-            transcoded = cur
-
-        # overwrite the working buffer so later rules see rewritten text
-        for j, c in enumerate(transcoded):
-            if i + j < len(chars):
-                chars[i + j] = c
-
-        if chars[i - 1] != chars[i]:
-            key.append(chars[i])
+            cur = _NYSIIS_MAP[cur]
+        if cur != prev:
+            key.append(cur)
+        prev = cur
 
     result = "".join(key)
     if len(result) > 1:
@@ -167,14 +172,6 @@ def nysiis_encode(token: str) -> str:
 
 _FRONTV = frozenset("EIY")
 _VARSON = frozenset("CSPTG")  # consonants that silence a following H
-
-
-def _mt_vowel(word: str, i: int) -> bool:
-    return 0 <= i < len(word) and word[i] in _VOWELS
-
-
-def _mt_region(word: str, i: int, what: str) -> bool:
-    return word[i:i + len(what)] == what
 
 
 def metaphone_encode(token: str) -> str:
@@ -221,14 +218,14 @@ def metaphone_encode(token: str) -> str:
             nxt = word[i + 1] if i < n_last else ""
             if i > 0 and word[i - 1] == "S" and i < n_last and nxt in _FRONTV:
                 pass  # -SCE-, -SCI-, -SCY-: C is silent
-            elif _mt_region(word, i, "CIA"):
+            elif word.startswith("CIA", i):
                 code.append("X")
             elif i < n_last and nxt in _FRONTV:
                 code.append("S")
             elif i > 0 and word[i - 1] == "S" and nxt == "H":
                 code.append("K")
             elif nxt == "H":
-                if i == 0 and len(word) > 3 and _mt_vowel(word, 2):
+                if i == 0 and len(word) > 3 and word[2] in _VOWELS:
                     code.append("K")
                 else:
                     code.append("X")
@@ -242,11 +239,11 @@ def metaphone_encode(token: str) -> str:
             code.append("T")
         elif ch == "G":
             silent = False
-            if i + 1 == n_last and word[i + 1:i + 2] == "H":
+            if i + 1 == n_last and word[i + 1] == "H":
                 silent = True
-            elif i + 1 < n_last and word[i + 1:i + 2] == "H" and not _mt_vowel(word, i + 2):
+            elif i + 1 < n_last and word[i + 1] == "H" and word[i + 2] not in _VOWELS:
                 silent = True
-            elif i > 0 and (_mt_region(word, i, "GN") or _mt_region(word, i, "GNED")):
+            elif i > 0 and word.startswith("GN", i):  # GN covers -GNED-
                 silent = True
             if not silent:
                 hard = i > 0 and word[i - 1] == "G"
@@ -257,7 +254,7 @@ def metaphone_encode(token: str) -> str:
         elif ch == "H":
             if i == n_last or (i > 0 and word[i - 1] in _VARSON):
                 pass
-            elif _mt_vowel(word, i + 1):
+            elif word[i + 1] in _VOWELS:
                 code.append("H")
         elif ch in "FJLMNR":
             code.append(ch)
@@ -265,28 +262,27 @@ def metaphone_encode(token: str) -> str:
             if i == 0 or word[i - 1] != "C":
                 code.append("K")
         elif ch == "P":
-            code.append("F" if word[i + 1:i + 2] == "H" else "P")
+            code.append("F" if word.startswith("H", i + 1) else "P")
         elif ch == "Q":
             code.append("K")
         elif ch == "S":
-            if (_mt_region(word, i, "SH") or _mt_region(word, i, "SIO")
-                    or _mt_region(word, i, "SIA")):
+            if word.startswith(("SH", "SIO", "SIA"), i):
                 code.append("X")
             else:
                 code.append("S")
         elif ch == "T":
-            if _mt_region(word, i, "TIA") or _mt_region(word, i, "TIO"):
+            if word.startswith(("TIA", "TIO"), i):
                 code.append("X")
-            elif _mt_region(word, i, "TCH"):
+            elif word.startswith("TCH", i):
                 pass
-            elif _mt_region(word, i, "TH"):
+            elif word.startswith("TH", i):
                 code.append("0")
             else:
                 code.append("T")
         elif ch == "V":
             code.append("F")
         elif ch in ("W", "Y"):
-            if i < n_last and _mt_vowel(word, i + 1):
+            if i < n_last and word[i + 1] in _VOWELS:
                 code.append(ch)
         elif ch == "X":
             code.append("K")

@@ -171,6 +171,8 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
     check_int("num_operations", num_operations, 0)
     if any(f < 1 for f in counts.values()):
         raise ValueError("every token count must be >= 1")
+    if "" in counts:  # no str.split() token is empty, and an empty one has no pieces
+        raise ValueError("tokens must not be empty")
     if not counts:
         raise PhonoprepError("corpus has no tokens")
 
@@ -200,9 +202,10 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
 
     heap = rebuild()
     merges: list[tuple[str, str]] = []
+    count_of = pair_counts.get
     while len(merges) < num_operations and heap:
         neg_count, best = heapq.heappop(heap)
-        count = pair_counts.get(best, 0)
+        count = count_of(best, 0)
         if count != -neg_count:
             if count >= 2:
                 heapq.heappush(heap, (-count, best))
@@ -210,28 +213,32 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
         merges.append(best)
         left, right = best
         joined = left + right
-        deltas: defaultdict[tuple[str, str], int] = defaultdict(int)
+        deltas: dict[tuple[str, str], int] = {}
+        delta_of = deltas.get
         # merging leaves no (left, right) behind, so the index entry is spent
         for wi in pair_words.pop(best):
             seq = seqs[wi]
             sites = seq.count(left)  # a word without left is a stale index entry
-            f = freqs[wi]
             if sites == 1:
                 # one site: only the pairs beside it change; a new pair is built
                 # once, so its count and its index entry share one key tuple
                 j = seq.index(left)
-                if seq[j + 1:j + 2] != [right]:  # stale index entry
+                last = len(seq) - 1
+                if j == last or seq[j + 1] != right:  # stale index entry
                     continue
-                deltas[best] -= f
+                f = freqs[wi]
+                deltas[best] = delta_of(best, 0) - f
                 if j:
-                    deltas[seq[j - 1], left] -= f
+                    pair = seq[j - 1], left
+                    deltas[pair] = delta_of(pair, 0) - f
                     pair = seq[j - 1], joined
-                    deltas[pair] += f
+                    deltas[pair] = delta_of(pair, 0) + f
                     pair_words[pair].append(wi)
-                if j + 2 < len(seq):
-                    deltas[right, seq[j + 2]] -= f
+                if j + 1 < last:
+                    pair = right, seq[j + 2]
+                    deltas[pair] = delta_of(pair, 0) - f
                     pair = joined, seq[j + 2]
-                    deltas[pair] += f
+                    deltas[pair] = delta_of(pair, 0) + f
                     pair_words[pair].append(wi)
                 seq[j:j + 2] = (joined,)
             elif sites:
@@ -247,16 +254,17 @@ def bpe_learn(counts: Mapping[str, int], num_operations: int) -> BpeModel:
                         j += 1
                 if len(merged) == n:  # stale index entry
                     continue
+                f = freqs[wi]
                 for pair in zip(seq, seq[1:]):
-                    deltas[pair] -= f
+                    deltas[pair] = delta_of(pair, 0) - f
                 for pair in zip(merged, merged[1:]):
-                    deltas[pair] += f
+                    deltas[pair] = delta_of(pair, 0) + f
                     pair_words[pair].append(wi)
                 seqs[wi] = merged
         for pair, delta in deltas.items():
             if delta == 0:
                 continue
-            count = pair_counts.get(pair, 0) + delta
+            count = count_of(pair, 0) + delta
             if count > 0:
                 pair_counts[pair] = count
                 if delta > 0 and count >= 2:
@@ -315,6 +323,8 @@ def bpe_apply(sentence: list[str], model: BpeModel) -> list[str]:
             if token.endswith(CONTINUATION):
                 raise PhonoprepError(f"token {token!r} ends with the continuation marker"
                                      f" {CONTINUATION!r}")
+            if not token:
+                raise PhonoprepError("an empty token has no pieces")
             pieces = cache[token] = _marked(_segment(token, model))
         out.extend(pieces)
     return out

@@ -8,6 +8,8 @@ values both references agree on were kept for soundex/metaphone).
 
 from __future__ import annotations
 
+import hashlib
+import random
 import re
 import string
 import unicodedata
@@ -30,6 +32,7 @@ from phonoprep.encoders import (
 from phonoprep.errors import NonAlphabeticToken, PhonoprepError
 
 DATA = Path(__file__).parent / "data"
+DESK_CORPUS = Path(__file__).parent.parent / "data" / "desk_en.txt"
 
 
 def _rows(name):
@@ -143,6 +146,54 @@ class TestSharedCodecProperties:
             return
         assert encode(word.lower()) == encode(word.upper())
         assert encode(word) == encode(word)
+
+
+_PIN_LETTERS = "AEIOUYHWKNSCPVMQZTDRGBFLJX"
+_PIN_PREFIXES = ("MAC", "KN", "K", "PH", "PF", "SCH", "WH", "WR", "X", "AE", "GN", "PN")
+_PIN_SUFFIXES = ("EE", "IE", "DT", "RT", "RD", "NT", "ND")
+
+
+def _pin_words() -> list[str]:
+    """Every type of the desk corpus, then 20,000 seeded words built to reach each
+    codec rule: the rule prefixes and suffixes, both cases, accented letters, and
+    tokens with no letters."""
+    words = sorted(set(DESK_CORPUS.read_text(encoding="utf-8").split()))
+    rng = random.Random(1970)
+    for _ in range(20_000):
+        word = "".join(rng.choice(_PIN_LETTERS) for _ in range(rng.randint(0, 9)))
+        if rng.random() < 0.4:
+            word = rng.choice(_PIN_PREFIXES) + word
+        if rng.random() < 0.3:
+            word += rng.choice(_PIN_SUFFIXES)
+        if rng.random() < 0.05:
+            at = rng.randint(0, len(word))
+            word = word[:at] + rng.choice("\u00e9\u00c0\u00e7\u00f1\u00dc\u00f8") + word[at:]
+        if rng.random() < 0.02:
+            word = rng.choice(("42", "--", "3.14", "\u00bf?", "\u4e2d"))
+        words.append("".join(c.lower() if rng.random() < 0.5 else c for c in word))
+    return words
+
+
+def _codec_digest(encode) -> str:
+    lines = []
+    for word in _pin_words():
+        try:
+            code = encode(word)
+        except NonAlphabeticToken:
+            code = "!"
+        lines.append(f"{word}\t{code}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("encode, digest", [
+    (soundex_encode, "b5a495acd57c487ba28f7bb83364db401923951f12535035c14aa27294e99a4a"),
+    (nysiis_encode, "0ac9933f27361da65de9deb61ad4f02d21b7f8ab94354ea0304c1a0c78289d8d"),
+    (metaphone_encode, "bb7f97044f8df4fa53504f185df15c4054abfddee1f1906498a7d161c44bba53"),
+])
+def test_codec_outputs_are_pinned(encode, digest):
+    # one SHA-256 per codec over `word<TAB>code` lines ("!" where the codec refuses
+    # the word), so a rewrite of a codec's loop must keep every code it gives
+    assert _codec_digest(encode) == digest
 
 
 def reference_fold(token: str) -> str:

@@ -204,6 +204,11 @@ class TestLearn:
         with pytest.raises(PhonoprepError, match="^corpus has no tokens$"):
             bpe_learn({}, 5)
 
+    def test_empty_token_is_refused(self):
+        # no str.split() token is empty, so one is refused by name
+        with pytest.raises(ValueError, match="^tokens must not be empty$"):
+            bpe_learn({"": 2, "ab": 2}, 3)
+
     def test_index_memory_stays_near_the_start(self):
         # the word index keeps only live pairs, so learning 2,000 merges on the
         # desk words needs little more memory than the tables learning starts from
@@ -260,6 +265,11 @@ class TestApply:
         with pytest.raises(PhonoprepError, match="^token '@@' ends with the continuation"):
             bpe_apply(["@@"], model)
         assert bpe_decode(bpe_apply(["a@@b", "@"], model), model) == ["a@@b", "@"]
+
+    def test_rejects_empty_token(self):
+        # no str.split() token is empty, and one has no pieces to mark
+        with pytest.raises(PhonoprepError, match="^an empty token has no pieces$"):
+            bpe_apply([""], BpeModel(merges=()))
 
     def test_segmentation_cache_is_per_model(self):
         coarse = bpe_learn(token_counts(["abab abab"]), 3)
