@@ -8,27 +8,4 @@ group spread in an embedding space (convex hulls, coverage curves,
 concentration factor, nearest-neighbor density).
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-from .encoders import (
-    CodeTable,
-    bundled_table_path,
-    load_code_table,
-    metaphone_encode,
-    nysiis_encode,
-    soundex_encode,
-    table_encode,
-)
-
-__all__ = [
-    "__version__",
-    "CodeTable",
-    "bundled_table_path",
-    "load_code_table",
-    "metaphone_encode",
-    "nysiis_encode",
-    "soundex_encode",
-    "table_encode",
-]

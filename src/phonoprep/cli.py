@@ -25,7 +25,6 @@ from .encoders import GRANULARITIES, TABLE_KINDS
 from .errors import PhonoprepError, check_int
 from .evaluate import bleu, vocab_stats
 from .pipeline import (
-    COMBINE_MODES,
     ENCODERS,
     PipelineConfig,
     WORD_ENCODERS,
@@ -125,7 +124,7 @@ def _grouped_points(args) -> list[np.ndarray]:
 
 # --- subcommand handlers ---
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     for flag, value, codecs in (("--table", args.table, TABLE_KINDS),
                                 ("--granularity", args.granularity, TABLE_KINDS),
                                 ("--model", args.model, ("cluster",))):
@@ -143,10 +142,9 @@ def cmd_encode(args) -> int:
     codes = TypeMap(lambda tok: encoder(tok)[0])
     lines = iter_lines(args.input or sys.stdin.buffer)
     _emit(args, (map_tokens(codes, line.split()) for line in lines))
-    return 0
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> None:
     from .clustering import save_cluster_model
 
     if args.baseline is not None and args.fraction is not None:
@@ -156,33 +154,29 @@ def cmd_cluster(args) -> int:
     save_cluster_model(model, args.output)
     print(f"wrote {model.num_clusters} clusters for {len(model.assignment)} units"
           f" to {args.output}")
-    return 0
 
 
-def cmd_bpe_learn(args) -> int:
+def cmd_bpe_learn(args) -> None:
     model = bpe_learn(token_counts(iter_lines(args.corpus)), args.operations)
     save_bpe_model(model, args.output)
     print(f"learned {len(model.merges)} merges to {args.output}")
-    return 0
 
 
-def cmd_bpe_apply(args) -> int:
+def cmd_bpe_apply(args) -> None:
     model = load_bpe_model(args.model)
     pieces, lines = bpe_pieces(model), iter_lines(args.input or sys.stdin.buffer)
     _emit(args, (" ".join(bpe_decode(line.split(), model)) if args.reverse
                  else map_tokens(pieces, line.split()) for line in lines))
-    return 0
 
 
-def cmd_pipeline_run(args) -> int:
+def cmd_pipeline_run(args) -> None:
     data = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
-            if getattr(args, f.name, None) is not None}
+            if getattr(args, f.name) is not None}
     out = run_pipeline(PipelineConfig.from_dict(data))
     print(f"artifacts written to {out}")
-    return 0
 
 
-def cmd_geometry_embed(args) -> int:
+def cmd_geometry_embed(args) -> None:
     from .geometry import save_embeddings, train_embeddings
 
     table = train_embeddings(
@@ -192,44 +186,39 @@ def cmd_geometry_embed(args) -> int:
     save_embeddings(table, args.output)
     print(f"wrote {len(table.vectors)} vectors (d={table.dimension}) to {args.output}"
           f" (seed {args.seed})")
-    return 0
 
 
-def cmd_geometry_project(args) -> int:
+def cmd_geometry_project(args) -> None:
     from .geometry import EmbeddingTable, load_embeddings, pca_project, save_embeddings
 
     table = load_embeddings(args.vectors)
     _, projected = pca_project(table)
     save_embeddings(EmbeddingTable(2, projected), args.output)
     print(f"projected {len(projected)} units to {args.output}")
-    return 0
 
 
-def cmd_geometry_gamma(args) -> int:
+def cmd_geometry_gamma(args) -> None:
     from .geometry import concentration_factor
 
     _emit_report(args, concentration_factor(_grouped_points(args)))
-    return 0
 
 
-def cmd_geometry_cdf(args) -> int:
+def cmd_geometry_cdf(args) -> None:
     from .geometry import CurveReport, volume_cdf
 
     cdf = volume_cdf(_grouped_points(args), _hull_params(args))
     _emit_report(args, CurveReport.volume_cdf(cdf))
-    return 0
 
 
-def cmd_geometry_coverage(args) -> int:
+def cmd_geometry_coverage(args) -> None:
     from .geometry import CurveReport, coverage_curve
 
     curve = coverage_curve(_grouped_points(args), order_seed=args.seed,
                            params=_hull_params(args))
     _emit_report(args, CurveReport.coverage(curve, args.seed))
-    return 0
 
 
-def cmd_geometry_density(args) -> int:
+def cmd_geometry_density(args) -> None:
     import numpy as np
 
     from .geometry import density_measure
@@ -241,10 +230,9 @@ def cmd_geometry_density(args) -> int:
         np.vstack(groups), groups, neighbor_index=args.index, params=_hull_params(args),
         m=args.samples, threshold=args.threshold, seed=args.seed,
     ))
-    return 0
 
 
-def cmd_augment_noise(args) -> int:
+def cmd_augment_noise(args) -> None:
     from .augment import NoiseSpec, noise_augment
     from .geometry import load_embeddings
 
@@ -266,10 +254,9 @@ def cmd_augment_noise(args) -> int:
                                       "stats": stats}))
     print(f"replaced {stats['replaced_tokens']} of {stats['total_tokens']} tokens"
           f" (seed {args.seed})")
-    return 0
 
 
-def cmd_augment_perturb(args) -> int:
+def cmd_augment_perturb(args) -> None:
     from .augment import PerturbationSpec, perturb_corpus
 
     lines = read_lines(args.input)
@@ -277,15 +264,13 @@ def cmd_augment_perturb(args) -> int:
     spec = PerturbationSpec(k=args.k, seed=args.seed)
     write_lines(args.output, perturb_corpus(lines, vocab, spec))
     print(f"applied {args.k} edits per sentence to {len(lines)} sentences (seed {args.seed})")
-    return 0
 
 
-def cmd_eval_bleu(args) -> int:
+def cmd_eval_bleu(args) -> None:
     _emit_report(args, bleu(iter_lines(args.hyp), iter_lines(args.ref), smooth=args.smooth))
-    return 0
 
 
-def cmd_eval_vocab(args) -> int:
+def cmd_eval_vocab(args) -> None:
     streams: dict = {}
     for p in args.inputs:
         name = Path(p).name
@@ -293,7 +278,6 @@ def cmd_eval_vocab(args) -> int:
             raise PhonoprepError(f"two --input files are named {name!r}")
         streams[name] = token_counts(iter_lines(p))
     _emit_report(args, vocab_stats(streams))
-    return 0
 
 
 # --- parser assembly ---
@@ -368,21 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_sub = p.add_subparsers(dest="pipeline_command", required=True,
                                 parser_class=_Parser)
     q = pipe_sub.add_parser("run")
-    q.add_argument("--train-path", dest="train_path")
-    q.add_argument("--output-dir", dest="output_dir")
-    q.add_argument("--encoder", choices=ENCODERS)
-    q.add_argument("--combine-mode", dest="combine_mode", choices=COMBINE_MODES)
-    q.add_argument("--separator")
-    _add_seed(q)
-    q.add_argument("--bpe-operations-words", dest="bpe_operations_words", type=int)
-    q.add_argument("--bpe-operations-codes", dest="bpe_operations_codes", type=int)
-    q.add_argument("--dev-path", dest="dev_path")
-    q.add_argument("--test-path", dest="test_path")
-    q.add_argument("--table-path", dest="table_path")
-    q.add_argument("--granularity", choices=GRANULARITIES)
-    q.add_argument("--cluster-baseline", dest="cluster_baseline",
-                   choices=tuple(WORD_ENCODERS))
-    q.add_argument("--cluster-fraction", dest="cluster_fraction", type=float)
+    # one flag per config field, in field order, typed by its annotation's text; none
+    # is required, since from_dict names a missing train_path or output_dir
+    for f in dataclasses.fields(PipelineConfig):
+        if f.name == "seed":
+            _add_seed(q)
+        else:
+            q.add_argument("--" + f.name.replace("_", "-"),
+                           type={"int": int, "float | None": float}.get(f.type),
+                           choices=PipelineConfig.CHOICES.get(f.name))
     q.set_defaults(func=cmd_pipeline_run)
 
     p = sub.add_parser("geometry", help="dispersion analysis")
@@ -560,7 +538,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except (PhonoprepError, OSError, ValueError) as exc:  # a bad config's JSON is a ValueError

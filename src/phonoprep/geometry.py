@@ -366,6 +366,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             vec = np.array([float(x) for x in comps])
         except ValueError as exc:
             raise PhonoprepError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise PhonoprepError(f"{path}:{lineno}: non-finite components for {unit!r}")
         if unit in vectors:
             log.warning("duplicate unit %r at %s:%d; last entry wins", unit, path, lineno)
         vectors[unit] = vec

@@ -17,7 +17,7 @@ from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping
 
 from . import __version__
 from .encoders import (
@@ -73,16 +73,25 @@ WORD_ENCODERS: dict[str, Callable[[str], str]] = {
     "metaphone": metaphone_encode,
 }
 ENCODERS = (*WORD_ENCODERS, *TABLE_KINDS, "cluster")
+# combined input files of each mode, by suffix
+_COMBINED = {"codes_only": ("input-codes",), "concat": ("concat",),
+             "multi_source": ("src-words", "src-codes")}
+COMBINE_MODES = tuple(_COMBINED)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one run needs; serializes to/from a flat JSON document."""
 
+    # the values a field may take, where they are a fixed set
+    CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
+        "encoder": ENCODERS, "combine_mode": COMBINE_MODES, "granularity": GRANULARITIES,
+        "cluster_baseline": tuple(WORD_ENCODERS)}
+
     train_path: str
     output_dir: str
     encoder: str = "metaphone"
-    combine_mode: str = "concat"  # one of COMBINE_MODES
+    combine_mode: str = "concat"
     separator: str = "<sep>"
     seed: int = 0
     bpe_operations_words: int = 0
@@ -112,14 +121,9 @@ class PipelineConfig:
         if not isinstance(sep, str) or sep.split() != [sep] or sep.endswith(CONTINUATION):
             raise ValueError(f"separator must be one token not ending with {CONTINUATION!r},"
                              f" got {sep!r}")
-        if self.encoder not in ENCODERS:
-            raise ValueError(f"unknown encoder {self.encoder!r}; pick one of {ENCODERS}")
-        if self.combine_mode not in COMBINE_MODES:
-            raise ValueError(f"unknown combine mode {self.combine_mode!r}")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.cluster_baseline not in WORD_ENCODERS:
-            raise ValueError(f"unknown cluster_baseline {self.cluster_baseline!r}")
+        for name, choices in self.CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; pick one of {choices}")
         defaults = {f.name: f.default for f in fields(self)}
         for name, readers in (("table_path", TABLE_KINDS), ("granularity", TABLE_KINDS),
                               ("cluster_baseline", ("cluster",)),
@@ -245,12 +249,6 @@ def encode_corpus(counts: Mapping[str, int], encoder: TokenEncoder) -> EncodedCo
     return EncodedCorpus(word_counts, code_counts, code_of, parity, passthrough)
 
 
-# combined input files of each mode, by suffix
-_COMBINED = {"codes_only": ("input-codes",), "concat": ("concat",),
-            "multi_source": ("src-words", "src-codes")}
-COMBINE_MODES = tuple(_COMBINED)
-
-
 def combine(
     lines: Iterable[str],
     encoded: EncodedCorpus,
@@ -277,7 +275,8 @@ def combine(
         if hits:
             first = next(i for i, line in enumerate(lines, start=1)
                          if not hits.isdisjoint(line.split()))
-            raise PhonoprepError(f"separator {separator!r} occurs in {stream} line {first}")
+            raise PhonoprepError(f"separator {separator!r} occurs in {prefix} {stream}"
+                                 f" line {first}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"{prefix}.{suffix}" for suffix in ("words", "codes", *_COMBINED[mode])]

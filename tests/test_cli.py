@@ -215,6 +215,11 @@ class TestEncode:
         assert "--model is read only by --codec cluster" in err
         assert not out_path.exists()
 
+    def test_cluster_codec_without_model_is_data_error(self, capsys):
+        code, out, err = run_cli(["encode", "--codec", "cluster"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "phonoprep: error: --codec cluster requires --model\n"
+
     @pytest.mark.parametrize("row", ["a\t", "a\tG 1", "a\tG1\tG2", "# seed: abc",
                                      "\tG2", "a b\tG2", "b\tG2"])
     def test_malformed_cluster_model_is_data_error(self, capsys, tmp_path, row):
@@ -486,6 +491,22 @@ class TestGeometry:
         assert (code, out) == (2, "")
         assert err == ("phonoprep: error: smoothed hull of all points is degenerate"
                        " (6 of 6 points removed as outliers)\n")
+
+    def test_non_finite_vector_component_names_its_line(self, capsys, tmp_path):
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("a 0.0 1.0\nb nan 1.0\nc 1.0 0.0\n", encoding="utf-8")
+        code, out, err = run_cli(["geometry", "project", "--vectors", str(vectors),
+                                  "--output", str(tmp_path / "p.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"phonoprep: error: {vectors}:2: non-finite components for 'b'\n"
+        assert not (tmp_path / "p.txt").exists()
+
+    def test_beta_without_radius_is_data_error(self, capsys, tmp_path):
+        groups, points = self._write_hand_example(tmp_path)
+        code, out, err = run_cli(["geometry", "cdf", "--groups", str(groups),
+                                  "--points", str(points), "--beta", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "phonoprep: error: --beta and --radius must be given together\n"
 
     def test_density_without_samples_is_data_error(self, capsys, tmp_path):
         paths = _write_report_inputs(tmp_path)

@@ -224,7 +224,7 @@ class TestCombine:
         assert path.read_text(encoding="utf-8") == "<sep>\n"
 
     def test_separator_collision(self, tmp_path):
-        with pytest.raises(PhonoprepError, match="^separator '<sep>' occurs in word stream line 1$"):
+        with pytest.raises(PhonoprepError, match="^separator '<sep>' occurs in corpus word stream line 1$"):
             _combine(tmp_path, {"a": "X", "<sep>": "Y", "b": "Z"}, lines=["a <sep> b"])
         assert list(tmp_path.iterdir()) == []
 
@@ -435,6 +435,33 @@ class TestRunPipeline:
         run_pipeline(self._config(tmp_path))
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert set(_dir_hashes(out)) == set(manifest["files"]) | {"manifest.json"}
+
+    def test_failed_rename_of_the_new_build_restores_the_earlier_output(
+            self, tmp_path, monkeypatch):
+        out = run_pipeline(self._config(tmp_path))
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        replace = pipeline.os.replace
+
+        def fail_staging_rename(src, dst):
+            name = Path(src).name
+            if name.startswith(".out.tmp-") and not name.endswith(".old"):
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", fail_staging_rename)
+        with pytest.raises(OSError, match="^rename refused$"):
+            run_pipeline(self._config(tmp_path, seed=14))
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".out.tmp-")] == []
+
+    def test_separator_collision_names_the_split(self, tmp_path):
+        dev = _write_corpus(tmp_path / "dev.txt", ["e f", "x y"])
+        train = _write_corpus(tmp_path / "ab.txt", ["a b", "c d"])
+        with pytest.raises(PipelineStageError,
+                           match="separator 'x' occurs in dev word stream line 2$"):
+            run_pipeline(self._config(tmp_path, train_path=str(train), dev_path=str(dev),
+                                      separator="x"))
+        assert not (tmp_path / "out").exists()
 
     def test_config_round_trip(self, tmp_path):
         cfg = self._config(tmp_path)

@@ -396,6 +396,13 @@ class TestMergeFile:
         with pytest.raises(PhonoprepError, match=f"^{re.escape(f'{path}:3: merge symbols')}"):
             load_bpe_model(path)
 
+    def test_line_with_three_symbols_is_refused_by_line(self, tmp_path):
+        path = tmp_path / "merges.txt"
+        path.write_text("#version: 0.2\na b c\n", encoding="utf-8")
+        with pytest.raises(PhonoprepError, match=f"^{re.escape(f'{path}:2:')} expected "
+                                                 r"'left right', got 'a b c'$"):
+            load_bpe_model(path)
+
     def test_merge_pair_listed_twice_is_refused_by_line(self, tmp_path):
         path = tmp_path / "merges.txt"
         path.write_text("#version: 0.2\na b\nab c\na b\n", encoding="utf-8")

@@ -120,6 +120,12 @@ def test_importing_the_cli_and_pipeline_loads_no_scipy():
                             f"print({SCIPY_LOADED})") == "[]"
 
 
+def test_importing_the_package_loads_no_submodule():
+    # the package exports nothing at top level: code imports from the submodules
+    assert _last_line("-c", "import sys, phonoprep; print(sorted(m for m in sys.modules"
+                            " if m.startswith('phonoprep.')))") == "[]"
+
+
 def test_commands_without_geometry_or_kmeans_load_no_scipy(tmp_path):
     (tmp_path / "corpus.txt").write_text(
         "the body of speech\nspeak about the bad space\nthe choir sang\n", encoding="utf-8")
