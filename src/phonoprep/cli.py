@@ -313,7 +313,7 @@ def _add_hull(p) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="phonoprep", description=__doc__)
     parser.add_argument("--version", action="version", version=f"phonoprep {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode tokens on stdin or a file")
     p.add_argument("--codec", choices=ENCODERS, required=True)
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("bpe", help="subword segmentation")
-    bpe_sub = p.add_subparsers(dest="bpe_command", required=True, parser_class=_Parser)
+    bpe_sub = p.add_subparsers(dest="bpe_command", required=True)
     q = bpe_sub.add_parser("learn")
     q.add_argument("--corpus", required=True)
     q.add_argument("--operations", type=int, required=True)
@@ -349,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_bpe_apply)
 
     p = sub.add_parser("pipeline", help="end-to-end corpus preparation")
-    pipe_sub = p.add_subparsers(dest="pipeline_command", required=True,
-                                parser_class=_Parser)
+    pipe_sub = p.add_subparsers(dest="pipeline_command", required=True)
     q = pipe_sub.add_parser("run")
     # one flag per config field, in field order, typed by its annotation's text; none
     # is required, since from_dict names a missing train_path or output_dir
@@ -364,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_pipeline_run)
 
     p = sub.add_parser("geometry", help="dispersion analysis")
-    geo_sub = p.add_subparsers(dest="geometry_command", required=True,
-                               parser_class=_Parser)
+    geo_sub = p.add_subparsers(dest="geometry_command", required=True)
     q = geo_sub.add_parser("embed")
     q.add_argument("--corpus", required=True)
     q.add_argument("--dim", type=int, default=100)
@@ -400,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(func=handler)
 
     p = sub.add_parser("augment", help="robustness data generation")
-    aug_sub = p.add_subparsers(dest="augment_command", required=True,
-                               parser_class=_Parser)
+    aug_sub = p.add_subparsers(dest="augment_command", required=True)
     q = aug_sub.add_parser("noise")
     q.add_argument("--input", required=True)
     q.add_argument("--embeddings", required=True)
@@ -420,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_augment_perturb)
 
     p = sub.add_parser("eval", help="scoring and statistics")
-    eval_sub = p.add_subparsers(dest="eval_command", required=True,
-                                parser_class=_Parser)
+    eval_sub = p.add_subparsers(dest="eval_command", required=True)
     q = eval_sub.add_parser("bleu")
     q.add_argument("--hyp", required=True)
     q.add_argument("--ref", required=True)
@@ -506,8 +502,8 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv  # let argparse report the missing value
+    if at + 1 >= len(argv):  # no parser defines --config, so argparse cannot say this
+        parser.error("argument --config: expected one argument")
     config_path = argv[at + 1]
     argv = argv[:at] + argv[at + 2:]
     data = json.loads(Path(config_path).read_text(encoding="utf-8"))

@@ -14,7 +14,6 @@ unchanged.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -22,7 +21,6 @@ from .errors import NonAlphabeticToken, PhonoprepError
 from .subword import read_lines
 
 __all__ = [
-    "CodeTable",
     "TABLE_KINDS",
     "GRANULARITIES",
     "fold_to_ascii_letters",
@@ -307,26 +305,15 @@ def encode_or_passthrough(token: str, codec: Callable[[str], str]) -> tuple[str,
 TABLE_KINDS = ("pinyin", "wubi")
 
 
-@dataclass(frozen=True)
-class CodeTable:
-    """Immutable character -> ordered code list lookup (Pinyin or Wubi)."""
-
-    entries: dict[str, tuple[str, ...]]
-
-    def default_code(self, char: str) -> str | None:
-        codes = self.entries.get(char)
-        return codes[0] if codes else None
-
-
-def load_code_table(path: str | Path) -> CodeTable:
+def load_code_table(path: str | Path) -> dict[str, str]:
     """Read a TSV code table: ``character<TAB>code`` per line, ``#`` comments.
 
     A code must be one ``str.split()`` token: non-empty, with no whitespace.
-    Duplicate characters keep all codes in file order; the first listed
-    code is the default.
+    Returns the dict of each character's first listed code; a later listing
+    of a character is checked like any line, then ignored.
     """
     path = Path(path)
-    entries: dict[str, list[str]] = {}
+    entries: dict[str, str] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line or line.startswith("#"):
             continue
@@ -334,10 +321,10 @@ def load_code_table(path: str | Path) -> CodeTable:
         # a code is one token, so each character of a word gives one code token
         if len(parts) != 2 or len(parts[0]) != 1 or parts[1].split() != [parts[1]]:
             raise PhonoprepError(f"{path}:{lineno}: malformed table line: {line!r}")
-        entries.setdefault(parts[0], []).append(parts[1])
+        entries.setdefault(parts[0], parts[1])
     if not entries:
         raise PhonoprepError(f"no entries in {path}")
-    return CodeTable(entries={k: tuple(v) for k, v in entries.items()})
+    return entries
 
 
 def bundled_table_path(kind: str) -> Path:
@@ -350,20 +337,18 @@ def bundled_table_path(kind: str) -> Path:
 GRANULARITIES = ("per_character", "letters")
 
 
-def table_encode(token: str, table: CodeTable, granularity: str = "per_character") -> list[str]:
+def table_encode(token: str, table: dict[str, str],
+                 granularity: str = "per_character") -> list[str]:
     """Encode ``token`` one character at a time via ``table``.
 
-    ``per_character`` yields the default code per character; ``letters``
+    ``per_character`` yields each character's code; ``letters``
     additionally splits each code into single-character pieces (so
     ``xiao4`` becomes ``x i a o 4``). Characters absent from the table
     pass through unchanged.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
-    codes = []
-    for ch in token:
-        code = table.default_code(ch)
-        codes.append(code if code is not None else ch)
+    codes = [table.get(ch, ch) for ch in token]
     if granularity == "per_character":
         return codes
     return [piece for code in codes for piece in code]

@@ -741,6 +741,20 @@ class TestBpeAndPipeline:
         assert not (tmp_path / "clusters.tsv").exists()
 
 
+    def test_config_without_a_file_is_usage_error(self, capsys):
+        code, out, err = run_cli(["encode", "--codec", "soundex", "--config"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: phonoprep")
+        assert err.endswith("phonoprep: error: argument --config: expected one argument\n")
+
+    def test_config_without_a_command_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fraction": 0.5}), encoding="utf-8")
+        code, out, err = run_cli(["--config", str(config)], capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith("error: the following arguments are required: command\n")
+
+
 class TestConfigValues:
     """A ``--config`` value gets the checks its flag gets, before any input is read."""
 

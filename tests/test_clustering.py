@@ -51,6 +51,10 @@ class TestSizeDistribution:
         with pytest.raises(PhonoprepError, match="^no units to cluster$"):
             derive_size_distribution([], soundex_encode)
 
+    def test_non_positive_multiplicity_is_refused(self):
+        with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+            SizeDistribution((2, 0))
+
     def test_units_without_a_code_are_their_own_groups(self):
         # metaphone gives "" for all three; they pass through, so no "" group forms
         dist = derive_size_distribution(["wh", "gh", "hw", "body"], metaphone_encode)
@@ -103,6 +107,10 @@ class TestRandomCluster:
     def test_size_mismatch(self):
         with pytest.raises(PhonoprepError, match="^distribution covers 4 units, got 6$"):
             random_cluster(self.UNITS, SizeDistribution((2, 2)), seed=0)
+
+    def test_repeated_unit_is_refused(self):
+        with pytest.raises(ValueError, match="^units must be distinct$"):
+            random_cluster(["a", "a"], SizeDistribution((2,)), seed=0)
 
 
 class TestRandomClusterUniform:
@@ -317,6 +325,11 @@ class TestKMeansLowDimensionMatchesReference:
 
 class TestKMeans:
     SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+
+    @pytest.mark.parametrize("points", [[], np.arange(3.0)])
+    def test_points_that_are_no_nonempty_table_are_refused(self, points):
+        with pytest.raises(ValueError, match=r"^points must be a non-empty \(n, d\) array$"):
+            kmeans_fit(points, k=1, seed=0)
 
     def test_k1_centroid_is_mean(self):
         model = kmeans_fit(self.SQUARE, k=1, seed=0)

@@ -256,15 +256,12 @@ class TestCodeTable:
     def test_duplicate_keys_keep_order(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("国\tguo2\n国\tguo3\n", encoding="utf-8")
-        table = load_code_table(p)
-        assert table.entries["国"] == ("guo2", "guo3")
-        assert table.default_code("国") == "guo2"
+        assert load_code_table(p) == {"国": "guo2"}
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# header\n\n笑\txiao4\n", encoding="utf-8")
-        table = load_code_table(p)
-        assert table.default_code("笑") == "xiao4"
+        assert load_code_table(p) == {"笑": "xiao4"}
 
     def test_empty_table(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -278,6 +275,21 @@ class TestCodeTable:
         with pytest.raises(PhonoprepError, match=r"t\.tsv:2: malformed table line: "):
             load_code_table(p)
 
+    def test_later_listing_of_a_character_is_still_checked(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        p.write_text("国\tguo2\n国\tguo 3\n", encoding="utf-8")
+        with pytest.raises(PhonoprepError, match=r"t\.tsv:2: malformed table line: "):
+            load_code_table(p)
+
+    def test_unknown_table_kind_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown table kind 'zhuyin'$"):
+            bundled_table_path("zhuyin")
+
+    def test_unknown_granularity_is_refused(self):
+        table = load_code_table(bundled_table_path("pinyin"))
+        with pytest.raises(ValueError, match="^unknown granularity 'words'$"):
+            table_encode("笑", table, "words")
+
     @pytest.mark.parametrize("code", ["a b", "xiao 4", " xiao4", "xiao4 ", "a\u2028b", "\x0c"])
     def test_code_with_whitespace_is_malformed(self, tmp_path, code):
         # a code is one token: "a b" would give a one-character token two codes
@@ -286,14 +298,18 @@ class TestCodeTable:
         with pytest.raises(PhonoprepError, match=r"t\.tsv:2: malformed table line: "):
             load_code_table(p)
 
+    @staticmethod
+    def _file_codes(kind):
+        # the code of every row of the file, a character's later listings included
+        lines = bundled_table_path(kind).read_text(encoding="utf-8").splitlines()
+        codes = [line.split("\t")[1] for line in lines if line and not line.startswith("#")]
+        assert codes
+        return codes
+
     def test_wubi_code_shape(self):
-        table = load_code_table(bundled_table_path("wubi"))
-        for codes in table.entries.values():
-            for code in codes:
-                assert 1 <= len(code) <= 4
+        for code in self._file_codes("wubi"):
+            assert 1 <= len(code) <= 4
 
     def test_pinyin_tone_digit_shape(self):
-        table = load_code_table(bundled_table_path("pinyin"))
-        for codes in table.entries.values():
-            for code in codes:
-                assert code[-1] in "12345"
+        for code in self._file_codes("pinyin"):
+            assert code[-1] in "12345"

@@ -290,12 +290,23 @@ class TestGamma:
         with pytest.raises(PhonoprepError, match="^every group is a single repeated point$"):
             concentration_factor(groups)
 
+    def test_empty_group_is_refused(self):
+        with pytest.raises(ValueError, match="^groups must be non-empty$"):
+            concentration_factor([np.empty((0, 2))])
+
     def test_tight_groups_have_larger_gamma(self):
         rng = np.random.default_rng(7)
         centers = rng.uniform(-10, 10, size=(6, 2))
         tight = [c + 0.01 * rng.normal(size=(20, 2)) for c in centers]
         loose = [c + 5.0 * rng.normal(size=(20, 2)) for c in centers]
         assert concentration_factor(tight).gamma > concentration_factor(loose).gamma
+
+
+@pytest.mark.parametrize("measure", [lambda groups: coverage_curve(groups, order_seed=0),
+                                     volume_cdf, concentration_factor])
+def test_no_group_is_refused(measure):
+    with pytest.raises(ValueError, match="^need at least one group$"):
+        measure([])
 
 
 class TestDensity:
@@ -306,6 +317,18 @@ class TestDensity:
         rng = np.random.default_rng(0)
         with pytest.raises(PhonoprepError, match="^need >= 5 groups, got 4$"):
             density_measure(rng.normal(size=(30, 2)), self._groups(rng)[:4], seed=0)
+
+    def test_neighbor_index_out_of_range_is_refused(self):
+        rng = np.random.default_rng(0)
+        groups = self._groups(rng)
+        with pytest.raises(ValueError, match="^neighbor_index must be 1, 2, or 3$"):
+            density_measure(np.vstack(groups), groups, neighbor_index=4, seed=0)
+
+    def test_empty_reference_set_is_refused(self):
+        groups = [np.empty((0, 2))] * 5
+        with pytest.raises(PhonoprepError, match="^reference set of 0 points cannot answer "
+                                                 "1-nearest-neighbor queries$"):
+            density_measure(SQUARE, groups, neighbor_index=1, seed=0)
 
     def test_monotone_in_neighbor_index(self):
         rng = np.random.default_rng(3)
@@ -424,6 +447,12 @@ class TestPca:
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-9)
         centroid = np.mean([projected[u] for u in projected], axis=0)
         np.testing.assert_allclose(centroid, [0.0, 0.0], atol=1e-9)
+
+    def test_fewer_than_three_units_are_refused(self):
+        vectors = {"a": np.array([0.0, 1.0]), "b": np.array([1.0, 0.0])}
+        table = EmbeddingTable(dimension=2, vectors=vectors)
+        with pytest.raises(ValueError, match="^need at least 3 units to project$"):
+            pca_project(table)
 
     def test_degenerate_data(self):
         vectors = {f"w{i}": np.ones(4) for i in range(5)}

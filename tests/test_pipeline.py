@@ -66,6 +66,14 @@ class TestEncodeCorpus:
         _, code_lines = _encode(["speak 42"], make_token_encoder("soundex"))
         assert code_lines == ["S120 42"]
 
+    @pytest.mark.parametrize("name, message", [
+        ("cluster", "cluster encoder needs a ClusterModel"),
+        ("klingon", "unknown encoder 'klingon'"),
+    ])
+    def test_encoder_that_cannot_be_built_is_refused(self, name, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_token_encoder(name)
+
     def test_word_level_token_parity(self):
         enc, code_lines = _encode(TRAIN, make_token_encoder("metaphone"))
         assert enc.token_parity
@@ -226,6 +234,11 @@ class TestCombine:
     def test_separator_collision(self, tmp_path):
         with pytest.raises(PhonoprepError, match="^separator '<sep>' occurs in corpus word stream line 1$"):
             _combine(tmp_path, {"a": "X", "<sep>": "Y", "b": "Z"}, lines=["a <sep> b"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_mode_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown combine mode 'xml'$"):
+            _combine(tmp_path, {"a": "X"}, mode="xml")
         assert list(tmp_path.iterdir()) == []
 
     def test_separator_inside_a_token_is_no_collision(self, tmp_path):

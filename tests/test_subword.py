@@ -410,6 +410,15 @@ class TestMergeFile:
                                                  r" 'a b' is listed twice, first at line 2$"):
             load_bpe_model(path)
 
+    def test_blank_line_between_merges_is_skipped(self, tmp_path):
+        path = tmp_path / "merges.txt"
+        path.write_text("#version: 0.2\na b\n\nab c\n", encoding="utf-8")
+        assert load_bpe_model(path).merges == (("a", "b"), ("ab", "c"))
+
+    def test_model_with_a_pair_listed_twice_is_refused(self):
+        with pytest.raises(ValueError, match="^duplicate merge pairs$"):
+            BpeModel(merges=(("a", "b"), ("a", "b")))
+
     def test_header_and_layout(self, tmp_path):
         model = bpe_learn(token_counts(["aa aa"]), 1)
         path = tmp_path / "merges.txt"
